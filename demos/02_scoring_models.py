@@ -21,6 +21,7 @@ from namesift import (
     smoothed_profile,
     vectorize,
 )
+from namesift.models import TaskResources
 
 
 def demo_task() -> Task:
@@ -86,15 +87,15 @@ def main() -> None:
     # d1 does, and d1 reads like e1.  The cosine-weighted expansion copies
     # part of d1's vocabulary into the profile, so documents that only
     # share d1's words still reach e1.
+    # smoothed_profile takes every entity row at once (a dense entities x
+    # features matrix) against the task's sparse document rows.
     config = FeatureConfig()
-    expanded = smoothed_profile(
-        vectorize("e1", index, config),
-        [vectorize(d.id, index, config) for d in task.documents],
-    )
+    arrays = TaskResources.from_task(task, config).arrays()
+    expanded = smoothed_profile(arrays.entities, arrays.rows)
     for token in ("jazz", "live", "assay"):
         fid = index.feature_id(token)
         raw = vectorize("e1", index, config).get(fid, 0.0)
-        print(f"  w({token!r:7}, e1) = {raw:.4f}   smoothed -> {expanded.get(fid, 0.0):.4f}")
+        print(f"  w({token!r:7}, e1) = {raw:.4f}   smoothed -> {expanded[0, fid]:.4f}")
 
 
 if __name__ == "__main__":

@@ -54,8 +54,6 @@ from .models import (
     MODELS,
     Assignment,
     ModelConfig,
-    cosine_sim,
-    dot_score,
     map_documents,
     smoothed_profile,
 )
@@ -87,9 +85,7 @@ __all__ = [
     "build_index",
     "build_noise_profile",
     "clustering_eval_filter",
-    "cosine_sim",
     "discover_tasks",
-    "dot_score",
     "evaluate_assignment",
     "f1_bar",
     "hac_complete",

@@ -38,12 +38,11 @@ from .experiments import (
     task_clusterings,
     validate_corpus,
 )
-from .features import ConfigError
+from .features import NOISE_MODES, ConfigError
 from .models import MODELS
 
 __all__ = ["main"]
 
-NOISE_MODES = ("none", "union", "intersection")
 _TRUTHY = ("1", "true", "yes", "on")
 _FALSY = ("0", "false", "no", "off")
 

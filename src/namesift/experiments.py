@@ -23,7 +23,7 @@ from .corpus import (
     load_task,
 )
 from .evaluation import EvalReport, TaskMetrics, clustering_eval_filter, evaluate_assignment, nmi, purity
-from .features import FeatureConfig, build_index, vectorize
+from .features import NOISE_MODES, FeatureConfig, build_index, vectorize
 from .models import MODELS, Assignment, ModelConfig, TaskResources, map_documents
 
 __all__ = [
@@ -39,8 +39,6 @@ __all__ = [
     "grid_json_dict",
     "pivot_tsv",
 ]
-
-NOISE_MODES = ("none", "union", "intersection")
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")

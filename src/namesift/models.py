@@ -1,29 +1,37 @@
 """Membership scoring models and the document-to-entity assignment step.
 
-Every model scores a document against each real entity plus, when enabled,
-the artificial noise entity, and assigns the document to the argmax.  Ties
-go to the earliest class in task order, with the noise entity ranked last,
-so a real entity always wins an exact tie.
+All five models are one linear layer over a task's sparse document rows:
+``scores = rows @ W.T + b``.  ``W`` holds one row per class, the real
+entities in task order followed by the artificial noise entity when it is
+enabled, and ``b`` one bias per class.  Each document goes to its first
+highest-scoring class (``argmax``), so ties go to the earliest class and a
+real entity always wins an exact tie against the noise entity.
 
-Models:
+The models differ only in the document row values and in ``W`` and ``b``:
 
-* ``cosine``: cosine similarity between tf-idf vectors.
-* ``score``: sparse dot product of tf-idf vectors.
-* ``score_smoothed``: dot product against entity profiles that were pulled
-  toward similar documents (the noise profile is never smoothed).
-* ``nb_bernoulli_laplace``: Bernoulli Naive Bayes over distinct document
-  features with additive smoothing; tf-idf weights act as soft counts.
-* ``nb_multinomial_jm``: multinomial Naive Bayes over token frequencies
-  with Jelinek-Mercer interpolation against the corpus-wide background
-  distribution.  The multinomial coefficient is omitted: it is constant
-  per document and cannot change the argmax.
+* ``cosine``: unit-length tf-idf rows against unit-length class rows.
+* ``score``: tf-idf rows against the raw tf-idf class rows.
+* ``score_smoothed``: tf-idf rows against entity profiles pulled toward
+  similar documents (`smoothed_profile`); the noise row is left as is.
+* ``nb_bernoulli_laplace``: Bernoulli Naive Bayes.  Presence bits of the
+  distinct document features against ``log((W + alpha) / denom)``, the
+  additively smoothed class-weight rows, plus the log prior; tf-idf
+  weights act as soft counts.
+* ``nb_multinomial_jm``: multinomial Naive Bayes.  Token counts against
+  ``log((1 - lambda) * ml + lambda * background)``, the Jelinek-Mercer mix
+  of each class's maximum-likelihood token distribution with the
+  corpus-wide one, plus the log prior.  The multinomial coefficient is
+  omitted: it is constant per document and cannot change the argmax.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from itertools import chain, repeat
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from .corpus import NOISE_LABEL, Task
 from .features import (
@@ -34,7 +42,6 @@ from .features import (
     NoiseProfile,
     build_index,
     build_noise_profile,
-    l1_normalize,
     vectorize,
 )
 
@@ -42,15 +49,17 @@ __all__ = [
     "MODELS",
     "ModelConfig",
     "Assignment",
+    "DocumentRows",
+    "TaskArrays",
     "TaskResources",
     "ScoringContext",
-    "cosine_sim",
-    "dot_score",
+    "unit_rows",
     "smoothed_profile",
     "multinomial_log_coefficient",
+    "floored_log",
     "laplace_log_priors",
-    "BernoulliScorer",
-    "MultinomialScorer",
+    "bernoulli_log_probs",
+    "jelinek_mercer_log_probs",
     "build_context",
     "assign_from_context",
     "map_documents",
@@ -70,6 +79,11 @@ LAPLACE_DENOMINATORS = ("paper", "per_feature")
 PROB_FLOOR = 1e-300
 
 
+def _is_real(value: object) -> bool:
+    """A finite int or float; booleans are rejected."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """One classification configuration: model choice plus its parameters."""
@@ -83,9 +97,9 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.model not in MODELS:
             raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
-        if not (isinstance(self.alpha, (int, float)) and self.alpha > 0):
-            raise ConfigError(f"alpha must be > 0, got {self.alpha!r}")
-        if not (isinstance(self.jm_lambda, (int, float)) and 0.0 < self.jm_lambda < 1.0):
+        if not (_is_real(self.alpha) and self.alpha > 0):
+            raise ConfigError(f"alpha must be a finite number > 0, got {self.alpha!r}")
+        if not (_is_real(self.jm_lambda) and 0.0 < self.jm_lambda < 1.0):
             raise ConfigError(f"lambda must lie strictly between 0 and 1, got {self.jm_lambda!r}")
         if self.laplace_denominator not in LAPLACE_DENOMINATORS:
             raise ConfigError(
@@ -93,38 +107,100 @@ class ModelConfig:
             )
 
 
-def dot_score(u: FeatureVector, v: FeatureVector) -> float:
-    """Sparse dot product; iterates the smaller vector."""
-    if len(u) > len(v):
-        u, v = v, u
-    return sum(w * v[f] for f, w in u.items() if f in v)
+def _dense(vectors: Sequence[Mapping[int, float]], width: int) -> np.ndarray:
+    """Sparse vectors as the rows of a dense ``len(vectors) x width`` matrix."""
+    out = np.zeros((len(vectors), width))
+    for row, vector in zip(out, vectors):
+        row[list(vector)] = list(vector.values())
+    return out
 
 
-def cosine_sim(u: FeatureVector, v: FeatureVector) -> float:
-    """Cosine similarity; 0.0 when either vector is empty or all-zero."""
-    nu = math.sqrt(sum(w * w for w in u.values()))
-    nv = math.sqrt(sum(w * w for w in v.values()))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return dot_score(u, v) / (nu * nv)
+def _inverse(norms: np.ndarray) -> np.ndarray:
+    """1 / norms, with 0 where a norm is 0."""
+    return np.divide(1.0, norms, out=np.zeros_like(norms), where=norms != 0.0)
 
 
-def smoothed_profile(entity_vector: FeatureVector, doc_vectors: Iterable[FeatureVector]) -> FeatureVector:
-    """Entity profile pulled toward documents by cosine-weighted mixing.
+def unit_rows(matrix: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit L2 length; all-zero rows stay zero."""
+    return matrix * _inverse(np.sqrt((matrix * matrix).sum(axis=1)))[:, None]
 
-    Starts from the L1-normalized entity vector and adds, for every
-    document, its L1-normalized vector scaled by the cosine between the
-    raw entity and document vectors.  Every document contributes,
+
+@dataclass(frozen=True)
+class DocumentRows:
+    """Sparse document rows of one task, CSR style.
+
+    Document ``i`` holds the features ``indices[offsets[i]:offsets[i + 1]]``
+    with tf-idf weights ``tfidf`` and token counts ``counts`` at the same
+    positions.  A stored feature may carry a tf-idf weight of exactly 0.
+    """
+
+    indices: np.ndarray
+    offsets: np.ndarray
+    tfidf: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def build(cls, counts: Sequence[Mapping[int, float]], weights: Sequence[Mapping[int, float]]) -> "DocumentRows":
+        """Rows over the features of ``counts``; a feature missing from ``weights`` weighs 0."""
+        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum([len(c) for c in counts], out=offsets[1:])
+        size = int(offsets[-1])
+        return cls(
+            indices=np.fromiter(chain.from_iterable(counts), dtype=np.int64, count=size),
+            offsets=offsets,
+            tfidf=np.fromiter(
+                chain.from_iterable(map(w.get, c, repeat(0.0)) for c, w in zip(counts, weights)),
+                dtype=float,
+                count=size,
+            ),
+            counts=np.fromiter(chain.from_iterable(c.values() for c in counts), dtype=float, count=size),
+        )
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def per_document(self, values: np.ndarray) -> np.ndarray:
+        """Sums over each document's positions along the last axis of ``values``."""
+        out = np.zeros(values.shape[:-1] + (len(self.offsets) - 1,))
+        nonempty = self.sizes > 0
+        # reduceat misreads empty segments, so only nonempty ones are reduced;
+        # together they cover every stored position.
+        if nonempty.any():
+            out[..., nonempty] = np.add.reduceat(values, self.offsets[:-1][nonempty], axis=-1)
+        return out
+
+    def unit(self) -> np.ndarray:
+        """tf-idf weights scaled to unit L2 length per document; all-zero rows stay zero."""
+        return self.tfidf * np.repeat(_inverse(np.sqrt(self.per_document(self.tfidf**2))), self.sizes)
+
+    def l1(self) -> np.ndarray:
+        """tf-idf weights scaled so their absolute values sum to 1 per document."""
+        return self.tfidf * np.repeat(_inverse(self.per_document(np.abs(self.tfidf))), self.sizes)
+
+    def dot(self, weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Documents x classes: rows holding ``values`` at their positions, dotted with each row of ``weights``."""
+        gathered = np.take(weights, self.indices, axis=1)
+        gathered *= values
+        return self.per_document(gathered).T
+
+
+def smoothed_profile(entities: np.ndarray, rows: DocumentRows) -> np.ndarray:
+    """Entity profiles pulled toward documents by cosine-weighted mixing.
+
+    Row e of the result starts from entity row e, L1-normalized, and adds,
+    for every document, its L1-normalized tf-idf row scaled by the cosine
+    between the raw entity and document rows.  Every document contributes,
     including the one later being scored.
     """
-    out = dict(l1_normalize(entity_vector))
-    for doc_vector in doc_vectors:
-        sim = cosine_sim(entity_vector, doc_vector)
-        if sim == 0.0:
-            continue
-        for fid, w in l1_normalize(doc_vector).items():
-            out[fid] = out.get(fid, 0.0) + sim * w
-    return out
+    k, width = entities.shape
+    sims = rows.dot(unit_rows(entities), rows.unit())
+    pulled = np.repeat(sims, rows.sizes, axis=0).T * rows.l1()
+    # One weighted bincount over (class, feature) cells adds every pull.
+    cells = (np.arange(k)[:, None] * width + rows.indices).ravel()
+    mixed = np.bincount(cells, weights=pulled.ravel(), minlength=k * width).reshape(k, width)
+    l1_entities = entities * _inverse(np.abs(entities).sum(axis=1))[:, None]
+    return l1_entities + mixed
 
 
 def multinomial_log_coefficient(freqs: Mapping[int, int]) -> float:
@@ -133,116 +209,80 @@ def multinomial_log_coefficient(freqs: Mapping[int, int]) -> float:
     return math.lgamma(total + 1) - sum(math.lgamma(n + 1) for n in freqs.values())
 
 
-class _Floor:
-    """Counts probabilities clamped to the positivity floor."""
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def log(self, p: float) -> float:
-        if p <= 0.0:
-            self.count += 1
-            p = PROB_FLOOR
-        return math.log(p)
+def floored_log(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Natural log with entries <= 0 clamped to PROB_FLOOR, and the clamp mask."""
+    clamped = p <= 0.0
+    return np.log(np.where(clamped, PROB_FLOOR, p)), clamped
 
 
 def laplace_log_priors(
-    weights: Mapping[str, FeatureVector],
-    alpha: float,
-    *,
-    denominator: str = "paper",
-    floor: _Floor | None = None,
-) -> dict[str, float]:
+    masses: np.ndarray, alpha: float, *, denominator: str = "paper"
+) -> tuple[np.ndarray, np.ndarray]:
     """Additively smoothed log priors from per-class weight masses.
 
     The denominator pools the weight mass of every class being scored and
     adds ``alpha`` once (``paper``) or once per class (``per_feature``).
+    Returns the log priors and their clamp mask.
     """
-    floor = floor or _Floor()
-    masses = {cid: sum(v.values()) for cid, v in weights.items()}
-    extra = alpha if denominator == "paper" else alpha * len(weights)
-    pool = sum(masses.values()) + extra
-    return {cid: floor.log((mass + alpha) / pool) for cid, mass in masses.items()}
+    extra = alpha if denominator == "paper" else alpha * len(masses)
+    return floored_log((masses + alpha) / (masses.sum() + extra))
 
 
-@dataclass
-class BernoulliScorer:
-    """Bernoulli Naive Bayes over the distinct features of a document."""
+def bernoulli_log_probs(profiles: np.ndarray, alpha: float, *, denominator: str = "paper") -> tuple[np.ndarray, int]:
+    """Per-class feature log probabilities of the Bernoulli model.
 
-    classes: list[str]
-    log_priors: dict[str, float]
-    log_present: dict[str, dict[int, float]]
-    log_absent: dict[str, float]
-    floored: int = 0
+    For class e with weight mass M(e), a feature with weight w gets
+    probability (w + alpha) / (M(e) + alpha) in ``paper`` mode, or
+    (w + alpha) / (M(e) + alpha * F) in ``per_feature`` mode, F being the
+    number of columns.  Features outside the class use w = 0.  Returns the
+    log matrix and the number of clamped fit-time probabilities: one per
+    stored (nonzero) class weight, plus one per class for the shared value
+    of its absent features.
+    """
+    masses = profiles.sum(axis=1)
+    denom = masses + (alpha if denominator == "paper" else alpha * profiles.shape[1])
+    logs, clamped = floored_log((profiles + alpha) / denom[:, None])
+    floored = (clamped & (profiles != 0.0)).sum() + (alpha / denom <= 0.0).sum()
+    return logs, int(floored)
+
+
+def jelinek_mercer_log_probs(ml: np.ndarray, background: np.ndarray, jm_lambda: float) -> tuple[np.ndarray, np.ndarray]:
+    """log((1 - lambda) * ml + lambda * background) per class and feature, and the clamp mask."""
+    return floored_log((1.0 - jm_lambda) * ml + jm_lambda * background)
+
+
+@dataclass(frozen=True)
+class TaskArrays:
+    """One task's scoring inputs as arrays over its F indexed features.
+
+    ``entities`` holds the tf-idf rows and ``ml`` the maximum-likelihood
+    token distributions of the k entities (k x F); ``background`` is the
+    corpus-wide relative token frequency over documents and entities.
+    """
+
+    rows: DocumentRows
+    entities: np.ndarray
+    ml: np.ndarray
+    background: np.ndarray
 
     @classmethod
-    def fit(
-        cls,
-        weights: Mapping[str, FeatureVector],
-        alpha: float,
-        *,
-        denominator: str = "paper",
-        feature_count: int = 0,
-    ) -> "BernoulliScorer":
-        """Estimate per-class feature probabilities from weight vectors.
-
-        For class e with weight mass M(e), a feature with weight w gets
-        probability (w + alpha) / (M(e) + alpha) in ``paper`` mode, or
-        (w + alpha) / (M(e) + alpha * feature_count) in ``per_feature``
-        mode.  Features outside the class use w = 0.
-        """
-        floor = _Floor()
-        log_priors = laplace_log_priors(weights, alpha, denominator=denominator, floor=floor)
-        log_present: dict[str, dict[int, float]] = {}
-        log_absent: dict[str, float] = {}
-        for cid, vector in weights.items():
-            mass = sum(vector.values())
-            denom = mass + (alpha if denominator == "paper" else alpha * feature_count)
-            log_present[cid] = {fid: floor.log((w + alpha) / denom) for fid, w in vector.items()}
-            log_absent[cid] = floor.log(alpha / denom)
-        return cls(
-            classes=list(weights),
-            log_priors=log_priors,
-            log_present=log_present,
-            log_absent=log_absent,
-            floored=floor.count,
+    def build(cls, resources: "TaskResources") -> "TaskArrays":
+        index = resources.index
+        width = index.feature_count
+        rows = DocumentRows.build(
+            [index.term_counts[did] for did in index.document_ids],
+            [resources.doc_vectors[did] for did in index.document_ids],
         )
-
-    def log_score(self, features: Iterable[int], class_id: str) -> float:
-        """Log prior plus one log-likelihood term per distinct feature."""
-        present = self.log_present[class_id]
-        absent = self.log_absent[class_id]
-        return self.log_priors[class_id] + sum(present.get(fid, absent) for fid in features)
-
-
-@dataclass
-class MultinomialScorer:
-    """Multinomial Naive Bayes with Jelinek-Mercer smoothing.
-
-    Per-class maximum-likelihood token distributions are interpolated with
-    the corpus-wide background distribution: p = (1 - lambda) * ml +
-    lambda * background.  Scoring adds freq * log(p) per document feature;
-    the floor counter tracks probabilities clamped to stay positive.
-    """
-
-    classes: list[str]
-    log_priors: dict[str, float]
-    ml: dict[str, dict[int, float]]
-    background: dict[int, float]
-    jm_lambda: float
-    floored: int = 0
-
-    def log_score(self, freqs: Mapping[int, int], class_id: str) -> float:
-        ml = self.ml[class_id]
-        lam = self.jm_lambda
-        total = self.log_priors[class_id]
-        for fid, n in freqs.items():
-            p = (1.0 - lam) * ml.get(fid, 0.0) + lam * self.background.get(fid, 0.0)
-            if p <= 0.0:
-                self.floored += 1
-                p = PROB_FLOOR
-            total += n * math.log(p)
-        return total
+        entity_counts = _dense([index.term_counts[eid] for eid in index.entity_ids], width)
+        totals = np.array([index.token_totals[eid] for eid in index.entity_ids], dtype=float)
+        feature_totals = np.bincount(rows.indices, weights=rows.counts, minlength=width) + entity_counts.sum(axis=0)
+        grand_total = sum(index.token_totals.values())
+        return cls(
+            rows=rows,
+            entities=_dense([resources.entity_vectors[eid] for eid in index.entity_ids], width),
+            ml=entity_counts * _inverse(totals)[:, None],
+            background=feature_totals / grand_total if grand_total else feature_totals,
+        )
 
 
 @dataclass
@@ -251,7 +291,8 @@ class TaskResources:
 
     Everything here depends only on the weighting options (idf numerator
     and log base), never on the model or noise choice, so a configuration
-    grid can reuse one instance per task.
+    grid can reuse one instance per task.  The scoring arrays and smoothed
+    profiles are built on first use.
     """
 
     task: Task
@@ -261,7 +302,8 @@ class TaskResources:
     doc_vectors: dict[str, FeatureVector]
     entity_vectors: dict[str, FeatureVector]
     _noise: dict[tuple[str, str], NoiseProfile | None] = field(default_factory=dict)
-    _smoothed: dict[str, FeatureVector] | None = None
+    _arrays: TaskArrays | None = None
+    _smoothed: np.ndarray | None = None
 
     @classmethod
     def from_task(cls, task: Task, config: FeatureConfig) -> "TaskResources":
@@ -284,46 +326,38 @@ class TaskResources:
             self._noise[key] = build_noise_profile(self.index, config)
         return self._noise[key]
 
-    def smoothed_profiles(self) -> dict[str, FeatureVector]:
+    def arrays(self) -> TaskArrays:
+        if self._arrays is None:
+            self._arrays = TaskArrays.build(self)
+        return self._arrays
+
+    def smoothed_profiles(self) -> np.ndarray:
         if self._smoothed is None:
-            docs = [self.doc_vectors[did] for did in self.index.document_ids]
-            self._smoothed = {
-                eid: smoothed_profile(self.entity_vectors[eid], docs)
-                for eid in self.index.entity_ids
-            }
+            arrays = self.arrays()
+            self._smoothed = smoothed_profile(arrays.entities, arrays.rows)
         return self._smoothed
 
 
 @dataclass
 class ScoringContext:
-    """Everything one (task, configuration) pair needs to score documents."""
+    """One (task, configuration) pair as a linear layer over document rows.
 
-    task: Task
+    Document i scores ``rows.dot(W, values)[i] + b`` against ``class_ids``;
+    ``floored`` counts the probabilities clamped on the way.
+    """
+
     config: ModelConfig
-    index: FeatureIndex
     class_ids: list[str]
-    doc_vectors: dict[str, FeatureVector]
-    profile_vectors: dict[str, FeatureVector]
-    smoothed_vectors: dict[str, FeatureVector] | None = None
-    bernoulli: BernoulliScorer | None = None
-    multinomial: MultinomialScorer | None = None
-
-
-def _background_distribution(index: FeatureIndex) -> dict[int, float]:
-    """Corpus-wide relative token frequency over documents and entities."""
-    totals: dict[int, int] = {}
-    grand_total = 0
-    for element_id in index.document_ids + index.entity_ids:
-        for fid, n in index.term_counts[element_id].items():
-            totals[fid] = totals.get(fid, 0) + n
-        grand_total += index.token_totals[element_id]
-    if grand_total == 0:
-        return {}
-    return {fid: n / grand_total for fid, n in totals.items()}
+    doc_ids: list[str]
+    rows: DocumentRows
+    values: np.ndarray
+    W: np.ndarray
+    b: np.ndarray
+    floored: int = 0
 
 
 def build_context(task: Task, config: ModelConfig, resources: TaskResources | None = None) -> ScoringContext:
-    """Assemble vectors, profiles, and estimators for one configuration."""
+    """The class matrix, bias and document row values of one configuration."""
     if resources is None:
         resources = TaskResources.from_task(task, config.features)
     elif not resources.matches(config.features):
@@ -331,64 +365,62 @@ def build_context(task: Task, config: ModelConfig, resources: TaskResources | No
 
     index = resources.index
     noise = resources.noise_profile(config.features)
-    class_ids = list(index.entity_ids)
-    profiles = dict(resources.entity_vectors)
-    if noise is not None:
-        class_ids.append(NOISE_LABEL)
-        profiles[NOISE_LABEL] = dict(noise.vector)
+    class_ids = list(index.entity_ids) + ([NOISE_LABEL] if noise is not None else [])
+    if not class_ids:
+        raise ValueError(f"task {task.name!r} has no entities and noise is disabled; nothing to assign to")
 
-    ctx = ScoringContext(
-        task=task,
+    arrays = resources.arrays()
+    rows = arrays.rows
+    # The noise profile is uniform over its feature set, so it serves both
+    # as the noise class's weight row and as its token distribution.
+    noise_rows = _dense([noise.vector] if noise is not None else [], index.feature_count)
+    profiles = np.vstack([arrays.entities, noise_rows])
+    values = rows.tfidf
+    b = np.zeros(len(class_ids))
+    floored = 0
+    model = config.model
+    if model == COSINE:
+        W, values = unit_rows(profiles), rows.unit()
+    elif model == SCORE:
+        W = profiles
+    elif model == SCORE_SMOOTHED:
+        W = np.vstack([resources.smoothed_profiles(), noise_rows])
+    else:
+        b, clamped = laplace_log_priors(profiles.sum(axis=1), config.alpha, denominator=config.laplace_denominator)
+        floored = int(clamped.sum())
+        if model == NB_BERNOULLI:
+            W, fit_floored = bernoulli_log_probs(profiles, config.alpha, denominator=config.laplace_denominator)
+            values = np.ones_like(rows.counts)
+            floored += fit_floored
+        else:
+            ml = np.vstack([arrays.ml, noise_rows])
+            W, clamped = jelinek_mercer_log_probs(ml, arrays.background, config.jm_lambda)
+            values = rows.counts
+            floored += int(clamped.sum(axis=0)[rows.indices].sum())
+    return ScoringContext(
         config=config,
-        index=index,
         class_ids=class_ids,
-        doc_vectors=resources.doc_vectors,
-        profile_vectors=profiles,
+        doc_ids=list(index.document_ids),
+        rows=rows,
+        values=values,
+        W=W,
+        b=b,
+        floored=floored,
     )
-
-    if config.model == SCORE_SMOOTHED:
-        smoothed = dict(resources.smoothed_profiles())
-        if noise is not None:
-            smoothed[NOISE_LABEL] = profiles[NOISE_LABEL]
-        ctx.smoothed_vectors = smoothed
-    elif config.model == NB_BERNOULLI:
-        ctx.bernoulli = BernoulliScorer.fit(
-            {cid: profiles[cid] for cid in class_ids},
-            config.alpha,
-            denominator=config.laplace_denominator,
-            feature_count=index.feature_count,
-        )
-    elif config.model == NB_MULTINOMIAL:
-        floor = _Floor()
-        log_priors = laplace_log_priors(
-            {cid: profiles[cid] for cid in class_ids},
-            config.alpha,
-            denominator=config.laplace_denominator,
-            floor=floor,
-        )
-        ml: dict[str, dict[int, float]] = {}
-        for eid in index.entity_ids:
-            total = index.token_totals[eid]
-            counts = index.term_counts[eid]
-            ml[eid] = {fid: n / total for fid, n in counts.items()} if total else {}
-        if noise is not None:
-            # The noise profile is already a uniform distribution over its
-            # feature set, so it doubles as the ML estimate.
-            ml[NOISE_LABEL] = dict(noise.vector)
-        ctx.multinomial = MultinomialScorer(
-            classes=class_ids,
-            log_priors=log_priors,
-            ml=ml,
-            background=_background_distribution(index),
-            jm_lambda=config.jm_lambda,
-            floored=floor.count,
-        )
-    return ctx
 
 
 @dataclass
 class Assignment:
-    """Mapping of every document to a class, with the full score matrix."""
+    """Mapping of every document to a class, with the full score matrix.
+
+    ``floored`` counts probabilities clamped to ``PROB_FLOOR`` before their
+    log was taken; only the Naive Bayes models can clamp.  Both count the
+    priors they clamp.  Bernoulli also counts the clamped fit-time class
+    probabilities: one per stored class weight and one per class for the
+    value shared by its absent features.  Multinomial also counts the
+    clamped (document, class, feature) events, one per distinct feature
+    of each document and class.
+    """
 
     mapping: dict[str, str]
     scores: dict[str, dict[str, float]]
@@ -405,44 +437,15 @@ class Assignment:
         return {doc_id: dict(row) for doc_id, row in self.scores.items()}
 
 
-def _score_document(ctx: ScoringContext, doc_id: str) -> dict[str, float]:
-    model = ctx.config.model
-    if model in (COSINE, SCORE, SCORE_SMOOTHED):
-        doc_vector = ctx.doc_vectors[doc_id]
-        if model == COSINE:
-            return {cid: cosine_sim(doc_vector, ctx.profile_vectors[cid]) for cid in ctx.class_ids}
-        profiles = ctx.smoothed_vectors if model == SCORE_SMOOTHED else ctx.profile_vectors
-        return {cid: dot_score(doc_vector, profiles[cid]) for cid in ctx.class_ids}
-    counts = ctx.index.term_counts[doc_id]
-    if model == NB_BERNOULLI:
-        return {cid: ctx.bernoulli.log_score(counts.keys(), cid) for cid in ctx.class_ids}
-    return {cid: ctx.multinomial.log_score(counts, cid) for cid in ctx.class_ids}
-
-
 def assign_from_context(ctx: ScoringContext) -> Assignment:
-    """Score every document and map it to the argmax class.
-
-    Classes are visited in task order with noise last, and only a strictly
-    greater score replaces the current best, which implements the tie rule.
-    """
-    if not ctx.class_ids:
-        raise ValueError(f"task {ctx.task.name!r} has no entities and noise is disabled; nothing to assign to")
-    mapping: dict[str, str] = {}
-    scores: dict[str, dict[str, float]] = {}
-    for doc in ctx.task.documents:
-        row = _score_document(ctx, doc.id)
-        best = ctx.class_ids[0]
-        for cid in ctx.class_ids[1:]:
-            if row[cid] > row[best]:
-                best = cid
-        mapping[doc.id] = best
-        scores[doc.id] = row
-    floored = 0
-    if ctx.bernoulli is not None:
-        floored += ctx.bernoulli.floored
-    if ctx.multinomial is not None:
-        floored += ctx.multinomial.floored
-    return Assignment(mapping=mapping, scores=scores, floored=floored)
+    """Score every document and map it to its first highest-scoring class."""
+    scores = ctx.rows.dot(ctx.W, ctx.values) + ctx.b
+    best = scores.argmax(axis=1).tolist()
+    return Assignment(
+        mapping={doc_id: ctx.class_ids[i] for doc_id, i in zip(ctx.doc_ids, best)},
+        scores={doc_id: dict(zip(ctx.class_ids, row)) for doc_id, row in zip(ctx.doc_ids, scores.tolist())},
+        floored=ctx.floored,
+    )
 
 
 def map_documents(task: Task, config: ModelConfig, resources: TaskResources | None = None) -> Assignment:

@@ -106,6 +106,42 @@ def class_weights(task, noise: str = "none", idf_numerator: str = "corpus", log_
 
 
 # ---------------------------------------------------------------------------
+# vector models: cosine, dot product, smoothed-profile dot product
+
+
+def _dot(u: dict, v: dict) -> float:
+    return sum(w * v[t] for t, w in u.items() if t in v)
+
+
+def vector_scores_ref(task, doc_id: str, noise: str = "none", idf_numerator: str = "corpus",
+                      log_base: str = "e") -> dict[str, dict[str, float]]:
+    """Model -> class -> score of one document under the three vector models.
+
+    A smoothed entity profile is the L1-normalized entity vector plus every
+    document's L1-normalized vector scaled by its cosine with the raw entity
+    vector; the noise profile is used unsmoothed.
+    """
+    weights = dense_weights(task, idf_numerator, log_base)
+    classes = class_weights(task, noise, idf_numerator, log_base)
+    docs = [weights[d.id] for d in task.documents]
+    smoothed: dict[str, dict[str, float]] = {}
+    for cid, vec in classes.items():
+        profile = dict(l1(vec)) if cid != NOISE else dict(vec)
+        if cid != NOISE:
+            for other in docs:
+                sim = _cosine(vec, other)
+                for token, w in l1(other).items():
+                    profile[token] = profile.get(token, 0.0) + sim * w
+        smoothed[cid] = profile
+    doc = weights[doc_id]
+    return {
+        "cosine": {cid: _cosine(doc, vec) for cid, vec in classes.items()},
+        "score": {cid: _dot(doc, vec) for cid, vec in classes.items()},
+        "score_smoothed": {cid: _dot(doc, smoothed[cid]) for cid in classes},
+    }
+
+
+# ---------------------------------------------------------------------------
 # naive Bayes in the linear domain
 
 

@@ -7,23 +7,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from namesift.corpus import NOISE_LABEL
-from namesift.features import ConfigError, FeatureConfig, l1_normalize
+from namesift.corpus import NOISE_LABEL, GoldAlignment, ResultDocument, Task
+from namesift.features import NOISE_MODES, ConfigError, FeatureConfig, build_index, l1_normalize
 from namesift.models import (
     MODELS,
-    BernoulliScorer,
+    DocumentRows,
     ModelConfig,
-    MultinomialScorer,
     TaskResources,
     assign_from_context,
+    bernoulli_log_probs,
     build_context,
-    cosine_sim,
-    dot_score,
+    jelinek_mercer_log_probs,
     laplace_log_priors,
     map_documents,
     multinomial_log_coefficient,
     smoothed_profile,
+    unit_rows,
 )
 
 import oracles
@@ -51,6 +53,11 @@ def test_model_config_defaults():
         {"model": "cosine", "jm_lambda": 1.0},
         {"model": "cosine", "jm_lambda": 1.5},
         {"model": "cosine", "laplace_denominator": "huge"},
+        {"model": "cosine", "alpha": float("inf")},
+        {"model": "cosine", "alpha": float("nan")},
+        {"model": "cosine", "alpha": True},
+        {"model": "cosine", "jm_lambda": float("nan")},
+        {"model": "cosine", "jm_lambda": True},
     ],
 )
 def test_model_config_rejects_bad_values(kwargs):
@@ -60,6 +67,34 @@ def test_model_config_rejects_bad_values(kwargs):
 
 # ---------------------------------------------------------------------------
 # vector scores
+
+
+WIDTH = 8  # feature columns of the hand-written vectors below
+
+
+def _rows(*docs):
+    """Document rows whose tf-idf weights and counts are both the given values."""
+    return DocumentRows.build(docs, docs)
+
+
+def _dense(*vectors):
+    out = np.zeros((len(vectors), WIDTH))
+    for row, vector in zip(out, vectors):
+        for f, w in vector.items():
+            row[f] = w
+    return out
+
+
+def dot_score(u, v):
+    """Dot product of sparse ``u`` and ``v`` through the scoring layer."""
+    rows = _rows(u)
+    return float(rows.dot(_dense(v), rows.tfidf)[0, 0])
+
+
+def cosine_sim(u, v):
+    """Cosine of sparse ``u`` and ``v`` through the cosine model's rows and class matrix."""
+    rows = _rows(u)
+    return float(rows.dot(unit_rows(_dense(v)), rows.unit())[0, 0])
 
 
 def test_dot_score_worked_example():
@@ -84,19 +119,29 @@ def test_cosine_worked_examples():
 
 def test_smoothed_profile_with_no_documents_is_l1_of_entity():
     entity = {1: 2.0, 2: 6.0}
-    assert smoothed_profile(entity, []) == l1_normalize(entity)
+    assert np.array_equal(smoothed_profile(_dense(entity), _rows()), _dense(l1_normalize(entity)))
 
 
 def test_smoothed_profile_ignores_orthogonal_documents():
     entity = {1: 1.0}
-    assert smoothed_profile(entity, [{2: 4.0}]) == l1_normalize(entity)
+    assert np.array_equal(smoothed_profile(_dense(entity), _rows({2: 4.0})), _dense(l1_normalize(entity)))
+
+
+def test_smoothed_profile_works_on_all_entity_rows_at_once():
+    entities = _dense({1: 1.0}, {2: 3.0}, {})
+    profiles = smoothed_profile(entities, _rows({1: 1.0, 2: 1.0}))
+    pull = 0.5 / math.sqrt(2)
+    assert profiles[0, 1:3] == pytest.approx([1.0 + pull, pull], abs=1e-12)
+    assert profiles[1, 1:3] == pytest.approx([pull, 1.0 + pull], abs=1e-12)
+    # An all-zero entity row has cosine 0 with everything and stays zero.
+    assert not profiles[2].any()
 
 
 def test_smoothed_profile_worked_example():
     # cos(e, d) = 1/sqrt(2); the document mixes in at half weight per feature.
     entity = {1: 1.0}
     doc = {1: 1.0, 2: 1.0}
-    profile = smoothed_profile(entity, [doc])
+    profile = dict(enumerate(smoothed_profile(_dense(entity), _rows(doc))[0]))
     pull = 0.5 / math.sqrt(2)
     assert profile[1] == pytest.approx(1.0 + pull, abs=1e-12)
     assert profile[2] == pytest.approx(pull, abs=1e-12)
@@ -104,7 +149,7 @@ def test_smoothed_profile_worked_example():
 
 
 def test_smoothed_score_composition_example():
-    profile = smoothed_profile({1: 1.0}, [{1: 1.0, 2: 1.0}])
+    profile = dict(enumerate(smoothed_profile(_dense({1: 1.0}), _rows({1: 1.0, 2: 1.0}))[0]))
     query = {1: math.log(2.0) / 2.0}  # w(1, d) = 0.3466, w(2, d) = 0
     exact = (1.0 + 0.5 / math.sqrt(2)) * (math.log(2.0) / 2.0)
     assert dot_score(query, profile) == pytest.approx(exact, abs=1e-12)
@@ -117,60 +162,92 @@ def test_smoothed_score_with_empty_corpus_equals_plain_score_on_l1():
     for _ in range(20):
         entity = {int(f): float(w) for f, w in enumerate(rng.uniform(0.1, 2.0, size=4))}
         query = {int(f): float(w) for f, w in enumerate(rng.uniform(0.0, 2.0, size=6))}
-        assert dot_score(query, smoothed_profile(entity, [])) == pytest.approx(
+        smoothed = dict(enumerate(smoothed_profile(_dense(entity), _rows())[0]))
+        assert dot_score(query, smoothed) == pytest.approx(
             dot_score(query, l1_normalize(entity)), abs=1e-12
         )
+
+
+def _with_empty_document(task):
+    """``task`` plus one empty result document labeled noise."""
+    empty = ResultDocument(id="d_empty", url="http://corpus.test/d_empty", rank=len(task.documents) + 1, text="")
+    labels = {**task.gold.labels, empty.id: NOISE_LABEL}
+    return Task(name=task.name, entities=task.entities, documents=task.documents + [empty], gold=GoldAlignment(labels))
+
+
+@pytest.mark.parametrize("noise", NOISE_MODES)
+def test_vector_models_match_dense_oracle(noise):
+    rng = np.random.default_rng(61)
+    for i in range(25):
+        task = random_micro_task(rng, max_tokens=10)
+        if i % 2 == 0:
+            task = _with_empty_document(task)
+        for model in ("cosine", "score", "score_smoothed"):
+            config = ModelConfig(model=model, features=FeatureConfig(noise=noise))
+            assignment = map_documents(task, config)
+            for doc in task.documents:
+                expected = oracles.vector_scores_ref(task, doc.id, noise=noise)[model]
+                assert assignment.scores[doc.id] == pytest.approx(expected, rel=1e-9)
 
 
 def test_context_smooths_entities_but_not_noise():
     task = build_task({"e1": "a b", "e2": "c d"}, {"d1": "a b x", "d2": "c y"})
     config = ModelConfig(model="score_smoothed", features=FeatureConfig(noise="union"))
     ctx = build_context(task, config)
-    assert set(ctx.smoothed_vectors) == {"e1", "e2", NOISE_LABEL}
+    raw = build_context(task, dataclasses.replace(config, model="score"))
+    assert ctx.class_ids == ["e1", "e2", NOISE_LABEL]
     # The noise profile is used as-is, never pulled toward documents.
-    assert ctx.smoothed_vectors[NOISE_LABEL] == ctx.profile_vectors[NOISE_LABEL]
-    assert ctx.smoothed_vectors["e1"] != ctx.profile_vectors["e1"]
+    assert np.array_equal(ctx.W[-1], raw.W[-1])
+    assert not np.array_equal(ctx.W[0], raw.W[0])
 
 
 # ---------------------------------------------------------------------------
 # Bernoulli with additive smoothing
 
 
+def _bernoulli_scores(weights, *docs, alpha=0.01):
+    """Documents x classes Bernoulli log scores of the given feature sets."""
+    profiles = _dense(*weights)
+    log_priors, _ = laplace_log_priors(profiles.sum(axis=1), alpha)
+    log_probs, _ = bernoulli_log_probs(profiles, alpha)
+    rows = _rows(*({f: 1.0 for f in doc} for doc in docs))
+    return rows.dot(log_probs, rows.counts) + log_priors, log_priors
+
+
 def test_bernoulli_worked_examples():
-    scorer = BernoulliScorer.fit({"e": {1: 0.5, 2: 0.5}}, alpha=0.01)
+    scores, log_priors = _bernoulli_scores([{1: 0.5, 2: 0.5}], [1], [3])
     # Single class with unit mass: prior is (1 + 0.01) / (1 + 0.01).
-    assert scorer.log_priors["e"] == pytest.approx(0.0, abs=1e-12)
-    assert scorer.log_score([1], "e") == pytest.approx(math.log(0.51 / 1.01), abs=1e-12)
-    assert scorer.log_score([3], "e") == pytest.approx(math.log(0.01 / 1.01), abs=1e-12)
+    assert log_priors[0] == pytest.approx(0.0, abs=1e-12)
+    assert scores[0, 0] == pytest.approx(math.log(0.51 / 1.01), abs=1e-12)
+    assert scores[1, 0] == pytest.approx(math.log(0.01 / 1.01), abs=1e-12)
     assert 0.01 / 1.01 == pytest.approx(0.009901, abs=1e-6)
 
 
 def test_bernoulli_empty_document_scores_prior_only():
-    scorer = BernoulliScorer.fit({"e": {1: 0.7}, "f": {2: 0.3}}, alpha=0.01)
-    assert scorer.log_score([], "e") == scorer.log_priors["e"]
+    scores, log_priors = _bernoulli_scores([{1: 0.7}, {2: 0.3}], [])
+    assert scores[0, 0] == log_priors[0]
 
 
 def test_bernoulli_uses_distinct_features_not_frequencies():
     task = build_task({"e1": "a b", "e2": "c"}, {"d1": "a a a b", "d2": "a b"})
     config = ModelConfig(model="nb_bernoulli_laplace")
     ctx = build_context(task, config)
-    a = ctx.index.feature_id("a")
-    b = ctx.index.feature_id("b")
+    # Every stored document feature counts once, whatever its frequency.
+    assert np.array_equal(ctx.values, np.ones(4))
     # d1 and d2 share the same distinct-feature set, so identical scores.
-    assert ctx.bernoulli.log_score([a, b], "e1") == ctx.bernoulli.log_score([a, b], "e1")
     assignment = assign_from_context(ctx)
     assert assignment.scores["d1"] == assignment.scores["d2"]
 
 
 def test_laplace_prior_normalization_by_denominator_mode():
-    weights = {"e": {1: 0.6}, "f": {2: 0.2}, "g": {3: 0.2}}
-    paper = laplace_log_priors(weights, 0.01, denominator="paper")
-    conventional = laplace_log_priors(weights, 0.01, denominator="per_feature")
+    masses = _dense({1: 0.6}, {2: 0.2}, {3: 0.2}).sum(axis=1)
+    paper, _ = laplace_log_priors(masses, 0.01, denominator="paper")
+    conventional, _ = laplace_log_priors(masses, 0.01, denominator="per_feature")
     mass = 1.0
-    assert sum(math.exp(p) for p in paper.values()) == pytest.approx(
+    assert sum(math.exp(p) for p in paper) == pytest.approx(
         (mass + 3 * 0.01) / (mass + 0.01), abs=1e-12
     )
-    assert sum(math.exp(p) for p in conventional.values()) == pytest.approx(1.0, abs=1e-12)
+    assert sum(math.exp(p) for p in conventional) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bernoulli_matches_linear_domain_oracle():
@@ -201,19 +278,18 @@ def test_bernoulli_matches_linear_domain_oracle():
 
 
 def test_jelinek_mercer_mixture_worked_example():
-    scorer = MultinomialScorer(
-        classes=["e"], log_priors={"e": 0.0}, ml={"e": {7: 0.2}}, background={7: 0.1}, jm_lambda=0.5
-    )
-    assert scorer.log_score({7: 1}, "e") == pytest.approx(math.log(0.15), abs=1e-12)
-    assert scorer.log_score({7: 3}, "e") == pytest.approx(3 * math.log(0.15), abs=1e-12)
+    log_probs, _ = jelinek_mercer_log_probs(_dense({7: 0.2}), _dense({7: 0.1})[0], 0.5)
+    rows = _rows({7: 1}, {7: 3})
+    scores = rows.dot(log_probs, rows.counts)
+    assert scores[0, 0] == pytest.approx(math.log(0.15), abs=1e-12)
+    assert scores[1, 0] == pytest.approx(3 * math.log(0.15), abs=1e-12)
 
 
 def test_background_floors_features_absent_from_class():
-    scorer = MultinomialScorer(
-        classes=["e"], log_priors={"e": 0.0}, ml={"e": {}}, background={7: 0.1}, jm_lambda=0.5
-    )
-    assert scorer.log_score({7: 1}, "e") == pytest.approx(math.log(0.05), abs=1e-12)
-    assert scorer.floored == 0
+    log_probs, clamped = jelinek_mercer_log_probs(_dense({}), _dense({7: 0.1})[0], 0.5)
+    rows = _rows({7: 1})
+    assert rows.dot(log_probs, rows.counts)[0, 0] == pytest.approx(math.log(0.05), abs=1e-12)
+    assert clamped[:, rows.indices].sum() == 0
 
 
 def test_multinomial_matches_linear_domain_oracle():
@@ -251,7 +327,7 @@ def test_adding_multinomial_coefficient_never_changes_argmax():
         assignment = assign_from_context(ctx)
         for doc in task.documents:
             row = assignment.scores[doc.id]
-            shift = multinomial_log_coefficient(ctx.index.term_counts[doc.id])
+            shift = multinomial_log_coefficient(build_index(task).term_counts[doc.id])
             shifted = {cid: s + shift for cid, s in row.items()}
             assert max(row, key=row.get) == max(shifted, key=shifted.get)
             checked += 1
@@ -360,12 +436,31 @@ def test_scaling_document_vectors_preserves_vector_model_argmax():
             config = ModelConfig(model=model, features=FeatureConfig(noise="union"))
             ctx = build_context(task, config)
             baseline = assign_from_context(ctx).mapping
-            scaled = {
-                doc_id: {f: 37.5 * w for f, w in vec.items()}
-                for doc_id, vec in ctx.doc_vectors.items()
-            }
-            rescored = assign_from_context(dataclasses.replace(ctx, doc_vectors=scaled))
+            rescored = assign_from_context(dataclasses.replace(ctx, values=37.5 * ctx.values))
             assert rescored.mapping == baseline
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), add_empty=st.booleans(), data=st.data())
+def test_permuting_documents_permutes_the_mapping(seed, add_empty, data):
+    # Permuting documents renumbers features, which may reorder float sums,
+    # so rows agree to rounding and an exact tie may fall either way.
+    task = random_micro_task(np.random.default_rng(seed))
+    if add_empty:
+        task = _with_empty_document(task)
+    order = data.draw(st.permutations(task.documents))
+    permuted = dataclasses.replace(task, documents=list(order))
+    for model in MODELS:
+        for noise in NOISE_MODES:
+            config = ModelConfig(model=model, features=FeatureConfig(noise=noise))
+            before = map_documents(task, config)
+            after = map_documents(permuted, config)
+            assert list(after.mapping) == [doc.id for doc in order]
+            for doc_id, row in before.scores.items():
+                assert after.scores[doc_id] == pytest.approx(row, rel=1e-12, abs=1e-12)
+                best = row[before.mapping[doc_id]]
+                tied = [cid for cid, s in row.items() if s == pytest.approx(best, rel=1e-12, abs=1e-12)]
+                assert after.mapping[doc_id] in tied
 
 
 def test_degenerate_weights_are_floored_and_counted():
@@ -378,6 +473,18 @@ def test_degenerate_weights_are_floored_and_counted():
     assignment = map_documents(task, config)
     assert assignment.floored > 0
     assert all(math.isfinite(s) for row in assignment.scores.values() for s in row.values())
+    # Bernoulli counts clamped fit-time probabilities; multinomial counts its
+    # clamped priors plus clamped (document, class, feature) events.  With
+    # union noise the e1 prior turns negative as well.
+    expected = {
+        ("nb_bernoulli_laplace", "none"): 1,
+        ("nb_bernoulli_laplace", "union"): 2,
+        ("nb_multinomial_jm", "none"): 0,
+        ("nb_multinomial_jm", "union"): 1,
+    }
+    for (model, noise), count in expected.items():
+        config = ModelConfig(model=model, features=FeatureConfig(idf_numerator="paper", noise=noise))
+        assert map_documents(task, config).floored == count
 
 
 def test_assignment_tsv_shape():
