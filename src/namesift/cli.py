@@ -32,13 +32,12 @@ from .experiments import (
     RunSpec,
     grid_json_dict,
     grid_tsv,
-    load_tasks,
     pivot_tsv,
     run_grid,
-    task_clusterings,
+    task_clusterings,  # noqa: F401  (kept importable here: perfbench's tracer wraps it in this module)
     validate_corpus,
 )
-from .features import NOISE_MODES, ConfigError
+from .features import NOISE_MODES, ConfigError, FeatureConfig
 from .models import MODELS
 
 __all__ = ["main"]
@@ -82,21 +81,13 @@ _SETTINGS: dict[str, tuple[str, object]] = {
     "stopwords": ("stopwords", str),
 }
 
+# Built-in defaults are the RunSpec (and so the ModelConfig/FeatureConfig)
+# field defaults; only the output format is the CLI's own.
 _DEFAULTS = {
-    "noise": "none",
-    "models": MODELS,
-    "noise_modes": NOISE_MODES,
-    "idf_numerator": "corpus",
-    "log_base": "e",
-    "intersection_semantics": "exists",
-    "alpha": 0.01,
-    "jm_lambda": 0.5,
-    "laplace_denominator": "paper",
+    **{attr: getattr(RunSpec, attr) for attr in _SETTINGS if hasattr(RunSpec, attr)},
+    "noise": FeatureConfig.noise,
+    "strip_html": RunSpec.strip_markup,
     "format": "tsv",
-    "jobs": 1,
-    "reps": 10,
-    "strip_html": False,
-    "stopwords": None,
 }
 
 
@@ -290,16 +281,11 @@ def cmd_cluster(args, settings) -> int:
     _warn_skipped(result.skipped)
     if result.task_names:
         if args.output:
-            tasks, _ = load_tasks(spec)
-            fc = spec.feature_config()
-            for task in tasks:
-                for method in methods:
-                    clusterings = task_clusterings(task, method, fc, reps=spec.reps)
-                    if clusterings is None:
-                        continue
-                    payload = {"task": task.name, "method": method, "runs": [c.to_dict() for c in clusterings]}
+            for method in methods:
+                for task_name, clusterings in result.clusterings[method].items():
+                    payload = {"task": task_name, "method": method, "runs": [c.to_dict() for c in clusterings]}
                     _write(
-                        Path(args.output) / f"{_safe_name(task.name)}.{method}.json",
+                        Path(args.output) / f"{_safe_name(task_name)}.{method}.json",
                         json.dumps(payload, indent=2) + "\n",
                     )
         _emit_reports(result, settings, args.output, "clusters")
@@ -365,7 +351,7 @@ def _add_config_flags(p: argparse.ArgumentParser, *, model_params: bool = True) 
         p.add_argument("--lambda", type=float, dest="jm_lambda", help="background mixture weight (multinomial NB)")
         p.add_argument("--laplace-denominator", choices=("paper", "per_feature"), dest="laplace_denominator")
     p.add_argument("--format", choices=("tsv", "json"))
-    p.add_argument("--jobs", type=int, help="parallel task workers (default 1)")
+    p.add_argument("--jobs", type=int, help=f"parallel task workers (default {RunSpec.jobs})")
     p.add_argument("--strip-html", action="store_const", const=True, dest="strip_html")
     p.add_argument("--stopwords", metavar="FILE", help="newline-separated stopword list")
     p.add_argument("--tasks", help="comma-separated task name filter")
@@ -393,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="run clustering baselines")
     p.add_argument("root")
     p.add_argument("--method", choices=("hac_complete", "kmeans", "both"), default="both")
-    p.add_argument("--reps", type=int, help="K-Means repetitions (default 10)")
+    p.add_argument("--reps", type=int, help=f"K-Means repetitions (default {RunSpec.reps})")
     p.add_argument("--output", metavar="DIR")
     _add_config_flags(p, model_params=False)
     p.set_defaults(handler=cmd_cluster)

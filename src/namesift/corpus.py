@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import html
 import json
+import os
 import re
 from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
-from typing import Collection, Iterable, Mapping
+from typing import Collection, Iterable
 
 __all__ = [
     "NOISE_LABEL",
@@ -188,10 +189,19 @@ class Task:
                 raise CorpusIntegrityError(f"task {self.name!r}: gold label {label!r} for {did!r} is not an entity id")
 
 
-def _require(mapping: Mapping, key: str, where: str):
+def _require(mapping: object, key: str, where: str):
+    if not isinstance(mapping, dict):
+        raise CorpusFormatError(f"{where}: must be a JSON object, got {type(mapping).__name__}")
     if key not in mapping:
         raise CorpusFormatError(f"{where}: missing key {key!r}")
     return mapping[key]
+
+
+def _require_list(mapping: dict, key: str, where: str) -> list:
+    value = _require(mapping, key, where)
+    if not isinstance(value, list):
+        raise CorpusFormatError(f"{where}: {key} must be a JSON list, got {type(value).__name__}")
+    return value
 
 
 def _read_text(path: Path, where: str) -> str:
@@ -201,6 +211,15 @@ def _read_text(path: Path, where: str) -> str:
         raise CorpusFormatError(f"{where}: referenced file {path} does not exist") from None
     except UnicodeDecodeError as exc:
         raise CorpusFormatError(f"{where}: {path} is not valid UTF-8 ({exc})") from None
+    except (OSError, ValueError) as exc:  # a directory, no permission, a NUL byte
+        raise CorpusFormatError(f"{where}: cannot read {path} ({exc})") from None
+
+
+def _resolves_inside(path: Path, directory: Path) -> bool:
+    try:
+        return path.resolve().is_relative_to(directory.resolve())
+    except (OSError, RuntimeError, ValueError):  # a symlink loop, a NUL byte
+        return False
 
 
 def _parse_gold(path: Path) -> dict[str, str]:
@@ -252,23 +271,30 @@ def load_task(
     if not isinstance(name, str) or not name:
         raise CorpusFormatError("task.json: name must be a non-empty string")
 
-    def _body(rel: str) -> str:
+    def _body(spec: dict, where: str) -> str:
+        rel = _require(spec, "file", where)
+        if not isinstance(rel, str):
+            raise CorpusFormatError(f"{where}: file must be a string, got {rel!r}")
+        # Bodies live inside the task directory: no absolute path, and no
+        # ``..`` that leads out of it once resolved (symlinks included).
+        if os.path.isabs(rel) or (".." in rel and not _resolves_inside(path / rel, path)):
+            raise CorpusFormatError(f"{where}: file {rel!r} is not a path inside the task directory")
         text = _read_text(path / rel, "task.json")
         return strip_html(text) if strip_markup else text
 
     entities = []
-    for i, spec in enumerate(_require(manifest, "entities", "task.json")):
+    for i, spec in enumerate(_require_list(manifest, "entities", "task.json")):
         where = f"task.json entities[{i}]"
         entities.append(
             EntityProfile(
                 id=str(_require(spec, "id", where)),
                 title=str(_require(spec, "title", where)),
-                text=_body(str(_require(spec, "file", where))),
+                text=_body(spec, where),
                 stopwords=stopwords,
             )
         )
     documents = []
-    for i, spec in enumerate(_require(manifest, "documents", "task.json")):
+    for i, spec in enumerate(_require_list(manifest, "documents", "task.json")):
         where = f"task.json documents[{i}]"
         rank = _require(spec, "rank", where)
         if not isinstance(rank, int) or isinstance(rank, bool):
@@ -278,7 +304,7 @@ def load_task(
                 id=str(_require(spec, "id", where)),
                 url=str(_require(spec, "url", where)),
                 rank=rank,
-                text=_body(str(_require(spec, "file", where))),
+                text=_body(spec, where),
                 stopwords=stopwords,
             )
         )

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
-from .baselines import hac_complete, kmeans, run_repetitions
+from .baselines import Clustering, hac_complete, run_repetitions
 from .corpus import (
     CorpusFormatError,
     CorpusIntegrityError,
@@ -46,7 +46,11 @@ _R = TypeVar("_R")
 
 @dataclass
 class RunSpec:
-    """Everything one experiment run depends on."""
+    """Everything one experiment run depends on.
+
+    Feature and model settings default to the `FeatureConfig` and
+    `ModelConfig` defaults.
+    """
 
     corpus_root: Path
     tasks: Sequence[str] | None = None
@@ -55,12 +59,12 @@ class RunSpec:
     hac: bool = False
     kmeans: bool = False
     reps: int = 10
-    idf_numerator: str = "corpus"
-    log_base: str = "e"
-    intersection_semantics: str = "exists"
-    alpha: float = 0.01
-    jm_lambda: float = 0.5
-    laplace_denominator: str = "paper"
+    idf_numerator: str = FeatureConfig.idf_numerator
+    log_base: str = FeatureConfig.log_base
+    intersection_semantics: str = FeatureConfig.intersection_semantics
+    alpha: float = ModelConfig.alpha
+    jm_lambda: float = ModelConfig.jm_lambda
+    laplace_denominator: str = ModelConfig.laplace_denominator
     strip_markup: bool = False
     stopwords: frozenset[str] | None = None
     jobs: int = 1
@@ -106,12 +110,17 @@ class RunSpec:
 
 @dataclass
 class GridResult:
-    """All reports from one run plus the tasks that could not load."""
+    """All reports from one run plus the tasks that could not load.
+
+    ``assignments`` maps (model, noise) to task name to assignment, and
+    ``clusterings`` maps a baseline to task name to its clusterings.
+    """
 
     reports: list[EvalReport]
     task_names: list[str]
     skipped: list[tuple[str, str]] = field(default_factory=list)
     assignments: dict[tuple[str, str], dict[str, Assignment]] = field(default_factory=dict)
+    clusterings: dict[str, dict[str, list[Clustering]]] = field(default_factory=dict)
 
 
 def _parallel_map(fn: Callable[[_T], _R], items: Sequence[_T], jobs: int) -> list[_R]:
@@ -221,28 +230,32 @@ def baseline_report(
     fingerprint: Mapping[str, object] | None = None,
     jobs: int = 1,
     resources: Mapping[str, TaskResources] | None = None,
-) -> EvalReport:
+) -> tuple[EvalReport, dict[str, list[Clustering]]]:
     """Purity/NMI of one clustering baseline on the noise-filtered subset.
 
     k is the task's entity count (clamped to the subset size).  Tasks with
-    no entity-labeled documents or no entities get no metrics.  K-Means
-    metrics are means over ``reps`` seeded repetitions.
+    no entity-labeled documents or no entities get no metrics and no
+    clusterings.  K-Means metrics are means over ``reps`` seeded
+    repetitions.  Returns the report and, per task, the clusterings it
+    was computed from.
     """
 
-    def _run(task: Task) -> TaskMetrics:
+    def _run(task: Task) -> tuple[TaskMetrics, list[Clustering] | None]:
         shared = resources.get(task.name) if resources is not None else None
         clusterings = task_clusterings(task, method, feature_config, reps=reps, resources=shared)
         if clusterings is None:
-            return TaskMetrics()
+            return TaskMetrics(), None
         kept = clustering_eval_filter(task)
         gold = {doc_id: task.gold.labels[doc_id] for doc_id in kept}
         p = sum(purity(c, gold) for c in clusterings) / len(clusterings)
         n = sum(nmi(c, gold) for c in clusterings) / len(clusterings)
-        return TaskMetrics(purity=p, nmi=n)
+        return TaskMetrics(purity=p, nmi=n), clusterings
 
     results = _parallel_map(_run, list(tasks), jobs)
-    per_task = {task.name: metrics for task, metrics in zip(tasks, results)}
-    return EvalReport.build(model=method, noise="", per_task=per_task, config=dict(fingerprint or {}))
+    per_task = {task.name: metrics for task, (metrics, _) in zip(tasks, results)}
+    clusterings = {task.name: runs for task, (_, runs) in zip(tasks, results) if runs is not None}
+    report = EvalReport.build(model=method, noise="", per_task=per_task, config=dict(fingerprint or {}))
+    return report, clusterings
 
 
 def run_grid(spec: RunSpec) -> GridResult:
@@ -269,30 +282,21 @@ def run_grid(spec: RunSpec) -> GridResult:
             result.reports.append(report)
             result.assignments[(model, noise)] = assignments
 
-    if spec.hac:
-        result.reports.append(
-            baseline_report(
-                tasks,
-                "hac_complete",
-                base_features,
-                reps=spec.reps,
-                fingerprint=spec.fingerprint(model="hac_complete", noise=None),
-                jobs=spec.jobs,
-                resources=resources,
-            )
+    for method, enabled in (("hac_complete", spec.hac), ("kmeans", spec.kmeans)):
+        if not enabled:
+            continue
+        extra = {"reps": spec.reps} if method == "kmeans" else {}
+        report, clusterings = baseline_report(
+            tasks,
+            method,
+            base_features,
+            reps=spec.reps,
+            fingerprint=spec.fingerprint(model=method, noise=None, **extra),
+            jobs=spec.jobs,
+            resources=resources,
         )
-    if spec.kmeans:
-        result.reports.append(
-            baseline_report(
-                tasks,
-                "kmeans",
-                base_features,
-                reps=spec.reps,
-                fingerprint=spec.fingerprint(model="kmeans", noise=None, reps=spec.reps),
-                jobs=spec.jobs,
-                resources=resources,
-            )
-        )
+        result.reports.append(report)
+        result.clusterings[method] = clusterings
     return result
 
 

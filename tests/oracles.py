@@ -3,13 +3,16 @@
 Everything here is recomputed from first principles with dense loops over
 raw token lists and plain dictionaries.  Nothing imports from the package
 under test, so a bug would have to be made twice, in two different shapes,
-to slip through a comparison.
+to slip through a comparison.  numpy appears once, for the seeded draw of
+K-Means' initial centroids.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+
+import numpy as np
 
 NOISE = "__NOISE__"
 
@@ -294,3 +297,57 @@ def hac_ref(vectors: dict[str, dict], k: int) -> set[frozenset]:
         clusters[i] |= clusters[j]
         del clusters[j]
     return {frozenset(c) for c in clusters}
+
+
+# ---------------------------------------------------------------------------
+# Lloyd's K-Means by direct subtraction, one coordinate at a time
+
+
+def kmeans_ref(vectors: dict[str, dict], k: int, seed: int, max_iterations: int = 100) -> tuple[set[frozenset], int]:
+    """Partition and iteration count of seeded K-Means on unit vectors.
+
+    Same conventions as the library: rows scaled to unit length (all-zero
+    rows stay zero); ``k`` clamped to the row count; initial centroids are
+    the rows drawn by ``np.random.default_rng(seed).choice(n, k, replace=
+    False)``; assignment ties go to the lowest centroid index; each empty
+    cluster in turn takes the point farthest from its own centroid among
+    points whose cluster has another member (the first such point on
+    ties) and that point becomes its centroid; stop when the labels
+    repeat or after ``max_iterations``.
+    """
+    ids = list(vectors)
+    features = sorted({f for vec in vectors.values() for f in vec})
+    points = []
+    for doc_id in ids:
+        vec = vectors[doc_id]
+        norm = math.sqrt(sum(w * w for w in vec.values()))
+        points.append([vec.get(f, 0.0) / norm if norm else 0.0 for f in features])
+    n = len(points)
+    k = min(k, n)
+
+    def sq(a: list[float], b: list[float]) -> float:
+        return sum((x - y) ** 2 for x, y in zip(a, b))
+
+    chosen = np.random.default_rng(seed).choice(n, size=k, replace=False)
+    centroids = [list(points[int(i)]) for i in chosen]
+    labels: list[int] | None = None
+    iteration = 0
+    for iteration in range(1, max_iterations + 1):
+        new = [min(range(k), key=lambda j: sq(p, centroids[j])) for p in points]
+        for cluster in range(k):
+            if cluster in new:
+                continue
+            sizes = Counter(new)
+            movable = [i for i in range(n) if sizes[new[i]] > 1]
+            farthest = max(movable, key=lambda i: sq(points[i], centroids[new[i]]))
+            new[farthest] = cluster
+            centroids[cluster] = list(points[farthest])
+        converged = new == labels
+        labels = new
+        for cluster in range(k):
+            members = [points[i] for i in range(n) if labels[i] == cluster]
+            centroids[cluster] = [sum(column) / len(members) for column in zip(*members)]
+        if converged:
+            break
+    partition = {frozenset(ids[i] for i in range(n) if labels[i] == cluster) for cluster in range(k)}
+    return partition, iteration

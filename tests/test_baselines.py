@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from namesift.baselines import (
     Clustering,
-    _dense_matrix,
-    _l2_normalize_rows,
+    _gram,
     _lloyd,
     assignment_to_clusters,
     hac_complete,
@@ -22,6 +25,19 @@ import oracles
 
 def _sets(clustering: Clustering) -> set[frozenset]:
     return {frozenset(c) for c in clustering.clusters}
+
+
+def _unit_matrix(vectors: dict[str, dict[int, float]]) -> tuple[list[str], np.ndarray]:
+    """Vectors as L2-normalized dense rows over their feature union."""
+    ids = list(vectors)
+    features = sorted({f for vec in vectors.values() for f in vec})
+    column = {f: j for j, f in enumerate(features)}
+    matrix = np.zeros((len(ids), len(features)))
+    for i, doc_id in enumerate(ids):
+        for f, w in vectors[doc_id].items():
+            matrix[i, column[f]] = w
+    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    return ids, matrix / np.where(norms == 0.0, 1.0, norms)
 
 
 def _random_vectors(rng: np.random.Generator, n: int, dims: int = 4) -> dict[str, dict[int, float]]:
@@ -109,6 +125,22 @@ def test_hac_matches_brute_force_linkage_oracle():
             assert _sets(hac_complete(vectors, k)) == oracles.hac_ref(vectors, k)
 
 
+# Supports of one or four features with one integer weight: every unit row
+# holds only 1.0 or 0.5, so each cosine is an exact multiple of 1/4 in any
+# summation order and distance ties are exact for both implementations.
+_EXACT_SUPPORTS = [()] + [(f,) for f in range(6)] + list(combinations(range(6), 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    docs=st.lists(st.tuples(st.sampled_from(_EXACT_SUPPORTS), st.integers(1, 5)), min_size=1, max_size=9),
+    k=st.integers(1, 9),
+)
+def test_hac_matches_oracle_on_exact_distance_ties(docs, k):
+    vectors = {f"d{i}": {f: float(weight) for f in support} for i, (support, weight) in enumerate(docs)}
+    assert _sets(hac_complete(vectors, k)) == oracles.hac_ref(vectors, k)
+
+
 def test_hac_partitions_exactly():
     rng = np.random.default_rng(79)
     vectors = _random_vectors(rng, 7)
@@ -133,8 +165,7 @@ def test_kmeans_objective_matches_independent_recomputation():
     vectors = _random_vectors(rng, 6)
     clustering = kmeans(vectors, 2, seed=3)
 
-    ids, matrix = _dense_matrix(vectors)
-    unit = _l2_normalize_rows(matrix)
+    ids, unit = _unit_matrix(vectors)
     row = {doc_id: i for i, doc_id in enumerate(ids)}
     expected = 0.0
     for cluster in clustering.clusters:
@@ -183,11 +214,10 @@ def test_kmeans_objective_history_never_increases():
     for _ in range(20):
         n = int(rng.integers(3, 10))
         vectors = _random_vectors(rng, n)
-        ids, matrix = _dense_matrix(vectors)
-        unit = _l2_normalize_rows(matrix)
+        _, gram = _gram(vectors)
         k = int(rng.integers(1, n + 1))
         for seed in (1, 2, 3):
-            _, _, history = _lloyd(unit, k, seed, max_iterations=100)
+            _, _, history = _lloyd(gram, k, seed, max_iterations=100)
             for earlier, later in zip(history, history[1:]):
                 assert later <= earlier + 1e-12
 
@@ -202,6 +232,73 @@ def test_kmeans_reseeds_empty_clusters_and_keeps_k_nonempty():
         assert all(clustering.clusters)
         members = sorted(d for c in clustering.clusters for d in c)
         assert members == sorted(vectors)
+
+
+def _positive_vectors(rng: np.random.Generator, n: int, dims: int = 5) -> dict[str, dict[int, float]]:
+    """Vectors with every feature present: no two are orthogonal, so no tie."""
+    return {f"d{i}": {j: float(w) for j, w in enumerate(rng.uniform(0.1, 2.0, size=dims))} for i in range(n)}
+
+
+def _one_hot_vectors(rng: np.random.Generator, n: int, dims: int = 3, empty_share: float = 0.0):
+    """Single-feature vectors of random length, some all-zero.
+
+    Their unit rows hold only 0.0 and 1.0, so a distance tie between
+    centroids is exact under direct subtraction and under the Gram form.
+    """
+    out: dict[str, dict[int, float]] = {}
+    for i in range(n):
+        empty = rng.uniform() < empty_share
+        out[f"d{i}"] = {} if empty else {int(rng.integers(0, dims)): float(rng.uniform(0.5, 2.0))}
+    return out
+
+
+def _assert_matches_kmeans_ref(vectors: dict[str, dict[int, float]], k: int) -> None:
+    for seed in (1, 2, 3):
+        clustering = kmeans(vectors, k, seed=seed)
+        partition, n_iterations = oracles.kmeans_ref(vectors, k, seed)
+        assert _sets(clustering) == partition
+        assert clustering.n_iterations == n_iterations
+
+
+def test_kmeans_matches_direct_subtraction_oracle_on_random_inputs():
+    rng = np.random.default_rng(109)
+    for _ in range(40):
+        n = int(rng.integers(2, 14))
+        _assert_matches_kmeans_ref(_positive_vectors(rng, n), int(rng.integers(1, n + 1)))
+
+
+def test_kmeans_matches_direct_subtraction_oracle_with_duplicate_points():
+    rng = np.random.default_rng(113)
+    for _ in range(40):
+        distinct = int(rng.integers(2, 8))
+        vectors: dict[str, dict[int, float]] = {}
+        for i, vec in enumerate(_positive_vectors(rng, distinct).values()):
+            vectors[f"d{i}a"] = vec
+            if rng.uniform() < 0.5:
+                vectors[f"d{i}b"] = dict(vec)
+        _assert_matches_kmeans_ref(vectors, int(rng.integers(1, distinct + 1)))
+
+
+def test_kmeans_matches_direct_subtraction_oracle_with_all_zero_rows():
+    rng = np.random.default_rng(127)
+    for _ in range(40):
+        n = int(rng.integers(2, 14))
+        vectors = _one_hot_vectors(rng, n, empty_share=0.3)
+        vectors["zero"] = {}
+        _assert_matches_kmeans_ref(vectors, int(rng.integers(1, n + 2)))
+
+
+def test_kmeans_matches_direct_subtraction_oracle_when_clusters_are_forced_empty():
+    # With k above the number of distinct directions, two initial centroids
+    # coincide, every tie goes to the lower one, and the other is empty.
+    five_and_outlier = {f"d{i}": {0: 1.0} for i in range(5)}
+    five_and_outlier["d5"] = {1: 1.0}
+    _assert_matches_kmeans_ref(five_and_outlier, 3)
+    rng = np.random.default_rng(131)
+    for _ in range(40):
+        n = int(rng.integers(4, 14))
+        vectors = _one_hot_vectors(rng, n, dims=2, empty_share=0.1)
+        _assert_matches_kmeans_ref(vectors, int(rng.integers(3, n + 1)))
 
 
 def test_run_repetitions_uses_seeds_one_through_reps():

@@ -11,8 +11,12 @@ import os
 import subprocess
 import sys
 
+import namesift.cli
+import namesift.experiments
 from namesift.cli import main
-from namesift.corpus import NOISE_LABEL
+from namesift.corpus import NOISE_LABEL, load_corpus
+from namesift.experiments import RunSpec, task_clusterings
+from namesift.features import FeatureConfig
 from namesift.models import MODELS
 
 from conftest import write_broken_task
@@ -44,6 +48,17 @@ def test_validate_broken_task_exits_two(mini_corpus, clean_env, capsys):
     rows = [line for line in capsys.readouterr().out.splitlines() if "\tfail\t" in line]
     assert len(rows) == 1
     assert "gold" in rows[0]
+
+
+def test_validate_malformed_manifest_is_a_diagnostic_not_a_crash(mini_corpus, clean_env, capsys):
+    manifest_path = mini_corpus / "baker" / "task.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest["entities"] = 5
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["validate", str(mini_corpus)]) == 2
+    rows = [line for line in capsys.readouterr().out.splitlines() if "\tfail\t" in line]
+    assert len(rows) == 1
+    assert "entities must be a JSON list" in rows[0]
 
 
 def test_validate_empty_root_exits_two(tmp_path, clean_env, capsys):
@@ -149,6 +164,34 @@ def test_cluster_writes_files(mini_corpus, clean_env, tmp_path, capsys):
     assert (outdir / "clusters.json").exists()
 
 
+def test_cluster_output_computes_each_clustering_once(mini_corpus, clean_env, tmp_path, capsys):
+    tasks = load_corpus(mini_corpus)
+    expected = {
+        (task.name, method): [c.to_dict() for c in task_clusterings(task, method, FeatureConfig(), reps=3)]
+        for task in tasks
+        for method in ("hac_complete", "kmeans")
+    }
+    calls = {"hac_complete": 0, "run_repetitions": 0}
+
+    def counted(name):
+        original = getattr(namesift.experiments, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        clean_env.setattr(namesift.experiments, name, wrapper)
+
+    counted("hac_complete")
+    counted("run_repetitions")
+    outdir = tmp_path / "clout"
+    assert main(["cluster", str(mini_corpus), "--reps", "3", "--output", str(outdir)]) == 0
+    assert calls == {"hac_complete": len(tasks), "run_repetitions": len(tasks)}
+    for (name, method), runs in expected.items():
+        payload = json.loads((outdir / f"{name}.{method}.json").read_text(encoding="utf-8"))
+        assert payload["runs"] == runs
+
+
 def test_cluster_stdout_single_method(mini_corpus, clean_env, capsys):
     assert main(["cluster", str(mini_corpus), "--method", "hac_complete"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -229,6 +272,19 @@ def test_settings_precedence_flag_env_file(mini_corpus, clean_env, tmp_path, cap
     assert fingerprint["model"] == "score_smoothed"  # flag beats environment and file
     assert fingerprint["alpha"] == 0.3  # environment beats file
     assert fingerprint["lambda"] == 0.25  # file beats the 0.5 default
+
+
+def test_built_in_defaults_are_the_run_spec_defaults(mini_corpus, clean_env, capsys):
+    specs = []
+    run_grid = namesift.cli.run_grid
+
+    def capture(spec):
+        specs.append(spec)
+        return run_grid(spec)
+
+    clean_env.setattr(namesift.cli, "run_grid", capture)
+    assert main(["grid", str(mini_corpus)]) == 0
+    assert specs == [RunSpec(corpus_root=mini_corpus)]
 
 
 def test_environment_supplies_model(mini_corpus, clean_env, capsys):

@@ -273,6 +273,75 @@ def test_load_task_dangling_file_reference(tmp_path):
         load_task(d)
 
 
+def _write_manifest(d, **changes):
+    """Minimal task with some manifest keys replaced."""
+    _write_minimal(d)
+    manifest = json.loads((d / "task.json").read_text(encoding="utf-8"))
+    manifest.update(changes)
+    (d / "task.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+
+@pytest.mark.parametrize("key", ["entities", "documents"])
+@pytest.mark.parametrize("value", [5, "e1.txt", {"id": "e1"}, None])
+def test_load_task_rejects_non_list_sections(tmp_path, key, value):
+    _write_manifest(tmp_path / "t", **{key: value})
+    with pytest.raises(CorpusFormatError, match=f"{key} must be a JSON list"):
+        load_task(tmp_path / "t")
+
+
+@pytest.mark.parametrize("key", ["entities", "documents"])
+@pytest.mark.parametrize("entry", ["id title file url rank", 5, ["id"], None])
+def test_load_task_rejects_non_object_entries(tmp_path, key, entry):
+    # A string entry used to pass the key check as a substring test.
+    _write_manifest(tmp_path / "t", **{key: [entry]})
+    with pytest.raises(CorpusFormatError, match=rf"{key}\[0\]: must be a JSON object"):
+        load_task(tmp_path / "t")
+
+
+def test_load_task_rejects_absolute_file_path(tmp_path):
+    secret = tmp_path / "secret.txt"
+    secret.write_text("outside words", encoding="utf-8")
+    d = tmp_path / "t"
+    _write_manifest(d, entities=[{"id": "e1", "title": "E One", "file": str(secret)}])
+    with pytest.raises(CorpusFormatError, match="inside the task directory"):
+        load_task(d)
+
+
+def test_load_task_rejects_file_path_escaping_upwards(tmp_path):
+    (tmp_path / "secret.txt").write_text("outside words", encoding="utf-8")
+    d = tmp_path / "t"
+    _write_manifest(d, documents=[{"id": "d1", "url": "http://x", "rank": 1, "file": "../secret.txt"}])
+    with pytest.raises(CorpusFormatError, match="inside the task directory"):
+        load_task(d)
+
+
+def test_load_task_rejects_dotdot_through_a_symlink(tmp_path):
+    # Lexically "link/../secret.txt" is "secret.txt", but the OS resolves
+    # ".." from the link's target, which lies outside the task directory.
+    (tmp_path / "outside" / "deeper").mkdir(parents=True)
+    (tmp_path / "outside" / "secret.txt").write_text("outside words", encoding="utf-8")
+    d = tmp_path / "t"
+    _write_manifest(d, documents=[{"id": "d1", "url": "http://x", "rank": 1, "file": "link/../secret.txt"}])
+    (d / "link").symlink_to(tmp_path / "outside" / "deeper")
+    with pytest.raises(CorpusFormatError, match="inside the task directory"):
+        load_task(d)
+
+
+def test_load_task_accepts_dotdot_that_stays_inside(tmp_path):
+    d = tmp_path / "t"
+    _write_manifest(d, documents=[{"id": "d1", "url": "http://x", "rank": 1, "file": "sub/../d1.txt"}])
+    (d / "sub").mkdir()
+    assert load_task(d).documents[0].text == "document body words"
+
+
+@pytest.mark.parametrize("file", [5, None, "", "."])
+def test_load_task_rejects_unreadable_file_entries(tmp_path, file):
+    d = tmp_path / "t"
+    _write_manifest(d, entities=[{"id": "e1", "title": "E One", "file": file}])
+    with pytest.raises(CorpusFormatError):
+        load_task(d)
+
+
 def test_load_task_strip_markup_flag(tmp_path):
     d = tmp_path / "t"
     _write_minimal(d)
