@@ -248,8 +248,12 @@ def kmeans(doc_vectors: Mapping[str, FeatureVector], k: int, seed: int, max_iter
     """Lloyd iterations on L2-normalized vectors with seeded init.
 
     Initial centroids are ``k`` distinct documents drawn without
-    replacement from ``np.random.default_rng(seed)``.  Assignment ties go
-    to the lowest centroid index.  A cluster left empty after assignment
+    replacement from ``np.random.default_rng(seed)``.  A document goes to
+    the centroid with the smallest computed distance; ties between computed
+    distances go to the lowest centroid index.  Distances equal in exact
+    arithmetic need not be equal once computed: for an all-zero row, or a
+    row orthogonal to several centroids, the rounding of each centroid's
+    norm decides the cluster.  A cluster left empty after assignment
     is reseeded with the farthest point.  Stops when assignments repeat
     or after ``max_iterations``.  All distances come from the documents'
     Gram matrix.

@@ -206,7 +206,9 @@ def _require_list(mapping: dict, key: str, where: str) -> list:
 
 def _read_text(path: Path, where: str) -> str:
     try:
-        return path.read_text(encoding="utf-8")
+        # newline="" keeps every line ending as written, so bodies round-trip.
+        with path.open(encoding="utf-8", newline="") as f:
+            return f.read()
     except FileNotFoundError:
         raise CorpusFormatError(f"{where}: referenced file {path} does not exist") from None
     except UnicodeDecodeError as exc:
@@ -222,11 +224,27 @@ def _resolves_inside(path: Path, directory: Path) -> bool:
         return False
 
 
+def _is_gold_skip(line: str) -> bool:
+    """Blank and ``#`` comment lines of gold.tsv carry no row."""
+    return not line.strip() or line.lstrip().startswith("#")
+
+
+def _gold_line(doc_id: str, label: str) -> str:
+    """The gold.tsv row of one document; raises if the format cannot carry it."""
+    line = f"{doc_id}\t{label}"
+    if line.count("\t") != 1 or line.splitlines() != [line] or _is_gold_skip(line):
+        raise CorpusFormatError(
+            f"document {doc_id!r} labeled {label!r} cannot be a gold.tsv row:"
+            " ids may not contain tabs or line breaks, and a row may not be blank or start with '#'"
+        )
+    return line
+
+
 def _parse_gold(path: Path) -> dict[str, str]:
     rows: dict[str, str] = {}
     text = _read_text(path, "gold.tsv")
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
+        if _is_gold_skip(line):
             continue
         parts = line.split("\t")
         if len(parts) != 2:
@@ -260,9 +278,15 @@ def load_task(
     manifest_path = path / "task.json"
     if not manifest_path.is_file():
         raise CorpusFormatError(f"{path}: no task.json manifest")
+    manifest_text = _read_text(manifest_path, "task.json")
     try:
-        manifest = json.loads(_read_text(manifest_path, "task.json"))
-    except json.JSONDecodeError as exc:
+        manifest = json.loads(manifest_text)
+        # A \udXXX escape can decode to a lone surrogate, which no output
+        # could encode.
+        json.dumps(manifest, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        raise CorpusFormatError(f"{manifest_path}: a string holds an unpaired surrogate escape") from None
+    except (ValueError, RecursionError) as exc:  # bad JSON, an over-long integer, nesting too deep
         raise CorpusFormatError(f"{manifest_path}: invalid JSON ({exc})") from None
     if not isinstance(manifest, dict):
         raise CorpusFormatError(f"{manifest_path}: manifest must be a JSON object")
@@ -317,23 +341,35 @@ def write_task(task: Task, path: str | Path) -> Path:
     """Serialize ``task`` into a directory readable by :func:`load_task`.
 
     Bodies are written verbatim, so a write/load round trip reproduces the
-    task exactly (under default tokenization).
+    task exactly (under default tokenization).  A task the format cannot
+    carry (an empty name, a document id or gold label that would not read
+    back as its own gold.tsv row, or text UTF-8 cannot encode) raises
+    :class:`CorpusFormatError` before anything is written.
     """
-    path = Path(path)
-    (path / "entities").mkdir(parents=True, exist_ok=True)
-    (path / "documents").mkdir(parents=True, exist_ok=True)
+    if not task.name:
+        raise CorpusFormatError("task name must be a non-empty string")
+    gold_lines = [_gold_line(doc.id, task.gold.labels[doc.id]) for doc in task.documents]
     manifest: dict = {"name": task.name, "entities": [], "documents": []}
+    files: dict[str, str] = {}
     for i, entity in enumerate(task.entities):
         rel = f"entities/e{i:03d}.txt"
-        (path / rel).write_text(entity.text, encoding="utf-8")
+        files[rel] = entity.text
         manifest["entities"].append({"id": entity.id, "title": entity.title, "file": rel})
     for i, doc in enumerate(task.documents):
         rel = f"documents/d{i:03d}.txt"
-        (path / rel).write_text(doc.text, encoding="utf-8")
+        files[rel] = doc.text
         manifest["documents"].append({"id": doc.id, "url": doc.url, "rank": doc.rank, "file": rel})
-    (path / "task.json").write_text(json.dumps(manifest, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
-    gold_lines = [f"{doc.id}\t{task.gold.labels[doc.id]}" for doc in task.documents]
-    (path / "gold.tsv").write_text("\n".join(gold_lines) + "\n", encoding="utf-8")
+    files["task.json"] = json.dumps(manifest, ensure_ascii=False, indent=2) + "\n"
+    files["gold.tsv"] = "\n".join(gold_lines) + "\n"
+    try:
+        encoded = {rel: text.encode("utf-8") for rel, text in files.items()}
+    except UnicodeEncodeError as exc:
+        raise CorpusFormatError(f"task {task.name!r}: text UTF-8 cannot encode ({exc})") from None
+    path = Path(path)
+    (path / "entities").mkdir(parents=True, exist_ok=True)
+    (path / "documents").mkdir(parents=True, exist_ok=True)
+    for rel, data in encoded.items():
+        (path / rel).write_bytes(data)
     return path
 
 

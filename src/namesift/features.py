@@ -9,8 +9,13 @@ frequencies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from collections import defaultdict
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from itertools import chain, count
+from typing import Callable, Iterable, Iterator, TypeVar
+
+import numpy as np
 
 from .corpus import NOISE_LABEL, Task, term_frequencies
 
@@ -39,6 +44,8 @@ INTERSECTION_SEMANTICS = ("exists", "forall")
 
 # Divisor applied to natural logs to change base.
 _LOG_DIVISOR = {"e": 1.0, "2": math.log(2.0), "10": math.log(10.0)}
+
+_V = TypeVar("_V")
 
 
 class ConfigError(ValueError):
@@ -77,24 +84,54 @@ class FeatureConfig:
         _check(self.intersection_semantics, INTERSECTION_SEMANTICS, "intersection_semantics")
 
 
-@dataclass
+class _ElementView(Mapping[str, _V]):
+    """Read-only element id -> value mapping, computed from the index on access."""
+
+    def __init__(self, index: "FeatureIndex", value_of: Callable[[str], _V]) -> None:
+        self._index = index
+        self._value_of = value_of
+
+    def __getitem__(self, element_id: str) -> _V:
+        return self._value_of(element_id)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._index.document_ids + self._index.entity_ids)
+
+    def __len__(self) -> int:
+        return self._index.corpus_size
+
+
+@dataclass(eq=False)
 class FeatureIndex:
     """Term statistics for one task's corpus C = documents + entities.
 
-    ``term_counts`` maps element id -> feature id -> occurrence count and is
-    defined for every element except the noise placeholder, which closes the
-    element list.  ``df`` counts, per feature, the elements of C containing
-    it at least once.
+    The statistics are stored once, CSR style over the elements of C in
+    order (documents in task order, then entities): element ``r`` holds the
+    features ``features[offsets[r]:offsets[r + 1]]``, in the order it first
+    uses them, with their occurrence counts at the same positions of
+    ``counts`` (whole numbers held as floats, so scoring uses them as is).
+    ``df`` counts, per feature, the elements of C containing it at least
+    once.  The noise placeholder closes the element list and carries no
+    term statistics.  ``term_counts`` (element id -> feature id -> count),
+    ``max_counts`` and ``token_totals`` are read-only views computed on
+    access.  The arrays are read-only.
     """
 
     tokens: list[str]
     ids: dict[str, int]
-    df: list[int]
     document_ids: list[str]
     entity_ids: list[str]
-    term_counts: dict[str, dict[int, int]]
-    max_counts: dict[str, int]
-    token_totals: dict[str, int]
+    features: np.ndarray
+    counts: np.ndarray
+    offsets: np.ndarray
+    df: np.ndarray
+    _rows: dict[str, int] = field(init=False, repr=False)
+    _weights: dict[tuple[str, str], np.ndarray] = field(init=False, repr=False, default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self._rows = {element_id: r for r, element_id in enumerate(self.document_ids + self.entity_ids)}
+        for array in (self.features, self.counts, self.offsets, self.df):
+            array.flags.writeable = False
 
     @property
     def elements(self) -> list[str]:
@@ -115,13 +152,40 @@ class FeatureIndex:
         except KeyError:
             raise KeyError(f"unknown feature {token!r}") from None
 
-    def counts_of(self, element_id: str) -> dict[int, int]:
+    def span(self, element_id: str) -> slice:
+        """The positions of one element's features in the stored arrays."""
         if element_id == NOISE_LABEL:
             raise KeyError("the noise entity carries no term statistics")
         try:
-            return self.term_counts[element_id]
+            r = self._rows[element_id]
         except KeyError:
             raise KeyError(f"unknown element {element_id!r}") from None
+        return slice(int(self.offsets[r]), int(self.offsets[r + 1]))
+
+    def counts_of(self, element_id: str) -> dict[int, int]:
+        span = self.span(element_id)
+        return dict(zip(self.features[span].tolist(), map(int, self.counts[span].tolist())))
+
+    @property
+    def term_counts(self) -> Mapping[str, dict[int, int]]:
+        return _ElementView(self, self.counts_of)
+
+    @property
+    def max_counts(self) -> Mapping[str, int]:
+        return _ElementView(self, lambda element_id: int(self.counts[self.span(element_id)].max(initial=0)))
+
+    @property
+    def token_totals(self) -> Mapping[str, int]:
+        return _ElementView(self, lambda element_id: int(self.counts[self.span(element_id)].sum()))
+
+    def weights(self, config: FeatureConfig) -> np.ndarray:
+        """The tf-idf weight at every stored position, computed once per weighting."""
+        key = (config.idf_numerator, config.log_base)
+        if key not in self._weights:
+            weights = _tfidf_weights(self, *key)
+            weights.flags.writeable = False
+            self._weights[key] = weights
+        return self._weights[key]
 
 
 def build_index(task: Task) -> FeatureIndex:
@@ -131,45 +195,54 @@ def build_index(task: Task) -> FeatureIndex:
     in task order and then entities in task order, so indexing is
     deterministic.
     """
-    tokens: list[str] = []
-    ids: dict[str, int] = {}
-    df: list[int] = []
-    term_counts: dict[str, dict[int, int]] = {}
-    max_counts: dict[str, int] = {}
-    token_totals: dict[str, int] = {}
-
-    members = [(d.id, d.tokens) for d in task.documents]
-    members += [(e.id, e.tokens) for e in task.entities]
-    for element_id, element_tokens in members:
-        counts: dict[int, int] = {}
-        for token, n in term_frequencies(element_tokens).items():
-            fid = ids.get(token)
-            if fid is None:
-                fid = len(tokens)
-                ids[token] = fid
-                tokens.append(token)
-                df.append(0)
-            counts[fid] = n
-            df[fid] += 1
-        term_counts[element_id] = counts
-        max_counts[element_id] = max(counts.values(), default=0)
-        token_totals[element_id] = len(element_tokens)
-
+    element_counts = [term_frequencies(d.tokens) for d in task.documents]
+    element_counts += [term_frequencies(e.tokens) for e in task.entities]
+    offsets = np.zeros(len(element_counts) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, element_counts), dtype=np.int64, count=len(element_counts)), out=offsets[1:])
+    size = int(offsets[-1])
+    # Looking up a token the defaultdict has not seen gives it the next id,
+    # so ids follow first occurrence in one pass over the (element, token)
+    # stream.  Without its factory it then raises KeyError like a dict.
+    ids: defaultdict[str, int] = defaultdict(count().__next__)
+    features = np.fromiter(map(ids.__getitem__, chain.from_iterable(element_counts)), dtype=np.int64, count=size)
+    ids.default_factory = None
     return FeatureIndex(
-        tokens=tokens,
+        tokens=list(ids),
         ids=ids,
-        df=df,
         document_ids=[d.id for d in task.documents],
         entity_ids=[e.id for e in task.entities],
-        term_counts=term_counts,
-        max_counts=max_counts,
-        token_totals=token_totals,
+        features=features,
+        counts=np.fromiter(chain.from_iterable(c.values() for c in element_counts), dtype=float, count=size),
+        offsets=offsets,
+        df=np.bincount(features, minlength=len(ids)),
     )
 
 
-def _idf(index: FeatureIndex, fid: int, distinct_features: int, config: FeatureConfig) -> float:
-    numerator = distinct_features if config.idf_numerator == "paper" else index.corpus_size
-    return math.log(numerator / index.df[fid]) / _LOG_DIVISOR[config.log_base]
+def _logs(ratios: np.ndarray, divisor: float) -> np.ndarray:
+    """``math.log(r) / divisor`` for every ratio, one ``math.log`` per distinct value.
+
+    ``np.log`` is not used: it can differ from ``math.log`` in the last bit,
+    and the weights are defined by the scalar formula.
+    """
+    distinct, where = np.unique(ratios, return_inverse=True)
+    logs = np.fromiter(map(math.log, distinct.tolist()), dtype=float, count=len(distinct))
+    return (logs / divisor)[where]
+
+
+def _tfidf_weights(index: FeatureIndex, idf_numerator: str, log_base: str) -> np.ndarray:
+    """``(count / element max count) * log(numerator / df) / divisor`` at every position."""
+    sizes = np.diff(index.offsets)
+    nonempty = sizes > 0
+    peaks = np.zeros(len(sizes))
+    # reduceat misreads empty segments, so only nonempty ones are reduced.
+    if nonempty.any():
+        peaks[nonempty] = np.maximum.reduceat(index.counts, index.offsets[:-1][nonempty])
+    divisor = _LOG_DIVISOR[log_base]
+    if idf_numerator == "paper":
+        idf = _logs(np.repeat(sizes, sizes) / index.df[index.features], divisor)
+    else:
+        idf = _logs(index.corpus_size / index.df, divisor)[index.features]
+    return (index.counts / np.repeat(peaks, sizes)) * idf
 
 
 def tfidf(
@@ -188,11 +261,9 @@ def tfidf(
     fid = index.feature_id(feature) if isinstance(feature, str) else feature
     if not 0 <= fid < index.feature_count:
         raise KeyError(f"feature id {fid} out of range")
-    counts = index.counts_of(element_id)
-    n = counts.get(fid)
-    if not n:
-        return 0.0
-    return (n / index.max_counts[element_id]) * _idf(index, fid, len(counts), config)
+    span = index.span(element_id)
+    hit = np.flatnonzero(index.features[span] == fid)
+    return float(index.weights(config)[span][hit[0]]) if hit.size else 0.0
 
 
 def vectorize(
@@ -201,14 +272,10 @@ def vectorize(
     config: FeatureConfig = FeatureConfig(),
 ) -> FeatureVector:
     """Sparse tf-idf vector of one element; exact zeros are omitted."""
-    counts = index.counts_of(element_id)
-    max_count = index.max_counts[element_id]
-    out: FeatureVector = {}
-    for fid, n in counts.items():
-        w = (n / max_count) * _idf(index, fid, len(counts), config)
-        if w != 0.0:
-            out[fid] = w
-    return out
+    span = index.span(element_id)
+    weights = index.weights(config)[span]
+    nonzero = weights != 0.0
+    return dict(zip(index.features[span][nonzero].tolist(), weights[nonzero].tolist()))
 
 
 def l1_normalize(vector: FeatureVector) -> FeatureVector:
@@ -242,12 +309,14 @@ def _uniform(feature_ids: Iterable[int], kind: str) -> NoiseProfile:
     return NoiseProfile(kind, {fid: weight for fid in ordered})
 
 
+def _entity_features(index: FeatureIndex) -> np.ndarray:
+    """Feature ids at the stored positions of every entity profile."""
+    return index.features[index.offsets[len(index.document_ids)] :]
+
+
 def union_noise(index: FeatureIndex) -> NoiseProfile:
     """Noise profile over the union of all entity-profile features."""
-    feats: set[int] = set()
-    for eid in index.entity_ids:
-        feats.update(index.term_counts[eid])
-    return _uniform(feats, "union")
+    return _uniform(_entity_features(index).tolist(), "union")
 
 
 def intersection_noise(index: FeatureIndex, semantics: str = "exists") -> NoiseProfile:
@@ -263,21 +332,16 @@ def intersection_noise(index: FeatureIndex, semantics: str = "exists") -> NoiseP
     entity_ids = index.entity_ids
     element_ids = index.document_ids + index.entity_ids
     if semantics == "exists":
-        feats = {
-            fid
-            for eid in entity_ids
-            for fid in index.term_counts[eid]
-            if index.df[fid] >= 2
-        }
-        return _uniform(feats, "intersection")
+        feats = _entity_features(index)
+        return _uniform(feats[index.df[feats] >= 2].tolist(), "intersection")
 
     common: set[int] | None = None
     for eid in entity_ids:
-        entity_feats = set(index.term_counts[eid])
+        entity_feats = set(index.counts_of(eid))
         for cid in element_ids:
             if cid == eid:
                 continue
-            shared = entity_feats & set(index.term_counts[cid])
+            shared = entity_feats & set(index.counts_of(cid))
             common = shared if common is None else common & shared
             if not common:
                 return _uniform((), "intersection")

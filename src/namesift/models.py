@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -138,23 +137,6 @@ class DocumentRows:
     offsets: np.ndarray
     tfidf: np.ndarray
     counts: np.ndarray
-
-    @classmethod
-    def build(cls, counts: Sequence[Mapping[int, float]], weights: Sequence[Mapping[int, float]]) -> "DocumentRows":
-        """Rows over the features of ``counts``; a feature missing from ``weights`` weighs 0."""
-        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum([len(c) for c in counts], out=offsets[1:])
-        size = int(offsets[-1])
-        return cls(
-            indices=np.fromiter(chain.from_iterable(counts), dtype=np.int64, count=size),
-            offsets=offsets,
-            tfidf=np.fromiter(
-                chain.from_iterable(map(w.get, c, repeat(0.0)) for c, w in zip(counts, weights)),
-                dtype=float,
-                count=size,
-            ),
-            counts=np.fromiter(chain.from_iterable(c.values() for c in counts), dtype=float, count=size),
-        )
 
     @property
     def sizes(self) -> np.ndarray:
@@ -267,20 +249,32 @@ class TaskArrays:
 
     @classmethod
     def build(cls, resources: "TaskResources") -> "TaskArrays":
+        """Slices of the index arrays: document rows first, then the entity rows."""
         index = resources.index
-        width = index.feature_count
-        rows = DocumentRows.build(
-            [index.term_counts[did] for did in index.document_ids],
-            [resources.doc_vectors[did] for did in index.document_ids],
+        weights = index.weights(FeatureConfig(idf_numerator=resources.idf_numerator, log_base=resources.log_base))
+        n_docs, width = len(index.document_ids), index.feature_count
+        split = int(index.offsets[n_docs])
+        rows = DocumentRows(
+            indices=index.features[:split],
+            offsets=index.offsets[: n_docs + 1],
+            tfidf=weights[:split],
+            counts=index.counts[:split],
         )
-        entity_counts = _dense([index.term_counts[eid] for eid in index.entity_ids], width)
-        totals = np.array([index.token_totals[eid] for eid in index.entity_ids], dtype=float)
-        feature_totals = np.bincount(rows.indices, weights=rows.counts, minlength=width) + entity_counts.sum(axis=0)
-        grand_total = sum(index.token_totals.values())
+        cells = (
+            np.repeat(np.arange(len(index.entity_ids)), np.diff(index.offsets[n_docs:])),
+            index.features[split:],
+        )
+        entities = np.zeros((len(index.entity_ids), width))
+        entities[cells] = weights[split:]
+        entity_counts = np.zeros_like(entities)
+        entity_counts[cells] = index.counts[split:]
+        # Counts are integers, so these sums are exact in any order.
+        feature_totals = np.bincount(index.features, weights=index.counts, minlength=width)
+        grand_total = int(index.counts.sum())
         return cls(
             rows=rows,
-            entities=_dense([resources.entity_vectors[eid] for eid in index.entity_ids], width),
-            ml=entity_counts * _inverse(totals)[:, None],
+            entities=entities,
+            ml=entity_counts * _inverse(entity_counts.sum(axis=1))[:, None],
             background=feature_totals / grand_total if grand_total else feature_totals,
         )
 
@@ -300,7 +294,6 @@ class TaskResources:
     idf_numerator: str
     log_base: str
     doc_vectors: dict[str, FeatureVector]
-    entity_vectors: dict[str, FeatureVector]
     _noise: dict[tuple[str, str], NoiseProfile | None] = field(default_factory=dict)
     _arrays: TaskArrays | None = None
     _smoothed: np.ndarray | None = None
@@ -314,7 +307,6 @@ class TaskResources:
             idf_numerator=config.idf_numerator,
             log_base=config.log_base,
             doc_vectors={d.id: vectorize(d.id, index, config) for d in task.documents},
-            entity_vectors={e.id: vectorize(e.id, index, config) for e in task.entities},
         )
 
     def matches(self, config: FeatureConfig) -> bool:

@@ -52,6 +52,44 @@ def dense_weights(task, idf_numerator: str = "corpus", log_base: str = "e") -> d
     return out
 
 
+def index_ref(task, idf_numerator: str = "corpus", log_base: str = "e") -> dict:
+    """The feature index as one scalar loop over plain dicts.
+
+    Feature ids follow first occurrence, scanning documents and then
+    entities in task order; each element's counts keep the order in which
+    it first uses a token.  Weights are ``(n / peak) * (log(num / df) /
+    divisor)`` with ``divisor`` the natural log of the base, zeros dropped.
+    Returns ``tokens``, ``df`` (per feature id), ``counts`` (element id ->
+    [(feature id, count)]) and ``weights`` (element id -> {feature id:
+    weight}).
+    """
+    divisor = {"e": 1.0, "2": math.log(2.0), "10": math.log(10.0)}[log_base]
+    ids: dict[str, int] = {}
+    df: list[int] = []
+    counts: dict[str, list[tuple[int, int]]] = {}
+    for cid, tokens in element_tokens(task).items():
+        local: dict[str, int] = {}
+        for token in tokens:
+            local[token] = local.get(token, 0) + 1
+        for token in local:
+            if token not in ids:
+                ids[token] = len(ids)
+                df.append(0)
+            df[ids[token]] += 1
+        counts[cid] = [(ids[token], n) for token, n in local.items()]
+    weights: dict[str, dict[int, float]] = {}
+    for cid, pairs in counts.items():
+        peak = max((n for _, n in pairs), default=0)
+        numerator = len(pairs) if idf_numerator == "paper" else len(counts)
+        vec: dict[int, float] = {}
+        for fid, n in pairs:
+            w = (n / peak) * (math.log(numerator / df[fid]) / divisor)
+            if w != 0.0:
+                vec[fid] = w
+        weights[cid] = vec
+    return {"tokens": list(ids), "df": df, "counts": counts, "weights": weights}
+
+
 def l1(vector: dict) -> dict:
     total = sum(abs(w) for w in vector.values())
     if total == 0.0:

@@ -6,16 +6,23 @@ the host environment cannot leak into the precedence chain.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import namesift.cli
 import namesift.experiments
 from namesift.cli import main
 from namesift.corpus import NOISE_LABEL, load_corpus
-from namesift.experiments import RunSpec, task_clusterings
+from namesift.experiments import RunSpec, task_clusterings, validate_corpus
 from namesift.features import FeatureConfig
 from namesift.models import MODELS
 
@@ -59,6 +66,95 @@ def test_validate_malformed_manifest_is_a_diagnostic_not_a_crash(mini_corpus, cl
     rows = [line for line in capsys.readouterr().out.splitlines() if "\tfail\t" in line]
     assert len(rows) == 1
     assert "entities must be a JSON list" in rows[0]
+
+
+# Strings that may hold lone surrogates, which JSON escapes as \udXXX.
+_TEXT = st.text(st.characters(exclude_categories=()), max_size=4)
+# Any JSON value.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mostly(right, other=_JSON):
+    """Nine times in ten a value of the right shape, else one of ``other``."""
+    return st.sampled_from([True] * 9 + [False]).flatmap(lambda keep: right if keep else other)
+
+
+# Body files b0.txt and b1.txt exist (with generated bytes); the other paths
+# are missing, escape the task directory, or name a directory.
+_FILE = st.sampled_from(["b0.txt", "b1.txt", "missing.txt", "sub/../b1.txt", "../b0.txt", "/b0.txt", "", "sub"])
+_ENTITY = st.fixed_dictionaries(
+    {
+        "id": _mostly(st.sampled_from(["e0", "e1", NOISE_LABEL])),
+        "title": _mostly(_TEXT),
+        "file": _mostly(_FILE),
+    }
+)
+_DOCUMENT = st.fixed_dictionaries(
+    {
+        "id": _mostly(st.sampled_from(["d0", "d1", "e0"])),
+        "url": _mostly(_TEXT),
+        "rank": _mostly(st.integers(-1, 3)),
+        "file": _mostly(_FILE),
+    }
+)
+_MANIFEST = st.fixed_dictionaries(
+    {
+        "name": _mostly(st.text(st.characters(exclude_categories=()), min_size=1, max_size=4)),
+        "entities": _mostly(st.lists(_mostly(_ENTITY), max_size=2)),
+        "documents": _mostly(st.lists(_mostly(_DOCUMENT), max_size=2)),
+    }
+)
+_MANIFEST_BYTES = st.one_of(
+    _MANIFEST.map(lambda m: json.dumps(m).encode()),
+    _MANIFEST.map(lambda m: json.dumps(m, ensure_ascii=False).encode("utf-8", "surrogatepass")),
+    _JSON.map(lambda m: json.dumps(m).encode()),
+    st.binary(max_size=40),
+    # Nesting deeper than the decoder's recursion limit; an integer longer
+    # than int() converts.
+    st.sampled_from([b"[" * 100_000, b"1" * 5_000]),
+)
+_GOLD_ROWS = st.lists(
+    st.sampled_from(["d0\te0", "d1\t" + NOISE_LABEL, "d0\te1", "d1\te9", "# note", "", "d1", "d0\te0\tx"]),
+    max_size=3,
+).map(lambda rows: "\n".join(rows).encode())
+# None: no gold.tsv at all.
+_GOLD_BYTES = _mostly(_GOLD_ROWS, st.none() | st.binary(max_size=30))
+_BODY_BYTES = st.one_of(st.binary(max_size=20), st.text(max_size=20).map(str.encode))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    manifest=_MANIFEST_BYTES,
+    gold=_GOLD_BYTES,
+    bodies=st.lists(_BODY_BYTES, min_size=2, max_size=2),
+    output_format=st.sampled_from(["tsv", "json"]),
+)
+def test_validate_never_raises_on_generated_tasks(clean_env, manifest, gold, bodies, output_format):
+    """Every task ends ok or with problem strings, and the exit code is 0 or 2."""
+    with tempfile.TemporaryDirectory() as root:
+        task_dir = Path(root) / "t"
+        (task_dir / "sub").mkdir(parents=True)
+        (task_dir / "task.json").write_bytes(manifest)
+        if gold is not None:
+            (task_dir / "gold.tsv").write_bytes(gold)
+        for i, body in enumerate(bodies):
+            (task_dir / f"b{i}.txt").write_bytes(body)
+
+        [result] = validate_corpus(root)
+        assert result.ok != bool(result.problems)
+        assert all(isinstance(problem, str) and problem for problem in result.problems)
+
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["validate", root, "--format", output_format])
+        assert code == (0 if result.ok else 2)
+        # What a UTF-8 terminal would receive must be encodable.
+        out.getvalue().encode("utf-8")
+        err.getvalue().encode("utf-8")
 
 
 def test_validate_empty_root_exits_two(tmp_path, clean_env, capsys):

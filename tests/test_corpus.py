@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from namesift.corpus import (
     NOISE_LABEL,
@@ -199,6 +203,70 @@ def test_write_then_load_round_trips_exactly(tmp_path, make_task):
     assert loaded.gold.labels == task.gold.labels
 
 
+def test_round_trip_keeps_carriage_returns(tmp_path, make_task):
+    task = make_task({"e1": "x\r\ny"}, {"d1": "a\rb c"}, gold={"d1": "e1"})
+    loaded = load_task(write_task(task, tmp_path / "rt"))
+    assert loaded.documents[0].text == "a\rb c"
+    assert loaded.entities[0].text == "x\r\ny"
+
+
+@pytest.mark.parametrize("doc_id", ["#d1", "  # d1", "a\tb", "a\nb", "a\rb", "a\x85b", "a\u2028b"])
+def test_write_task_refuses_ids_gold_tsv_cannot_carry(tmp_path, make_task, doc_id):
+    task = make_task({"e1": "x"}, {doc_id: "a"})
+    with pytest.raises(CorpusFormatError, match="gold.tsv"):
+        write_task(task, tmp_path / "rt")
+    assert not (tmp_path / "rt").exists()
+
+
+def test_write_task_refuses_labels_gold_tsv_cannot_carry(tmp_path, make_task):
+    task = make_task({"e\t1": "x"}, {"d1": "a"}, gold={"d1": "e\t1"})
+    with pytest.raises(CorpusFormatError, match="gold.tsv"):
+        write_task(task, tmp_path / "rt")
+
+
+def test_write_task_refuses_an_empty_name(tmp_path, make_task):
+    with pytest.raises(CorpusFormatError, match="name"):
+        write_task(make_task({}, {}, name=""), tmp_path / "rt")
+
+
+def test_write_task_refuses_text_utf8_cannot_encode(tmp_path, make_task):
+    task = make_task({"e1": "x"}, {"d1": "lone \ud800 surrogate"})
+    with pytest.raises(CorpusFormatError, match="UTF-8"):
+        write_task(task, tmp_path / "rt")
+    assert not (tmp_path / "rt").exists()
+
+
+# Arbitrary Unicode, lone surrogates included.
+_ANY_TEXT = st.text(st.characters(exclude_categories=()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    name=_ANY_TEXT,
+    ids=st.lists(_ANY_TEXT, min_size=1, max_size=6, unique=True),
+    n_entities=st.integers(0, 3),
+    texts=st.lists(_ANY_TEXT, min_size=12, max_size=12),
+    labels=st.lists(st.integers(0, 3), min_size=6, max_size=6),
+)
+def test_write_load_round_trips_arbitrary_unicode(name, ids, n_entities, texts, labels):
+    """A task the writer accepts reads back exactly; one it refuses raises a format error."""
+    assume(NOISE_LABEL not in ids)
+    entity_ids, doc_ids = ids[:n_entities], ids[n_entities:]
+    entities = [EntityProfile(id=eid, title=texts[i], text=texts[i + 6]) for i, eid in enumerate(entity_ids)]
+    documents = [
+        ResultDocument(id=did, url=texts[i], rank=i + 1, text=texts[i + 6]) for i, did in enumerate(doc_ids)
+    ]
+    options = entity_ids + [NOISE_LABEL]
+    gold = {did: options[labels[i] % len(options)] for i, did in enumerate(doc_ids)}
+    task = Task(name=name, entities=entities, documents=documents, gold=GoldAlignment(gold))
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            path = write_task(task, Path(tmp) / "rt")
+        except CorpusFormatError:
+            return
+        assert load_task(path) == task
+
+
 def test_load_task_missing_manifest(tmp_path):
     (tmp_path / "t").mkdir()
     with pytest.raises(CorpusFormatError):
@@ -210,6 +278,23 @@ def test_load_task_invalid_manifest_json(tmp_path):
     d.mkdir()
     (d / "task.json").write_text("{not json", encoding="utf-8")
     with pytest.raises(CorpusFormatError):
+        load_task(d)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 100_000 + "]" * 100_000,  # deeper than the decoder's recursion limit
+        '{"name": "x", "n": ' + "1" * 5_000 + "}",  # longer than int() converts
+        '{"name": "\\ud800", "entities": [], "documents": []}',  # an unpaired surrogate
+    ],
+)
+def test_load_task_rejects_manifests_python_cannot_carry(tmp_path, text):
+    d = tmp_path / "t"
+    d.mkdir()
+    (d / "task.json").write_text(text, encoding="utf-8")
+    (d / "gold.tsv").write_text("", encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match="task.json"):
         load_task(d)
 
 

@@ -6,9 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from namesift.corpus import NOISE_LABEL
 from namesift.features import (
+    IDF_NUMERATORS,
+    LOG_BASES,
     ConfigError,
     FeatureConfig,
     build_index,
@@ -19,6 +23,7 @@ from namesift.features import (
     union_noise,
     vectorize,
 )
+from namesift.models import TaskResources
 
 import oracles
 from conftest import build_task, random_micro_task
@@ -168,6 +173,57 @@ def test_vectorize_matches_dense_oracle_on_random_micro_corpora():
                     assert got.keys() == expected[element].keys()
                     for token, w in expected[element].items():
                         assert got[token] == pytest.approx(w, abs=1e-12)
+
+
+# Tokens as the tokenizer keeps them; some are non-ASCII, and the second
+# pool only ever reaches entity profiles.
+_SHARED_TOKENS = ("ant", "bee", "élan", "straße", "日本", "ωmega", "x1", "42")
+_ENTITY_TOKENS = ("zeta", "ünïcode", "東京")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    documents=st.lists(st.lists(st.sampled_from(_SHARED_TOKENS), max_size=12), max_size=5),
+    entities=st.lists(st.lists(st.sampled_from(_SHARED_TOKENS + _ENTITY_TOKENS), max_size=12), max_size=3),
+    numerator=st.sampled_from(IDF_NUMERATORS),
+    log_base=st.sampled_from(LOG_BASES),
+)
+def test_index_matches_scalar_reference_bit_for_bit(documents, entities, numerator, log_base):
+    task = build_task(
+        {f"e{i}": " ".join(tokens) for i, tokens in enumerate(entities)},
+        {f"d{i}": " ".join(tokens) for i, tokens in enumerate(documents)},
+    )
+    ref = oracles.index_ref(task, numerator, log_base)
+    config = FeatureConfig(idf_numerator=numerator, log_base=log_base)
+    index = build_index(task)
+    assert index.tokens == ref["tokens"]
+    assert list(index.df) == ref["df"]
+    for element, pairs in ref["counts"].items():
+        assert list(index.counts_of(element).items()) == pairs
+        assert vectorize(element, index, config) == ref["weights"][element]
+
+    entity_features = {fid for eid in index.entity_ids for fid, _ in ref["counts"][eid]}
+    assert union_noise(index).features == entity_features
+    assert intersection_noise(index).features == {fid for fid in entity_features if ref["df"][fid] >= 2}
+
+    # The scoring arrays hold the same weights: document rows in
+    # first-occurrence order (zeros kept), entity rows dense.
+    arrays = TaskResources.from_task(task, config).arrays()
+    doc_pairs = [pair for did in index.document_ids for pair in ref["counts"][did]]
+    assert arrays.rows.indices.tolist() == [fid for fid, _ in doc_pairs]
+    assert arrays.rows.tfidf.tolist() == [
+        ref["weights"][did].get(fid, 0.0) for did in index.document_ids for fid, _ in ref["counts"][did]
+    ]
+    for row, eid in zip(arrays.entities, index.entity_ids):
+        assert {int(fid): float(row[fid]) for fid in np.flatnonzero(row)} == ref["weights"][eid]
+
+
+def test_weights_take_the_scalar_log():
+    # 21 elements and a feature in 20 of them: np.log(21 / 20) and
+    # math.log(21 / 20) differ in the last bit on some machines.
+    task = build_task({}, {f"d{i}": "common" if i else "rare" for i in range(21)})
+    index = build_index(task)
+    assert vectorize("d1", index) == {index.feature_id("common"): math.log(21 / 20)}
 
 
 # ---------------------------------------------------------------------------

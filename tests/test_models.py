@@ -74,7 +74,13 @@ WIDTH = 8  # feature columns of the hand-written vectors below
 
 def _rows(*docs):
     """Document rows whose tf-idf weights and counts are both the given values."""
-    return DocumentRows.build(docs, docs)
+    values = np.array([w for doc in docs for w in doc.values()], dtype=float)
+    return DocumentRows(
+        indices=np.array([f for doc in docs for f in doc], dtype=np.int64),
+        offsets=np.cumsum([0] + [len(doc) for doc in docs]),
+        tfidf=values,
+        counts=values,
+    )
 
 
 def _dense(*vectors):
