@@ -218,7 +218,9 @@ def _lloyd(gram: np.ndarray, k: int, seed: int, max_iterations: int) -> tuple[np
     Every centroid is the mean of a set of rows, held as a row of the
     k x n membership matrix.  The objective (sum of squared distances to
     the assigned centroid) is recorded once per iteration, after the
-    centroid update.
+    centroid update.  The run stops when a labeling repeats any earlier
+    one: from then on the labels cycle, since after the first iteration
+    the next labeling depends only on the current one.
     """
     n = gram.shape[0]
     rng = np.random.default_rng(seed)
@@ -228,14 +230,16 @@ def _lloyd(gram: np.ndarray, k: int, seed: int, max_iterations: int) -> tuple[np
 
     everyone = np.arange(n)
     labels = np.full(n, -1)
+    seen: set[bytes] = set()
     history: list[float] = []
     n_iterations = 0
     for _ in range(max_iterations):
         n_iterations += 1
-        new_labels = np.argmin(distances, axis=1)
-        _reseed_empty(new_labels, gram, members, distances)
-        converged = np.array_equal(new_labels, labels)
-        labels = new_labels
+        labels = np.argmin(distances, axis=1)
+        _reseed_empty(labels, gram, members, distances)
+        key = labels.tobytes()
+        converged = key in seen
+        seen.add(key)
         members = (labels == np.arange(k)[:, None]).astype(float)
         distances = _sq_distances(gram, members)
         history.append(float(distances[everyone, labels].sum()))
@@ -254,8 +258,9 @@ def kmeans(doc_vectors: Mapping[str, FeatureVector], k: int, seed: int, max_iter
     arithmetic need not be equal once computed: for an all-zero row, or a
     row orthogonal to several centroids, the rounding of each centroid's
     norm decides the cluster.  A cluster left empty after assignment
-    is reseeded with the farthest point.  Stops when assignments repeat
-    or after ``max_iterations``.  All distances come from the documents'
+    is reseeded with the farthest point.  Stops when the assignments
+    repeat those of any earlier iteration (a fixed point or a cycle) or
+    after ``max_iterations``.  All distances come from the documents'
     Gram matrix.
     """
     k = _check_k(k, len(doc_vectors))

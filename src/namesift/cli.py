@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import CorpusFormatError, CorpusIntegrityError
+from .corpus import CorpusFormatError, CorpusIntegrityError, tsv_cell
 from .evaluation import EvalReport, METRIC_COLUMNS, TaskMetrics
 from .experiments import (
     GridResult,
@@ -75,7 +75,6 @@ _SETTINGS: dict[str, tuple[str, object]] = {
     "jm_lambda": ("lambda", float),
     "laplace_denominator": ("laplace_denominator", str),
     "format": ("format", str),
-    "jobs": ("jobs", int),
     "reps": ("reps", int),
     "strip_html": ("strip_html", bool),
     "stopwords": ("stopwords", str),
@@ -186,7 +185,6 @@ def _build_run_spec(args, settings, *, models, noise_modes, hac=False, km=False)
         laplace_denominator=settings["laplace_denominator"],
         strip_markup=settings["strip_html"],
         stopwords=_load_stopwords(settings),
-        jobs=settings["jobs"],
     )
 
 
@@ -214,7 +212,6 @@ def cmd_validate(args, settings) -> int:
         args.root,
         strip_markup=settings["strip_html"],
         stopwords=_load_stopwords(settings),
-        jobs=settings["jobs"],
     )
     if settings["format"] == "json":
         payload = {
@@ -229,7 +226,8 @@ def cmd_validate(args, settings) -> int:
         lines = ["directory\tname\tstatus\tproblems"]
         for r in results:
             status = "ok" if r.ok else "fail"
-            lines.append(f"{r.directory}\t{r.name or ''}\t{status}\t{'; '.join(r.problems)}")
+            cells = [tsv_cell(r.directory), tsv_cell(r.name or ""), status, tsv_cell("; ".join(r.problems))]
+            lines.append("\t".join(cells))
         text = "\n".join(lines) + "\n"
     if getattr(args, "output", None):
         _write(Path(args.output), text)
@@ -351,7 +349,6 @@ def _add_config_flags(p: argparse.ArgumentParser, *, model_params: bool = True) 
         p.add_argument("--lambda", type=float, dest="jm_lambda", help="background mixture weight (multinomial NB)")
         p.add_argument("--laplace-denominator", choices=("paper", "per_feature"), dest="laplace_denominator")
     p.add_argument("--format", choices=("tsv", "json"))
-    p.add_argument("--jobs", type=int, help=f"parallel task workers (default {RunSpec.jobs})")
     p.add_argument("--strip-html", action="store_const", const=True, dest="strip_html")
     p.add_argument("--stopwords", metavar="FILE", help="newline-separated stopword list")
     p.add_argument("--tasks", help="comma-separated task name filter")

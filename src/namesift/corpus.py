@@ -47,6 +47,7 @@ __all__ = [
     "write_task",
     "discover_tasks",
     "load_corpus",
+    "tsv_cell",
 ]
 
 # Reserved gold label for documents outside the entity set.
@@ -222,6 +223,14 @@ def _resolves_inside(path: Path, directory: Path) -> bool:
         return path.resolve().is_relative_to(directory.resolve())
     except (OSError, RuntimeError, ValueError):  # a symlink loop, a NUL byte
         return False
+
+
+_TSV_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\r": "\\r", "\n": "\\n"})
+
+
+def tsv_cell(text: str) -> str:
+    r"""``text`` as one TSV cell: backslash, tab, CR and LF become ``\\``, ``\t``, ``\r``, ``\n``."""
+    return text.translate(_TSV_ESCAPES)
 
 
 def _is_gold_skip(line: str) -> bool:

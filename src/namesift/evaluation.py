@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 from typing import Iterable, Mapping
 
 from .baselines import Clustering, assignment_to_clusters
-from .corpus import NOISE_LABEL, CorpusIntegrityError, GoldAlignment, Task
+from .corpus import NOISE_LABEL, CorpusIntegrityError, GoldAlignment, Task, tsv_cell
 from .models import Assignment
 
 __all__ = [
@@ -230,7 +230,7 @@ class EvalReport:
     def to_tsv(self) -> str:
         lines = ["task\tmodel\tnoise\t" + "\t".join(METRIC_COLUMNS)]
         for name, metrics in self._rows():
-            cells = [name, self.model, self.noise]
+            cells = [tsv_cell(name), tsv_cell(self.model), tsv_cell(self.noise)]
             for column in METRIC_COLUMNS:
                 value = getattr(metrics, column)
                 cells.append("" if value is None else f"{value:.6f}")

@@ -9,10 +9,9 @@ are deterministically ordered by task name.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Iterable, Mapping, Sequence
 
 from .baselines import Clustering, hac_complete, run_repetitions
 from .corpus import (
@@ -23,7 +22,8 @@ from .corpus import (
     load_task,
 )
 from .evaluation import EvalReport, TaskMetrics, clustering_eval_filter, evaluate_assignment, nmi, purity
-from .features import NOISE_MODES, FeatureConfig, build_index, vectorize
+from .features import NOISE_MODES, FeatureConfig
+from .features import build_index, vectorize  # noqa: F401  (kept importable here: perfbench's tracer wraps them in this module)
 from .models import MODELS, Assignment, ModelConfig, TaskResources, map_documents
 
 __all__ = [
@@ -39,10 +39,6 @@ __all__ = [
     "grid_json_dict",
     "pivot_tsv",
 ]
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
 
 @dataclass
 class RunSpec:
@@ -67,7 +63,6 @@ class RunSpec:
     laplace_denominator: str = ModelConfig.laplace_denominator
     strip_markup: bool = False
     stopwords: frozenset[str] | None = None
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         self.corpus_root = Path(self.corpus_root)
@@ -75,8 +70,6 @@ class RunSpec:
             raise ValueError("select at least one model or baseline")
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
     def feature_config(self, noise: str = "none") -> FeatureConfig:
         return FeatureConfig(
@@ -123,36 +116,19 @@ class GridResult:
     clusterings: dict[str, dict[str, list[Clustering]]] = field(default_factory=dict)
 
 
-def _parallel_map(fn: Callable[[_T], _R], items: Sequence[_T], jobs: int) -> list[_R]:
-    """Order-preserving map, threaded when jobs > 1."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def load_tasks(spec: RunSpec) -> tuple[list[Task], list[tuple[str, str]]]:
     """Load, filter, and name-sort the corpus; broken tasks are skipped.
 
     Returns the loadable tasks sorted by task name and a list of
     (directory, reason) pairs for tasks that failed to load.
     """
-    directories = discover_tasks(spec.corpus_root)
-
-    def _load(path: Path) -> Task | Exception:
-        try:
-            return load_task(path, strip_markup=spec.strip_markup, stopwords=spec.stopwords)
-        except (CorpusFormatError, CorpusIntegrityError) as exc:
-            return exc
-
-    results = _parallel_map(_load, directories, spec.jobs)
     tasks: list[Task] = []
     skipped: list[tuple[str, str]] = []
-    for path, result in zip(directories, results):
-        if isinstance(result, Exception):
-            skipped.append((str(path), str(result)))
-        else:
-            tasks.append(result)
+    for path in discover_tasks(spec.corpus_root):
+        try:
+            tasks.append(load_task(path, strip_markup=spec.strip_markup, stopwords=spec.stopwords))
+        except (CorpusFormatError, CorpusIntegrityError) as exc:
+            skipped.append((str(path), str(exc)))
     if spec.tasks is not None:
         wanted = set(spec.tasks)
         tasks = [t for t in tasks if t.name in wanted]
@@ -169,19 +145,15 @@ def classification_report(
     config: ModelConfig,
     *,
     fingerprint: Mapping[str, object] | None = None,
-    jobs: int = 1,
     resources: Mapping[str, TaskResources] | None = None,
 ) -> tuple[EvalReport, dict[str, Assignment]]:
     """Run one configuration over all tasks; returns report and assignments."""
-
-    def _run(task: Task) -> tuple[TaskMetrics, Assignment]:
+    per_task: dict[str, TaskMetrics] = {}
+    assignments: dict[str, Assignment] = {}
+    for task in tasks:
         shared = resources.get(task.name) if resources is not None else None
-        assignment = map_documents(task, config, shared)
-        return evaluate_assignment(task, assignment), assignment
-
-    results = _parallel_map(_run, list(tasks), jobs)
-    per_task = {task.name: metrics for task, (metrics, _) in zip(tasks, results)}
-    assignments = {task.name: assignment for task, (_, assignment) in zip(tasks, results)}
+        assignments[task.name] = map_documents(task, config, shared)
+        per_task[task.name] = evaluate_assignment(task, assignments[task.name])
     report = EvalReport.build(
         model=config.model,
         noise=config.features.noise,
@@ -203,18 +175,20 @@ def task_clusterings(
 
     Returns None when the task has no entities or no entity-labeled
     documents.  HAC yields a single clustering, K-Means one per seed
-    1..reps.  k is the entity count, clamped to the subset size.
+    1..reps.  k is the entity count, clamped to the subset size.  The
+    document vectors come from ``resources``, built from the task when
+    None; resources built with other weighting options raise ValueError.
     """
     if method not in ("hac_complete", "kmeans"):
         raise ValueError(f"unknown baseline {method!r}")
     kept = clustering_eval_filter(task)
     if not kept or not task.entities:
         return None
-    if resources is not None and resources.matches(feature_config):
-        vectors = {doc_id: resources.doc_vectors[doc_id] for doc_id in kept}
-    else:
-        index = build_index(task)
-        vectors = {doc_id: vectorize(doc_id, index, feature_config) for doc_id in kept}
+    if resources is None:
+        resources = TaskResources.from_task(task, feature_config)
+    elif not resources.matches(feature_config):
+        raise ValueError("resources were built with different weighting options")
+    vectors = {doc_id: resources.doc_vectors[doc_id] for doc_id in kept}
     k = min(len(task.entities), len(kept))
     if method == "hac_complete":
         return [hac_complete(vectors, k)]
@@ -228,7 +202,6 @@ def baseline_report(
     *,
     reps: int = 10,
     fingerprint: Mapping[str, object] | None = None,
-    jobs: int = 1,
     resources: Mapping[str, TaskResources] | None = None,
 ) -> tuple[EvalReport, dict[str, list[Clustering]]]:
     """Purity/NMI of one clustering baseline on the noise-filtered subset.
@@ -239,21 +212,20 @@ def baseline_report(
     repetitions.  Returns the report and, per task, the clusterings it
     was computed from.
     """
-
-    def _run(task: Task) -> tuple[TaskMetrics, list[Clustering] | None]:
+    per_task: dict[str, TaskMetrics] = {}
+    clusterings: dict[str, list[Clustering]] = {}
+    for task in tasks:
         shared = resources.get(task.name) if resources is not None else None
-        clusterings = task_clusterings(task, method, feature_config, reps=reps, resources=shared)
-        if clusterings is None:
-            return TaskMetrics(), None
-        kept = clustering_eval_filter(task)
-        gold = {doc_id: task.gold.labels[doc_id] for doc_id in kept}
-        p = sum(purity(c, gold) for c in clusterings) / len(clusterings)
-        n = sum(nmi(c, gold) for c in clusterings) / len(clusterings)
-        return TaskMetrics(purity=p, nmi=n), clusterings
-
-    results = _parallel_map(_run, list(tasks), jobs)
-    per_task = {task.name: metrics for task, (metrics, _) in zip(tasks, results)}
-    clusterings = {task.name: runs for task, (_, runs) in zip(tasks, results) if runs is not None}
+        runs = task_clusterings(task, method, feature_config, reps=reps, resources=shared)
+        if runs is None:
+            per_task[task.name] = TaskMetrics()
+            continue
+        gold = {doc_id: task.gold.labels[doc_id] for doc_id in clustering_eval_filter(task)}
+        per_task[task.name] = TaskMetrics(
+            purity=sum(purity(c, gold) for c in runs) / len(runs),
+            nmi=sum(nmi(c, gold) for c in runs) / len(runs),
+        )
+        clusterings[task.name] = runs
     report = EvalReport.build(model=method, noise="", per_task=per_task, config=dict(fingerprint or {}))
     return report, clusterings
 
@@ -276,7 +248,6 @@ def run_grid(spec: RunSpec) -> GridResult:
                 tasks,
                 config,
                 fingerprint=spec.fingerprint(model=model, noise=noise),
-                jobs=spec.jobs,
                 resources=resources,
             )
             result.reports.append(report)
@@ -292,7 +263,6 @@ def run_grid(spec: RunSpec) -> GridResult:
             base_features,
             reps=spec.reps,
             fingerprint=spec.fingerprint(model=method, noise=None, **extra),
-            jobs=spec.jobs,
             resources=resources,
         )
         result.reports.append(report)
@@ -315,26 +285,24 @@ def validate_corpus(
     *,
     strip_markup: bool = False,
     stopwords: frozenset[str] | None = None,
-    jobs: int = 1,
 ) -> list[TaskValidation]:
     """Check every task directory under ``root``; never raises per task."""
-    directories = discover_tasks(root)
-
-    def _check(path: Path) -> TaskValidation:
+    results: list[TaskValidation] = []
+    for path in discover_tasks(root):
         try:
             task = load_task(path, strip_markup=strip_markup, stopwords=stopwords)
         except (CorpusFormatError, CorpusIntegrityError) as exc:
-            return TaskValidation(directory=str(path), name=None, ok=False, problems=[str(exc)])
-        return TaskValidation(directory=str(path), name=task.name, ok=True)
-
-    return _parallel_map(_check, directories, jobs)
+            results.append(TaskValidation(directory=str(path), name=None, ok=False, problems=[str(exc)]))
+        else:
+            results.append(TaskValidation(directory=str(path), name=task.name, ok=True))
+    return results
 
 
 def grid_tsv(reports: Iterable[EvalReport]) -> str:
     """All reports concatenated into one TSV table (single header)."""
     lines: list[str] = []
     for i, report in enumerate(reports):
-        tsv = report.to_tsv().splitlines()
+        tsv = report.to_tsv().rstrip("\n").split("\n")
         lines.extend(tsv if i == 0 else tsv[1:])
     return "\n".join(lines) + "\n" if lines else ""
 

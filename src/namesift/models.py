@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import NOISE_LABEL, Task
+from .corpus import NOISE_LABEL, Task, tsv_cell
 from .features import (
     ConfigError,
     FeatureConfig,
@@ -422,7 +422,7 @@ class Assignment:
         """doc_id, assigned class, winning score; one row per document."""
         lines = ["doc_id\tassigned\tscore"]
         for doc_id, assigned in self.mapping.items():
-            lines.append(f"{doc_id}\t{assigned}\t{self.scores[doc_id][assigned]:.10g}")
+            lines.append(f"{tsv_cell(doc_id)}\t{tsv_cell(assigned)}\t{self.scores[doc_id][assigned]:.10g}")
         return "\n".join(lines) + "\n"
 
     def scores_dict(self) -> dict[str, dict[str, float]]:

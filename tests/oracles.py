@@ -351,7 +351,9 @@ def kmeans_ref(vectors: dict[str, dict], k: int, seed: int, max_iterations: int 
     cluster in turn takes the point farthest from its own centroid among
     points whose cluster has another member (the first such point on
     ties) and that point becomes its centroid; stop when the labels
-    repeat or after ``max_iterations``.
+    equal those of any earlier iteration (a fixed point, or a cycle the
+    farthest-point reseed can start on duplicate points) or after
+    ``max_iterations``.
     """
     ids = list(vectors)
     features = sorted({f for vec in vectors.values() for f in vec})
@@ -368,7 +370,7 @@ def kmeans_ref(vectors: dict[str, dict], k: int, seed: int, max_iterations: int 
 
     chosen = np.random.default_rng(seed).choice(n, size=k, replace=False)
     centroids = [list(points[int(i)]) for i in chosen]
-    labels: list[int] | None = None
+    seen: list[list[int]] = []
     iteration = 0
     for iteration in range(1, max_iterations + 1):
         new = [min(range(k), key=lambda j: sq(p, centroids[j])) for p in points]
@@ -380,7 +382,8 @@ def kmeans_ref(vectors: dict[str, dict], k: int, seed: int, max_iterations: int 
             farthest = max(movable, key=lambda i: sq(points[i], centroids[new[i]]))
             new[farthest] = cluster
             centroids[cluster] = list(points[farthest])
-        converged = new == labels
+        converged = new in seen
+        seen.append(new)
         labels = new
         for cluster in range(k):
             members = [points[i] for i in range(n) if labels[i] == cluster]

@@ -301,6 +301,16 @@ def test_kmeans_matches_direct_subtraction_oracle_when_clusters_are_forced_empty
         _assert_matches_kmeans_ref(vectors, int(rng.integers(3, n + 1)))
 
 
+def test_kmeans_stops_when_the_reseed_cycles_between_labelings():
+    # k exceeds the one distinct point, so the farthest-point reseed hands
+    # a copy back and forth and the labels never settle on a fixed point.
+    copies = {f"d{i}": {0: 1.01, 3: 0.61} for i in range(4)}
+    clustering = kmeans(copies, 2, seed=1)
+    partition, n_iterations = oracles.kmeans_ref(copies, 2, 1)
+    assert clustering.n_iterations == n_iterations < 10
+    assert _sets(clustering) == partition
+
+
 def test_run_repetitions_uses_seeds_one_through_reps():
     rng = np.random.default_rng(103)
     vectors = _random_vectors(rng, 7)

@@ -21,12 +21,12 @@ from hypothesis import strategies as st
 import namesift.cli
 import namesift.experiments
 from namesift.cli import main
-from namesift.corpus import NOISE_LABEL, load_corpus
+from namesift.corpus import NOISE_LABEL, load_corpus, write_task
 from namesift.experiments import RunSpec, task_clusterings, validate_corpus
 from namesift.features import FeatureConfig
 from namesift.models import MODELS
 
-from conftest import write_broken_task
+from conftest import build_task, write_broken_task
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +155,56 @@ def test_validate_never_raises_on_generated_tasks(clean_env, manifest, gold, bod
         # What a UTF-8 terminal would receive must be encodable.
         out.getvalue().encode("utf-8")
         err.getvalue().encode("utf-8")
+
+
+# Task names and an entity id that task.json can carry but a raw TSV cell cannot.
+_AWKWARD_NAMES = {"tab_newline": "a\tb\nc", "carriage": "back\\slash\r", "separator": "x\u2028y"}
+
+
+def _write_awkward_corpus(root: Path) -> Path:
+    for directory, name in _AWKWARD_NAMES.items():
+        task = build_task(
+            {"e\t1": "jazz guitar album", "e2": "protein enzyme cell"},
+            {"d1": "jazz album", "d2": "enzyme cell", "d3": "lottery weather"},
+            gold={"d1": NOISE_LABEL, "d2": "e2", "d3": NOISE_LABEL},
+            name=name,
+        )
+        write_task(task, root / directory)
+    return root
+
+
+def test_validate_tsv_keeps_one_row_per_task_whatever_its_name(tmp_path, clean_env, capsys):
+    root = _write_awkward_corpus(tmp_path / "corpus")
+    assert main(["validate", str(root)]) == 0
+    rows = capsys.readouterr().out.split("\n")
+    assert rows.pop() == ""
+    assert len(rows) == 1 + len(_AWKWARD_NAMES)
+    assert all(len(row.split("\t")) == 4 for row in rows)
+    assert [row.split("\t")[1] for row in rows[1:]] == ["back\\\\slash\\r", "x\u2028y", "a\\tb\\nc"]
+
+
+def test_grid_tsv_keeps_one_row_per_task_whatever_its_name(tmp_path, clean_env, capsys):
+    root = _write_awkward_corpus(tmp_path / "corpus")
+    assert main(["grid", str(root), "--models", "cosine,score", "--noise-modes", "none"]) == 0
+    rows = capsys.readouterr().out.split("\n")
+    assert rows.pop() == ""
+    assert len(rows) == 1 + 2 * (len(_AWKWARD_NAMES) + 1)
+    assert all(len(row.split("\t")) == 8 for row in rows)
+    assert [row.split("\t")[0] for row in rows[1:5]] == ["a\\tb\\nc", "back\\\\slash\\r", "x\u2028y", "aggregate"]
+
+
+def test_assignment_tsv_keeps_one_row_per_document_whatever_its_class(tmp_path, clean_env, capsys):
+    root = _write_awkward_corpus(tmp_path / "corpus")
+    assert main(["classify", str(root), "--model", "score", "--output", str(tmp_path / "out")]) == 0
+    paths = sorted((tmp_path / "out").glob("*.assignment.tsv"))
+    assert len(paths) == len(_AWKWARD_NAMES)
+    for path in paths:
+        rows = path.read_text(encoding="utf-8").split("\n")
+        assert rows.pop() == ""
+        assert all(len(row.split("\t")) == 3 for row in rows)
+        assert [row.split("\t")[:2] for row in rows] == [
+            ["doc_id", "assigned"], ["d1", "e\\t1"], ["d2", "e2"], ["d3", "e\\t1"]
+        ]
 
 
 def test_validate_empty_root_exits_two(tmp_path, clean_env, capsys):
@@ -418,6 +468,19 @@ def test_missing_stopword_file_is_usage_error(mini_corpus, clean_env, tmp_path, 
     code = main(["classify", str(mini_corpus), "--model", "score", "--stopwords", str(tmp_path / "nope.txt")])
     assert code == 1
     assert "stopword" in capsys.readouterr().err
+
+
+def test_jobs_flag_is_a_usage_error(mini_corpus, clean_env, capsys):
+    assert main(["grid", str(mini_corpus), "--jobs", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "--jobs" in err
+
+
+def test_jobs_setting_is_ignored_like_any_unknown_key(mini_corpus, clean_env, tmp_path, capsys):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"jobs": 0}), encoding="utf-8")
+    clean_env.setenv("NAMESIFT_JOBS", "not-a-number")
+    assert main(["grid", str(mini_corpus), "--config", str(config)]) == 0
 
 
 def test_missing_subcommand_is_usage_error(clean_env, capsys):

@@ -19,7 +19,7 @@ from namesift.experiments import (
     task_clusterings,
     validate_corpus,
 )
-from namesift.models import MODELS
+from namesift.models import MODELS, TaskResources
 
 from conftest import build_task, write_broken_task, write_mini_corpus
 
@@ -33,8 +33,6 @@ def test_run_spec_needs_some_work(tmp_path):
         RunSpec(corpus_root=tmp_path, models=(), hac=False, kmeans=False)
     with pytest.raises(ValueError):
         RunSpec(corpus_root=tmp_path, reps=0)
-    with pytest.raises(ValueError):
-        RunSpec(corpus_root=tmp_path, jobs=0)
 
 
 def test_run_spec_config_builders(tmp_path):
@@ -136,14 +134,6 @@ def test_grid_is_deterministic(mini_corpus):
     assert json.dumps(grid_json_dict(first)) == json.dumps(grid_json_dict(second))
 
 
-def test_parallel_jobs_do_not_change_output(mini_corpus):
-    serial = run_grid(RunSpec(corpus_root=mini_corpus, models=("cosine",), noise_modes=("none",)))
-    parallel = run_grid(
-        RunSpec(corpus_root=mini_corpus, models=("cosine",), noise_modes=("none",), jobs=4)
-    )
-    assert grid_tsv(serial.reports) == grid_tsv(parallel.reports)
-
-
 def test_grid_assignments_match_topical_structure(mini_corpus):
     # Topical docs go to their entity; the off-topic doc shares no token
     # with either profile, so every score is 0 and the tie rule hands it
@@ -172,6 +162,18 @@ def test_task_clusterings_shapes(mini_corpus):
     assert [c.seed for c in km_runs] == [1, 2, 3, 4]
     with pytest.raises(ValueError):
         task_clusterings(tasks[0], "spectral", features)
+
+
+def test_task_clusterings_take_vectors_from_matching_resources_only(mini_corpus):
+    tasks, _ = load_tasks(RunSpec(corpus_root=mini_corpus))
+    features = FeatureConfig()
+    shared = TaskResources.from_task(tasks[0], features)
+    built = task_clusterings(tasks[0], "kmeans", features, reps=3)
+    reused = task_clusterings(tasks[0], "kmeans", features, reps=3, resources=shared)
+    assert [c.to_dict() for c in built] == [c.to_dict() for c in reused]
+    other = FeatureConfig(idf_numerator="paper")
+    with pytest.raises(ValueError, match="weighting options"):
+        task_clusterings(tasks[0], "hac_complete", other, resources=shared)
 
 
 def test_task_clusterings_skip_tasks_without_entity_documents():

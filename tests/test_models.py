@@ -29,7 +29,7 @@ from namesift.models import (
 )
 
 import oracles
-from conftest import build_task, random_micro_task
+from conftest import VOCAB, build_task, random_micro_task
 
 
 # ---------------------------------------------------------------------------
@@ -434,16 +434,63 @@ def test_every_document_scored_against_every_class():
                 _assert_tie_rule(ctx, assignment)
 
 
-def test_scaling_document_vectors_preserves_vector_model_argmax():
-    rng = np.random.default_rng(59)
-    for _ in range(10):
-        task = random_micro_task(rng)
-        for model in ("cosine", "score", "score_smoothed"):
-            config = ModelConfig(model=model, features=FeatureConfig(noise="union"))
-            ctx = build_context(task, config)
-            baseline = assign_from_context(ctx).mapping
-            rescored = assign_from_context(dataclasses.replace(ctx, values=37.5 * ctx.values))
-            assert rescored.mapping == baseline
+def _texts(min_size: int):
+    return st.lists(st.sampled_from(VOCAB), min_size=min_size, max_size=10).map(" ".join)
+
+
+@st.composite
+def micro_tasks(draw) -> Task:
+    """1-2 entities and 1-4 documents over a small vocabulary; documents may be empty."""
+    entities = draw(st.lists(_texts(1), min_size=1, max_size=2))
+    documents = draw(st.lists(_texts(0), min_size=1, max_size=4))
+    entity_ids = [f"e{i}" for i in range(len(entities))]
+    gold = {f"d{i}": draw(st.sampled_from(entity_ids + [NOISE_LABEL])) for i in range(len(documents))}
+    return build_task(
+        dict(zip(entity_ids, entities)), {f"d{i}": text for i, text in enumerate(documents)}, gold=gold, name="micro"
+    )
+
+
+def _tied_with_best(scores: dict[str, float], **tolerance) -> list[str]:
+    best = max(scores.values())
+    return [cid for cid, score in scores.items() if score == pytest.approx(best, **tolerance)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(task=micro_tasks(), denominator=st.sampled_from(("paper", "per_feature")))
+def test_scoring_layer_matches_oracles_on_generated_tasks(task, denominator):
+    # Same tolerances as the fixed-seed oracle tests; a mapping may take
+    # any class the oracle scores level with the best.
+    for noise in NOISE_MODES:
+        vector_ref = {doc.id: oracles.vector_scores_ref(task, doc.id, noise=noise) for doc in task.documents}
+        for model in MODELS:
+            config = ModelConfig(model=model, laplace_denominator=denominator, features=FeatureConfig(noise=noise))
+            assignment = map_documents(task, config)
+            for doc in task.documents:
+                if model == "nb_bernoulli_laplace":
+                    expected = oracles.bernoulli_linear(task, doc.id, noise=noise, denominator=denominator)
+                elif model == "nb_multinomial_jm":
+                    expected = oracles.multinomial_linear(task, doc.id, noise=noise, denominator=denominator)
+                else:
+                    expected = vector_ref[doc.id][model]
+                scores = assignment.scores[doc.id]
+                if model.startswith("nb_"):
+                    scores = {cid: math.exp(score) for cid, score in scores.items()}
+                assert scores == pytest.approx(expected, rel=1e-9)
+                assert assignment.mapping[doc.id] in _tied_with_best(expected, rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(task=micro_tasks(), factor=st.floats(min_value=1e-3, max_value=1e3))
+def test_scaling_document_vectors_preserves_vector_model_argmax(task, factor):
+    # Scaled products round differently, so an exact tie may fall either way.
+    for model in ("cosine", "score", "score_smoothed"):
+        config = ModelConfig(model=model, features=FeatureConfig(noise="union"))
+        ctx = build_context(task, config)
+        baseline = assign_from_context(ctx)
+        rescored = assign_from_context(dataclasses.replace(ctx, values=factor * ctx.values))
+        for doc_id, row in baseline.scores.items():
+            assert rescored.scores[doc_id] == pytest.approx({c: factor * s for c, s in row.items()}, rel=1e-12)
+            assert rescored.mapping[doc_id] in _tied_with_best(row, rel=1e-12, abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
