@@ -10,6 +10,7 @@ Run:  python3 demos/03_clustering_and_metrics.py
 from namesift import (
     NOISE_LABEL,
     assignment_to_clusters,
+    gram,
     hac_complete,
     kmeans,
     micro_macro_f1,
@@ -42,13 +43,13 @@ def show(title: str, clusters) -> None:
 def main() -> None:
     print("== complete-link agglomeration ==")
     for k in (3, 2, 1):
-        show(f"hac_complete, k={k}", hac_complete(VECTORS, k))
+        show(f"hac_complete, k={k}", hac_complete(gram(VECTORS), k))
 
     print("\n== seeded K-Means ==")
     for seed in (1, 2, 3):
-        result = kmeans(VECTORS, 3, seed)
+        result = kmeans(gram(VECTORS), 3, seed)
         show(f"kmeans, k=3, seed={seed}", result)
-    runs = run_repetitions(VECTORS, 3, reps=10)
+    runs = run_repetitions(gram(VECTORS), 3, reps=10)
     mean_nmi = sum(nmi(r, GOLD) for r in runs) / len(runs)
     print(f"  mean NMI over seeds 1..10: {mean_nmi:.3f}")
 

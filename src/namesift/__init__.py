@@ -8,7 +8,7 @@ two noise-profile constructions, clustering baselines, an evaluation
 harness, and a CLI experiment driver.
 """
 
-from .baselines import Clustering, assignment_to_clusters, hac_complete, kmeans, run_repetitions
+from .baselines import Clustering, Gram, assignment_to_clusters, gram, hac_complete, kmeans, run_repetitions
 from .corpus import (
     NOISE_LABEL,
     CorpusFormatError,
@@ -75,6 +75,7 @@ __all__ = [
     "FeatureIndex",
     "FeatureVector",
     "GoldAlignment",
+    "Gram",
     "ModelConfig",
     "NoiseProfile",
     "ResultDocument",
@@ -88,6 +89,7 @@ __all__ = [
     "discover_tasks",
     "evaluate_assignment",
     "f1_bar",
+    "gram",
     "hac_complete",
     "intersection_noise",
     "kmeans",

@@ -18,6 +18,8 @@ from .features import FeatureVector
 
 __all__ = [
     "Clustering",
+    "Gram",
+    "gram",
     "hac_complete",
     "kmeans",
     "kmeans_objective",
@@ -55,7 +57,19 @@ class Clustering:
         return out
 
 
-def _gram(doc_vectors: Mapping[str, FeatureVector]) -> tuple[list[str], np.ndarray]:
+@dataclass(frozen=True, eq=False)
+class Gram:
+    """Document ids and the Gram matrix of their unit rows, built by `gram`.
+
+    Row and column i of ``matrix`` belong to ``ids[i]``.  One value serves
+    every baseline call on the same documents.
+    """
+
+    ids: tuple[str, ...]
+    matrix: np.ndarray
+
+
+def gram(doc_vectors: Mapping[str, FeatureVector]) -> Gram:
     """Document ids and the Gram matrix ``G = U @ U.T`` of their unit rows.
 
     ``U`` holds the vectors scaled to unit L2 length; all-zero vectors stay
@@ -65,9 +79,7 @@ def _gram(doc_vectors: Mapping[str, FeatureVector]) -> tuple[list[str], np.ndarr
     a point sits at distance exactly 0 from its duplicates, as it does
     under direct subtraction.
     """
-    if isinstance(doc_vectors, _SharedGram):
-        return doc_vectors.ids, doc_vectors.gram
-    ids = list(doc_vectors)
+    ids = tuple(doc_vectors)
     vectors = [doc_vectors[doc_id] for doc_id in ids]
     lengths = [len(vector) for vector in vectors]
     total = sum(lengths)
@@ -96,28 +108,7 @@ def _gram(doc_vectors: Mapping[str, FeatureVector]) -> tuple[list[str], np.ndarr
         slot.append(slot_of[key])
     inner = matrix[first] @ matrix[first].T
     np.fill_diagonal(inner, np.bincount(rows, unit * unit, minlength=len(ids))[first])
-    return ids, inner[np.ix_(slot, slot)]
-
-
-class _SharedGram(Mapping):
-    """Read-only view of document vectors that holds their Gram matrix.
-
-    `run_repetitions` hands one to every seeded `kmeans` call: the
-    repetitions share one matrix, and each is still a plain `kmeans` call.
-    """
-
-    def __init__(self, doc_vectors: Mapping[str, FeatureVector]) -> None:
-        self._vectors = doc_vectors
-        self.ids, self.gram = _gram(doc_vectors)
-
-    def __getitem__(self, doc_id: str) -> FeatureVector:
-        return self._vectors[doc_id]
-
-    def __iter__(self):
-        return iter(self._vectors)
-
-    def __len__(self) -> int:
-        return len(self._vectors)
+    return Gram(ids, inner[np.ix_(slot, slot)])
 
 
 def _check_k(k: int, n: int) -> int:
@@ -129,23 +120,23 @@ def _check_k(k: int, n: int) -> int:
     return min(k, n)
 
 
-def hac_complete(doc_vectors: Mapping[str, FeatureVector], k: int) -> Clustering:
+def hac_complete(gram: Gram, k: int) -> Clustering:
     """Agglomerate documents bottom-up under complete linkage.
 
-    Distance is 1 - cosine over the given vectors (all-zero vectors sit at
+    Distance is 1 - cosine, read off ``gram`` (all-zero vectors sit at
     distance 1 from everything).  Each step merges the pair of clusters
     with the smallest maximum pairwise distance; exact ties pick the pair
     whose sorted (min doc id, min doc id) key is lexicographically
     smallest.  Stops when ``k`` clusters remain.
     """
-    k = _check_k(k, len(doc_vectors))
-    ids, gram = _gram(doc_vectors)
+    ids = gram.ids
     n = len(ids)
+    k = _check_k(k, n)
     # Complete-link distance between the clusters held in slots i and j; a
     # merged cluster keeps the lower slot.  The maximum of two rows is
     # exact, so every link value stays one of the pairwise distances.
     # Retired slots and the diagonal are infinite.
-    link = 1.0 - gram
+    link = 1.0 - gram.matrix
     np.fill_diagonal(link, np.inf)
     nearest = link.min(axis=1)
     # Rank of each slot's smallest member id: comparing ranks compares ids.
@@ -248,7 +239,7 @@ def _lloyd(gram: np.ndarray, k: int, seed: int, max_iterations: int) -> tuple[np
     return labels, n_iterations, history
 
 
-def kmeans(doc_vectors: Mapping[str, FeatureVector], k: int, seed: int, max_iterations: int = 100) -> Clustering:
+def kmeans(gram: Gram, k: int, seed: int, max_iterations: int = 100) -> Clustering:
     """Lloyd iterations on L2-normalized vectors with seeded init.
 
     Initial centroids are ``k`` distinct documents drawn without
@@ -260,35 +251,31 @@ def kmeans(doc_vectors: Mapping[str, FeatureVector], k: int, seed: int, max_iter
     norm decides the cluster.  A cluster left empty after assignment
     is reseeded with the farthest point.  Stops when the assignments
     repeat those of any earlier iteration (a fixed point or a cycle) or
-    after ``max_iterations``.  All distances come from the documents'
-    Gram matrix.
+    after ``max_iterations``.  All distances come from ``gram``.
     """
-    k = _check_k(k, len(doc_vectors))
-    ids, gram = _gram(doc_vectors)
-    labels, n_iterations, _ = _lloyd(gram, k, seed, max_iterations)
-    clusters = [[ids[i] for i in range(len(ids)) if labels[i] == cluster] for cluster in range(k)]
+    k = _check_k(k, len(gram.ids))
+    labels, n_iterations, _ = _lloyd(gram.matrix, k, seed, max_iterations)
+    clusters = [[doc_id for doc_id, label in zip(gram.ids, labels) if label == cluster] for cluster in range(k)]
     clusters = [c for c in clusters if c]
     return Clustering(clusters=clusters, method="kmeans", k=k, seed=seed, n_iterations=n_iterations)
 
 
-def kmeans_objective(clustering: Clustering, doc_vectors: Mapping[str, FeatureVector]) -> float:
+def kmeans_objective(clustering: Clustering, gram: Gram) -> float:
     """Sum of squared distances to cluster means over normalized vectors."""
-    ids, gram = _gram(doc_vectors)
-    row = {doc_id: i for i, doc_id in enumerate(ids)}
+    row = {doc_id: i for i, doc_id in enumerate(gram.ids)}
     total = 0.0
     for cluster in clustering.clusters:
         members = [row[doc_id] for doc_id in cluster]
-        block = gram[np.ix_(members, members)]
+        block = gram.matrix[np.ix_(members, members)]
         total += float(np.trace(block) - block.sum() / len(members))
     return total
 
 
-def run_repetitions(doc_vectors: Mapping[str, FeatureVector], k: int, reps: int = 10) -> list[Clustering]:
+def run_repetitions(gram: Gram, k: int, reps: int = 10) -> list[Clustering]:
     """K-Means runs with seeds 1..reps, for averaging metric estimates."""
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    shared = _SharedGram(doc_vectors)
-    return [kmeans(shared, k, seed) for seed in range(1, reps + 1)]
+    return [kmeans(gram, k, seed) for seed in range(1, reps + 1)]
 
 
 def assignment_to_clusters(mapping: Mapping[str, str], doc_ids: Sequence[str] | None = None) -> list[list[str]]:

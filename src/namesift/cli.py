@@ -112,17 +112,31 @@ def _cast(raw, caster, key: str):
         raise _UsageError(f"{key} expects a {caster.__name__}, got {raw!r}") from None
 
 
+def _read_text(path: str, what: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise _UsageError(f"{what} {path} does not exist") from None
+    except (OSError, ValueError) as exc:  # not UTF-8, a directory, no permission, a NUL byte
+        raise _UsageError(f"cannot read {what} {path} ({exc})") from None
+
+
+def _read_json(path: str, what: str):
+    text = _read_text(path, what)
+    try:
+        value = json.loads(text)
+        json.dumps(value, ensure_ascii=False).encode("utf-8")  # a \udXXX escape no output could encode
+    except (ValueError, RecursionError) as exc:  # bad JSON, an over-long integer, nesting too deep
+        raise _UsageError(f"{what} {path} is not valid JSON ({exc})") from None
+    return value
+
+
 def _resolve_settings(args: argparse.Namespace) -> dict:
     """Apply the flag > environment > file > default precedence."""
     file_config: dict = {}
     config_path = getattr(args, "config", None)
     if config_path is not None:
-        try:
-            file_config = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise _UsageError(f"config file {config_path} does not exist") from None
-        except json.JSONDecodeError as exc:
-            raise _UsageError(f"config file {config_path} is not valid JSON ({exc})") from None
+        file_config = _read_json(config_path, "config file")
         if not isinstance(file_config, dict):
             raise _UsageError(f"config file {config_path} must hold a JSON object")
 
@@ -146,10 +160,7 @@ def _load_stopwords(settings: dict) -> frozenset[str] | None:
     path = settings.get("stopwords")
     if not path:
         return None
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except FileNotFoundError:
-        raise _UsageError(f"stopword file {path} does not exist") from None
+    lines = _read_text(path, "stopword file").splitlines()
     words = {line.strip().lower() for line in lines if line.strip() and not line.startswith("#")}
     return frozenset(words)
 
@@ -159,8 +170,11 @@ def _safe_name(name: str) -> str:
 
 
 def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:  # a file where a directory belongs, or the reverse; no permission
+        raise _UsageError(f"cannot write {path} ({exc})") from None
 
 
 def _warn_skipped(skipped) -> None:
@@ -315,26 +329,30 @@ def cmd_grid(args, settings) -> int:
     return _exit_code(result)
 
 
+def _metrics(row) -> TaskMetrics:
+    if not isinstance(row, dict) or not all(v is None or type(v) in (int, float) for v in row.values()):
+        raise TypeError("metrics must map metric names to numbers or null")
+    return TaskMetrics(**{name: None if v is None else float(v) for name, v in row.items()})
+
+
 def cmd_report(args, settings) -> int:
-    try:
-        data = json.loads(Path(args.grid_json).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise _UsageError(f"grid file {args.grid_json} does not exist") from None
-    except json.JSONDecodeError as exc:
-        raise _UsageError(f"{args.grid_json} is not valid JSON ({exc})") from None
+    path = args.grid_json
+    data = _read_json(path, "grid file")
+    entries = data.get("reports", []) if isinstance(data, dict) else None
+    if not isinstance(entries, list):
+        raise _UsageError(f"grid file {path} must hold a JSON object with a list of reports")
     reports = []
-    for entry in data.get("reports", []):
-        reports.append(
-            EvalReport(
-                model=entry["model"],
-                noise=entry["noise"] or "",
-                per_task={name: TaskMetrics(**row) for name, row in entry["per_task"].items()},
-                aggregate=TaskMetrics(**entry["aggregate"]),
-                config=entry.get("config", {}),
-            )
-        )
+    for i, entry in enumerate(entries):
+        try:
+            model, noise = entry["model"], entry["noise"] or ""
+            if not (isinstance(model, str) and isinstance(noise, str)):
+                raise TypeError("model and noise must be strings")
+            per_task = {name: _metrics(row) for name, row in entry["per_task"].items()}
+            reports.append(EvalReport(model, noise, per_task, _metrics(entry["aggregate"]), entry.get("config", {})))
+        except (KeyError, AttributeError, TypeError, OverflowError) as exc:
+            raise _UsageError(f"grid file {path}: report {i} is malformed ({exc!r})") from None
     if not reports:
-        raise _UsageError(f"{args.grid_json} holds no reports")
+        raise _UsageError(f"grid file {path} holds no reports")
     sys.stdout.write(pivot_tsv(reports, metric=args.metric))
     return 0
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .baselines import Clustering, hac_complete, run_repetitions
+from .baselines import Clustering, gram, hac_complete, run_repetitions
 from .corpus import (
     CorpusFormatError,
     CorpusIntegrityError,
@@ -175,9 +175,10 @@ def task_clusterings(
 
     Returns None when the task has no entities or no entity-labeled
     documents.  HAC yields a single clustering, K-Means one per seed
-    1..reps.  k is the entity count, clamped to the subset size.  The
-    document vectors come from ``resources``, built from the task when
-    None; resources built with other weighting options raise ValueError.
+    1..reps, all from one `gram` of the kept documents.  k is the entity
+    count, clamped to the subset size.  The document vectors come from
+    ``resources``, built from the task when None; resources built with
+    other weighting options raise ValueError.
     """
     if method not in ("hac_complete", "kmeans"):
         raise ValueError(f"unknown baseline {method!r}")
@@ -188,11 +189,11 @@ def task_clusterings(
         resources = TaskResources.from_task(task, feature_config)
     elif not resources.matches(feature_config):
         raise ValueError("resources were built with different weighting options")
-    vectors = {doc_id: resources.doc_vectors[doc_id] for doc_id in kept}
+    kept_gram = gram({doc_id: resources.doc_vectors[doc_id] for doc_id in kept})
     k = min(len(task.entities), len(kept))
     if method == "hac_complete":
-        return [hac_complete(vectors, k)]
-    return run_repetitions(vectors, k, reps)
+        return [hac_complete(kept_gram, k)]
+    return run_repetitions(kept_gram, k, reps)
 
 
 def baseline_report(

@@ -326,26 +326,17 @@ def intersection_noise(index: FeatureIndex, semantics: str = "exists") -> NoiseP
     with e an entity, c any corpus element, e != c; that is exactly the
     features occurring in some entity profile with df >= 2, which biases
     the profile toward frequent features.  ``forall`` keeps only features
-    shared by every such pair; with no valid pair the profile is empty.
+    shared by every such pair: once a pair exists (an entity and |C| >= 2),
+    every element of C is in one, so these are the features present in
+    every element of C.  With no valid pair the profile is empty.
     """
     _check(semantics, INTERSECTION_SEMANTICS, "intersection_semantics")
-    entity_ids = index.entity_ids
-    element_ids = index.document_ids + index.entity_ids
     if semantics == "exists":
         feats = _entity_features(index)
         return _uniform(feats[index.df[feats] >= 2].tolist(), "intersection")
-
-    common: set[int] | None = None
-    for eid in entity_ids:
-        entity_feats = set(index.counts_of(eid))
-        for cid in element_ids:
-            if cid == eid:
-                continue
-            shared = entity_feats & set(index.counts_of(cid))
-            common = shared if common is None else common & shared
-            if not common:
-                return _uniform((), "intersection")
-    return _uniform(common or (), "intersection")
+    if not index.entity_ids or index.corpus_size < 2:
+        return _uniform((), "intersection")
+    return _uniform(np.flatnonzero(index.df == index.corpus_size).tolist(), "intersection")
 
 
 def build_noise_profile(index: FeatureIndex, config: FeatureConfig) -> NoiseProfile | None:

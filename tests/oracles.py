@@ -135,6 +135,24 @@ def forall_intersection_features(task) -> set[str]:
     return common or set()
 
 
+def forall_pairs_ref(index) -> set[int]:
+    """Feature ids shared by every (entity, other element) pair of an index.
+
+    The pairs are enumerated over the index's own per-element counts
+    (``counts_of``); empty if no pair exists.
+    """
+    element_ids = index.document_ids + index.entity_ids
+    common: set[int] | None = None
+    for eid in index.entity_ids:
+        entity_feats = set(index.counts_of(eid))
+        for cid in element_ids:
+            if cid == eid:
+                continue
+            shared = entity_feats & set(index.counts_of(cid))
+            common = shared if common is None else common & shared
+    return common or set()
+
+
 def class_weights(task, noise: str = "none", idf_numerator: str = "corpus", log_base: str = "e"):
     """Class id -> token -> weight: tf-idf for entities, uniform for noise."""
     weights = dense_weights(task, idf_numerator, log_base)

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from namesift.baselines import (
     Clustering,
-    _gram,
     _lloyd,
     assignment_to_clusters,
+    gram,
     hac_complete,
     kmeans,
     kmeans_objective,
@@ -76,43 +76,43 @@ def test_clustering_to_dict_is_canonical():
 
 def test_hac_boundary_cluster_counts():
     vectors = {"d1": {0: 1.0}, "d2": {1: 1.0}, "d3": {0: 1.0, 1: 1.0}}
-    assert _sets(hac_complete(vectors, 3)) == {frozenset({"d1"}), frozenset({"d2"}), frozenset({"d3"})}
-    assert _sets(hac_complete(vectors, 1)) == {frozenset({"d1", "d2", "d3"})}
+    assert _sets(hac_complete(gram(vectors), 3)) == {frozenset({"d1"}), frozenset({"d2"}), frozenset({"d3"})}
+    assert _sets(hac_complete(gram(vectors), 1)) == {frozenset({"d1", "d2", "d3"})}
 
 
 def test_hac_k_validation_and_clamping():
     vectors = {"d1": {0: 1.0}, "d2": {1: 1.0}}
     with pytest.raises(ValueError):
-        hac_complete(vectors, 0)
+        hac_complete(gram(vectors), 0)
     with pytest.raises(ValueError):
-        hac_complete({}, 1)
-    assert len(hac_complete(vectors, 10).clusters) == 2  # clamped to |docs|
+        hac_complete(gram({}), 1)
+    assert len(hac_complete(gram(vectors), 10).clusters) == 2  # clamped to |docs|
 
 
 def test_hac_two_separated_pairs():
     vectors = {"d1": {0: 1.0}, "d2": {0: 2.0}, "d3": {1: 1.0}, "d4": {1: 3.0}}
-    clustering = hac_complete(vectors, 2)
+    clustering = hac_complete(gram(vectors), 2)
     assert _sets(clustering) == {frozenset({"d1", "d2"}), frozenset({"d3", "d4"})}
 
 
 def test_hac_distance_tie_resolved_by_smallest_doc_ids():
     # dist(d1,d2) = dist(d2,d3) = 1 - 1/sqrt(2); the (d1,d2) pair wins.
     vectors = {"d1": {0: 1.0}, "d2": {0: 1.0, 1: 1.0}, "d3": {1: 1.0}}
-    clustering = hac_complete(vectors, 2)
+    clustering = hac_complete(gram(vectors), 2)
     assert _sets(clustering) == {frozenset({"d1", "d2"}), frozenset({"d3"})}
 
 
 def test_hac_all_zero_vector_sits_at_distance_one():
     vectors = {"d1": {}, "d2": {0: 1.0}, "d3": {0: 2.0}}
-    clustering = hac_complete(vectors, 2)
+    clustering = hac_complete(gram(vectors), 2)
     assert _sets(clustering) == {frozenset({"d2", "d3"}), frozenset({"d1"})}
 
 
 def test_hac_is_deterministic():
     rng = np.random.default_rng(71)
     vectors = _random_vectors(rng, 6)
-    first = hac_complete(vectors, 3)
-    second = hac_complete(vectors, 3)
+    first = hac_complete(gram(vectors), 3)
+    second = hac_complete(gram(vectors), 3)
     assert first.clusters == second.clusters
 
 
@@ -122,7 +122,7 @@ def test_hac_matches_brute_force_linkage_oracle():
         n = int(rng.integers(2, 8))
         vectors = _random_vectors(rng, n)
         for k in (1, 2, max(1, n - 1), n):
-            assert _sets(hac_complete(vectors, k)) == oracles.hac_ref(vectors, k)
+            assert _sets(hac_complete(gram(vectors), k)) == oracles.hac_ref(vectors, k)
 
 
 # Supports of one or four features with one integer weight: every unit row
@@ -138,13 +138,13 @@ _EXACT_SUPPORTS = [()] + [(f,) for f in range(6)] + list(combinations(range(6), 
 )
 def test_hac_matches_oracle_on_exact_distance_ties(docs, k):
     vectors = {f"d{i}": {f: float(weight) for f in support} for i, (support, weight) in enumerate(docs)}
-    assert _sets(hac_complete(vectors, k)) == oracles.hac_ref(vectors, k)
+    assert _sets(hac_complete(gram(vectors), k)) == oracles.hac_ref(vectors, k)
 
 
 def test_hac_partitions_exactly():
     rng = np.random.default_rng(79)
     vectors = _random_vectors(rng, 7)
-    clustering = hac_complete(vectors, 3)
+    clustering = hac_complete(gram(vectors), 3)
     members = [d for c in clustering.clusters for d in c]
     assert sorted(members) == sorted(vectors)
     assert len(clustering.clusters) == 3
@@ -156,14 +156,14 @@ def test_hac_partitions_exactly():
 
 def test_kmeans_single_cluster():
     vectors = {"d1": {0: 1.0}, "d2": {1: 1.0}, "d3": {0: 1.0, 1: 1.0}}
-    clustering = kmeans(vectors, 1, seed=1)
+    clustering = kmeans(gram(vectors), 1, seed=1)
     assert _sets(clustering) == {frozenset({"d1", "d2", "d3"})}
 
 
 def test_kmeans_objective_matches_independent_recomputation():
     rng = np.random.default_rng(83)
     vectors = _random_vectors(rng, 6)
-    clustering = kmeans(vectors, 2, seed=3)
+    clustering = kmeans(gram(vectors), 2, seed=3)
 
     ids, unit = _unit_matrix(vectors)
     row = {doc_id: i for i, doc_id in enumerate(ids)}
@@ -172,7 +172,7 @@ def test_kmeans_objective_matches_independent_recomputation():
         block = unit[[row[d] for d in cluster]]
         centroid = block.mean(axis=0)
         expected += float(np.sum((block - centroid) ** 2))
-    assert kmeans_objective(clustering, vectors) == pytest.approx(expected, rel=1e-9)
+    assert kmeans_objective(clustering, gram(vectors)) == pytest.approx(expected, rel=1e-9)
 
 
 def test_kmeans_separates_orthogonal_directions_for_any_seed():
@@ -186,7 +186,7 @@ def test_kmeans_separates_orthogonal_directions_for_any_seed():
     }
     expected = {frozenset({"d1", "d2", "d3"}), frozenset({"d4", "d5", "d6"})}
     for seed in range(1, 11):
-        assert _sets(kmeans(vectors, 2, seed=seed)) == expected
+        assert _sets(kmeans(gram(vectors), 2, seed=seed)) == expected
 
 
 def test_kmeans_duplicates_co_cluster():
@@ -198,7 +198,7 @@ def test_kmeans_duplicates_co_cluster():
         "d5": {0: 1.0, 1: 1.0},
     }
     for seed in range(1, 11):
-        clusters = _sets(kmeans(vectors, 2, seed=seed))
+        clusters = _sets(kmeans(gram(vectors), 2, seed=seed))
         for pair in (("d1", "d2"), ("d3", "d4")):
             assert any(set(pair) <= c for c in clusters)
 
@@ -206,7 +206,7 @@ def test_kmeans_duplicates_co_cluster():
 def test_kmeans_is_deterministic_per_seed():
     rng = np.random.default_rng(89)
     vectors = _random_vectors(rng, 8)
-    assert kmeans(vectors, 3, seed=7).clusters == kmeans(vectors, 3, seed=7).clusters
+    assert kmeans(gram(vectors), 3, seed=7).clusters == kmeans(gram(vectors), 3, seed=7).clusters
 
 
 def test_kmeans_objective_history_never_increases():
@@ -214,10 +214,10 @@ def test_kmeans_objective_history_never_increases():
     for _ in range(20):
         n = int(rng.integers(3, 10))
         vectors = _random_vectors(rng, n)
-        _, gram = _gram(vectors)
+        matrix = gram(vectors).matrix
         k = int(rng.integers(1, n + 1))
         for seed in (1, 2, 3):
-            _, _, history = _lloyd(gram, k, seed, max_iterations=100)
+            _, _, history = _lloyd(matrix, k, seed, max_iterations=100)
             for earlier, later in zip(history, history[1:]):
                 assert later <= earlier + 1e-12
 
@@ -227,7 +227,7 @@ def test_kmeans_reseeds_empty_clusters_and_keeps_k_nonempty():
     vectors = {f"d{i}": {0: 1.0} for i in range(5)}
     vectors["d5"] = {1: 1.0}
     for seed in range(1, 11):
-        clustering = kmeans(vectors, 3, seed=seed)
+        clustering = kmeans(gram(vectors), 3, seed=seed)
         assert len(clustering.clusters) == 3
         assert all(clustering.clusters)
         members = sorted(d for c in clustering.clusters for d in c)
@@ -254,7 +254,7 @@ def _one_hot_vectors(rng: np.random.Generator, n: int, dims: int = 3, empty_shar
 
 def _assert_matches_kmeans_ref(vectors: dict[str, dict[int, float]], k: int) -> None:
     for seed in (1, 2, 3):
-        clustering = kmeans(vectors, k, seed=seed)
+        clustering = kmeans(gram(vectors), k, seed=seed)
         partition, n_iterations = oracles.kmeans_ref(vectors, k, seed)
         assert _sets(clustering) == partition
         assert clustering.n_iterations == n_iterations
@@ -305,7 +305,7 @@ def test_kmeans_stops_when_the_reseed_cycles_between_labelings():
     # k exceeds the one distinct point, so the farthest-point reseed hands
     # a copy back and forth and the labels never settle on a fixed point.
     copies = {f"d{i}": {0: 1.01, 3: 0.61} for i in range(4)}
-    clustering = kmeans(copies, 2, seed=1)
+    clustering = kmeans(gram(copies), 2, seed=1)
     partition, n_iterations = oracles.kmeans_ref(copies, 2, 1)
     assert clustering.n_iterations == n_iterations < 10
     assert _sets(clustering) == partition
@@ -314,13 +314,13 @@ def test_kmeans_stops_when_the_reseed_cycles_between_labelings():
 def test_run_repetitions_uses_seeds_one_through_reps():
     rng = np.random.default_rng(103)
     vectors = _random_vectors(rng, 7)
-    runs = run_repetitions(vectors, 3, reps=5)
+    runs = run_repetitions(gram(vectors), 3, reps=5)
     assert len(runs) == 5
     for i, clustering in enumerate(runs, start=1):
         assert clustering.seed == i
-        assert clustering.clusters == kmeans(vectors, 3, seed=i).clusters
+        assert clustering.clusters == kmeans(gram(vectors), 3, seed=i).clusters
     with pytest.raises(ValueError):
-        run_repetitions(vectors, 3, reps=0)
+        run_repetitions(gram(vectors), 3, reps=0)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -399,6 +400,93 @@ def test_report_pivots_saved_grid(mini_corpus, clean_env, tmp_path, capsys):
 def test_report_missing_file_is_usage_error(tmp_path, clean_env, capsys):
     assert main(["report", str(tmp_path / "nope.json")]) == 1
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [[], {"reports": 5}, {"reports": [{"model": "x"}]}, {"reports": [{"model": 1, "noise": "", "per_task": {}, "aggregate": {}}]}],
+    ids=["array", "reports_not_a_list", "missing_key", "model_not_a_string"],
+)
+def test_report_names_a_malformed_grid_file(tmp_path, clean_env, capsys, payload):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["report", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: grid file") and str(path) in err
+
+
+_METRICS = st.dictionaries(
+    st.sampled_from(["purity", "nmi", "micro_f1", "macro_f1", "f1_bar", "recall"]),
+    _mostly(st.none() | st.floats(0.0, 1.0)),
+    max_size=2,
+)
+_REPORT_KEYS = {
+    "model": _mostly(st.sampled_from(["cosine", "kmeans"])),
+    "noise": _mostly(st.sampled_from(["", "none", None])),
+    "per_task": _mostly(st.dictionaries(_TEXT, _mostly(_METRICS), max_size=2)),
+    "aggregate": _mostly(_METRICS),
+}
+# Nine in ten reports have every key; the rest are any JSON value or lack keys.
+_REPORT = _mostly(
+    st.fixed_dictionaries(_REPORT_KEYS, optional={"config": _JSON}),
+    _JSON | st.fixed_dictionaries({}, optional=_REPORT_KEYS),
+)
+_GRID_BYTES = _mostly(
+    _mostly(st.fixed_dictionaries({"reports": _mostly(st.lists(_REPORT, max_size=3))})).map(
+        lambda g: json.dumps(g).encode()
+    ),
+    st.binary(max_size=20),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid=_GRID_BYTES, metric=st.sampled_from(["f1_bar", "nmi"]))
+def test_report_never_raises_on_generated_grid_files(grid, metric):
+    """A saved grid pivots, or the command names the file and exits 1."""
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "grid.json"
+        path.write_bytes(grid)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["report", str(path), "--metric", metric])
+    assert code in (0, 1)
+    if code == 1:
+        assert str(path) in err.getvalue()
+    else:
+        assert out.getvalue().startswith("model\t")
+    out.getvalue().encode("utf-8")
+    err.getvalue().encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# unwritable outputs and unreadable inputs
+
+
+@pytest.mark.parametrize("command", ["grid", "cluster", "classify", "validate"])
+@pytest.mark.parametrize("where", ["taken", "under_a_file"])
+def test_blocked_output_path_is_a_usage_error(mini_corpus, clean_env, tmp_path, capsys, command, where):
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    (tmp_path / "dir").mkdir()
+    # validate's --output names a file, so a directory is what blocks it.
+    taken = tmp_path / ("dir" if command == "validate" else "file")
+    output = taken if where == "taken" else tmp_path / "file" / "sub"
+    extra = ["--model", "cosine"] if command == "classify" else []
+    assert main([command, str(mini_corpus), "--output", str(output), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: cannot write") and str(output) in err
+
+
+def test_non_utf8_input_files_are_named(mini_corpus, clean_env, tmp_path, capsys):
+    latin = tmp_path / "latin1.txt"
+    latin.write_bytes("caf\xe9 {}".encode("latin-1"))
+    for argv in (
+        ["classify", str(mini_corpus), "--model", "score", "--stopwords", str(latin)],
+        ["classify", str(mini_corpus), "--model", "score", "--config", str(latin)],
+        ["report", str(latin)],
+    ):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and str(latin) in err and "utf-8" in err
 
 
 # ---------------------------------------------------------------------------

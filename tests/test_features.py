@@ -300,6 +300,20 @@ def test_intersection_noise_forall_nonempty_when_all_pairs_share():
     assert _tokens_of(index, profile.vector) == {"a": pytest.approx(1.0)}
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    documents=st.lists(st.lists(st.sampled_from(("a", "b", "c")), max_size=6), max_size=5),
+    entities=st.lists(st.lists(st.sampled_from(("a", "b", "c")), max_size=6), max_size=3),
+)
+def test_intersection_noise_forall_matches_pair_loop(documents, entities):
+    task = build_task(
+        {f"e{i}": " ".join(tokens) for i, tokens in enumerate(entities)},
+        {f"d{i}": " ".join(tokens) for i, tokens in enumerate(documents)},
+    )
+    index = build_index(task)
+    assert intersection_noise(index, "forall").features == oracles.forall_pairs_ref(index)
+
+
 def test_intersection_noise_rejects_unknown_semantics():
     task = build_task({"e1": "a"}, {"d1": "b"})
     with pytest.raises(ConfigError):
