@@ -106,10 +106,17 @@ def _cast(raw, caster, key: str):
         if text in _FALSY:
             return False
         raise _UsageError(f"{key} must be a boolean, got {raw!r}")
-    try:
-        return caster(raw)
-    except (TypeError, ValueError):
-        raise _UsageError(f"{key} expects a {caster.__name__}, got {raw!r}") from None
+    if caster is str:
+        return str(raw)
+    # A number is text (an environment value, or a JSON string) or a JSON
+    # number: an integer for an integer setting, and never a boolean.
+    if isinstance(raw, str) or type(raw) is int or (type(raw) is float and caster is float):
+        try:
+            return caster(raw)
+        except (ValueError, OverflowError):  # not a number; an integer too large for a float
+            pass
+    expected = "an integer" if caster is int else "a number"
+    raise _UsageError(f"{key} expects {expected}, got {raw!r}")
 
 
 def _read_text(path: str, what: str) -> str:
@@ -175,6 +182,16 @@ def _write(path: Path, text: str) -> None:
         path.write_text(text, encoding="utf-8")
     except OSError as exc:  # a file where a directory belongs, or the reverse; no permission
         raise _UsageError(f"cannot write {path} ({exc})") from None
+
+
+def _make_output_dir(output: str | None) -> None:
+    """Create the ``--output`` directory before any task loads, so a blocked path fails at once."""
+    if output is None:
+        return
+    try:
+        Path(output).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file where a directory belongs; no permission
+        raise _UsageError(f"cannot write {output} ({exc})") from None
 
 
 def _warn_skipped(skipped) -> None:
@@ -260,6 +277,7 @@ def cmd_classify(args, settings) -> int:
     if args.scores and not args.output:
         raise _UsageError("--scores requires --output")
     spec = _build_run_spec(args, settings, models=(model,), noise_modes=(settings["noise"],))
+    _make_output_dir(args.output)
     result = run_grid(spec)
     _warn_skipped(result.skipped)
     if result.task_names:
@@ -289,6 +307,7 @@ def cmd_cluster(args, settings) -> int:
         hac="hac_complete" in methods,
         km="kmeans" in methods,
     )
+    _make_output_dir(args.output)
     result = run_grid(spec)
     _warn_skipped(result.skipped)
     if result.task_names:
@@ -320,6 +339,7 @@ def cmd_grid(args, settings) -> int:
     spec = _build_run_spec(
         args, settings, models=models, noise_modes=noise_modes, hac=args.baselines, km=args.baselines
     )
+    _make_output_dir(args.output)
     result = run_grid(spec)
     _warn_skipped(result.skipped)
     if result.task_names:

@@ -48,6 +48,7 @@ __all__ = [
     "discover_tasks",
     "load_corpus",
     "tsv_cell",
+    "clustering_eval_filter",
 ]
 
 # Reserved gold label for documents outside the entity set.
@@ -55,6 +56,9 @@ NOISE_LABEL = "__NOISE__"
 
 # Maximal runs of letters or digits; underscore is a separator.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# On ASCII text the same rule: every character that is not a letter or a
+# digit becomes a space, and the text splits on whitespace.
+_ASCII_SEPARATORS = str.maketrans({chr(c): " " for c in range(128) if not chr(c).isalnum()})
 
 _TAG_RE = re.compile(r"<[^>]*>", re.DOTALL)
 _SCRIPT_RE = re.compile(r"<(script|style)\b.*?</\1\s*>", re.DOTALL | re.IGNORECASE)
@@ -75,9 +79,12 @@ def tokenize(text: str, stopwords: Collection[str] | None = None) -> list[str]:
     Tokens are maximal runs of alphanumeric characters; everything else,
     including underscores, separates tokens.  Digits are kept, empty tokens
     are dropped, and no stemming is applied.  When ``stopwords`` is given,
-    tokens contained in it are removed after splitting.
+    tokens contained in it are removed after splitting.  Lowercased ASCII
+    text skips the regular expression: below code point 128 the letters
+    and digits are exactly ``[a-z0-9]``, so both paths give the same tokens.
     """
-    tokens = _TOKEN_RE.findall(text.lower())
+    text = text.lower()
+    tokens = text.translate(_ASCII_SEPARATORS).split() if text.isascii() else _TOKEN_RE.findall(text)
     if stopwords:
         tokens = [t for t in tokens if t not in stopwords]
     return tokens
@@ -188,6 +195,11 @@ class Task:
         for did, label in self.gold.labels.items():
             if label not in valid:
                 raise CorpusIntegrityError(f"task {self.name!r}: gold label {label!r} for {did!r} is not an entity id")
+
+
+def clustering_eval_filter(task: Task) -> list[str]:
+    """Documents whose gold label is a real entity, in task order."""
+    return [d.id for d in task.documents if task.gold.labels[d.id] != NOISE_LABEL]
 
 
 def _require(mapping: object, key: str, where: str):

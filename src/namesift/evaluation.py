@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 from typing import Iterable, Mapping
 
 from .baselines import Clustering, assignment_to_clusters
-from .corpus import NOISE_LABEL, CorpusIntegrityError, GoldAlignment, Task, tsv_cell
+from .corpus import CorpusIntegrityError, GoldAlignment, Task, clustering_eval_filter, tsv_cell
 from .models import Assignment
 
 __all__ = [
@@ -146,11 +146,6 @@ def f1_bar(micro_macro_pairs: Iterable[tuple[float, float]]) -> float:
     if not pairs:
         raise ValueError("f1_bar needs at least one task")
     return sum((micro + macro) / 2.0 for micro, macro in pairs) / len(pairs)
-
-
-def clustering_eval_filter(task: Task) -> list[str]:
-    """Documents whose gold label is a real entity, in task order."""
-    return [d.id for d in task.documents if task.gold.labels[d.id] != NOISE_LABEL]
 
 
 @dataclass

@@ -13,13 +13,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .baselines import Clustering, gram, hac_complete, run_repetitions
+from .baselines import Clustering, hac_complete, run_repetitions
 from .corpus import (
     CorpusFormatError,
     CorpusIntegrityError,
     Task,
     discover_tasks,
     load_task,
+    tsv_cell,
 )
 from .evaluation import EvalReport, TaskMetrics, clustering_eval_filter, evaluate_assignment, nmi, purity
 from .features import NOISE_MODES, FeatureConfig
@@ -175,10 +176,11 @@ def task_clusterings(
 
     Returns None when the task has no entities or no entity-labeled
     documents.  HAC yields a single clustering, K-Means one per seed
-    1..reps, all from one `gram` of the kept documents.  k is the entity
-    count, clamped to the subset size.  The document vectors come from
-    ``resources``, built from the task when None; resources built with
-    other weighting options raise ValueError.
+    1..reps, all from the one `gram` of the kept documents that
+    ``resources`` holds (`TaskResources.kept_gram`).  k is the entity
+    count, clamped to the subset size.  ``resources`` is built from the
+    task when None; resources built with other weighting options raise
+    ValueError.
     """
     if method not in ("hac_complete", "kmeans"):
         raise ValueError(f"unknown baseline {method!r}")
@@ -189,7 +191,7 @@ def task_clusterings(
         resources = TaskResources.from_task(task, feature_config)
     elif not resources.matches(feature_config):
         raise ValueError("resources were built with different weighting options")
-    kept_gram = gram({doc_id: resources.doc_vectors[doc_id] for doc_id in kept})
+    kept_gram = resources.kept_gram()
     k = min(len(task.entities), len(kept))
     if method == "hac_complete":
         return [hac_complete(kept_gram, k)]
@@ -321,7 +323,8 @@ def pivot_tsv(reports: Iterable[EvalReport], metric: str = "f1_bar") -> str:
 
     Rows appear in first-seen model order, columns in first-seen noise
     order; baselines (whose noise column is empty) land in a column
-    labelled "-".
+    labelled "-".  Model and noise names are written as TSV cells
+    (`tsv_cell`).
     """
     rows: dict[str, dict[str, float | None]] = {}
     columns: list[str] = []
@@ -330,8 +333,8 @@ def pivot_tsv(reports: Iterable[EvalReport], metric: str = "f1_bar") -> str:
         if noise not in columns:
             columns.append(noise)
         rows.setdefault(report.model, {})[noise] = getattr(report.aggregate, metric)
-    lines = ["model\t" + "\t".join(columns)]
+    lines = ["model\t" + "\t".join(map(tsv_cell, columns))]
     for model, cells in rows.items():
         rendered = ["" if cells.get(c) is None else f"{cells[c]:.6f}" for c in columns]
-        lines.append(model + "\t" + "\t".join(rendered))
+        lines.append(tsv_cell(model) + "\t" + "\t".join(rendered))
     return "\n".join(lines) + "\n"

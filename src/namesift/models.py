@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .corpus import NOISE_LABEL, Task, tsv_cell
+from .baselines import Gram, gram
+from .corpus import NOISE_LABEL, Task, clustering_eval_filter, tsv_cell
 from .features import (
     ConfigError,
     FeatureConfig,
@@ -104,14 +105,6 @@ class ModelConfig:
             raise ConfigError(
                 f"laplace_denominator must be one of {LAPLACE_DENOMINATORS}, got {self.laplace_denominator!r}"
             )
-
-
-def _dense(vectors: Sequence[Mapping[int, float]], width: int) -> np.ndarray:
-    """Sparse vectors as the rows of a dense ``len(vectors) x width`` matrix."""
-    out = np.zeros((len(vectors), width))
-    for row, vector in zip(out, vectors):
-        row[list(vector)] = list(vector.values())
-    return out
 
 
 def _inverse(norms: np.ndarray) -> np.ndarray:
@@ -285,8 +278,10 @@ class TaskResources:
 
     Everything here depends only on the weighting options (idf numerator
     and log base), never on the model or noise choice, so a configuration
-    grid can reuse one instance per task.  The scoring arrays and smoothed
-    profiles are built on first use.
+    grid can reuse one instance per task.  The scoring arrays, smoothed
+    profiles, noise profiles with their dense rows, and the Gram matrix of
+    the clustered documents are built on first use; the noise rows and the
+    Gram matrix are read-only.
     """
 
     task: Task
@@ -294,9 +289,10 @@ class TaskResources:
     idf_numerator: str
     log_base: str
     doc_vectors: dict[str, FeatureVector]
-    _noise: dict[tuple[str, str], NoiseProfile | None] = field(default_factory=dict)
+    _noise: dict[tuple[str, str], tuple[NoiseProfile | None, np.ndarray]] = field(default_factory=dict)
     _arrays: TaskArrays | None = None
     _smoothed: np.ndarray | None = None
+    _gram: Gram | None = None
 
     @classmethod
     def from_task(cls, task: Task, config: FeatureConfig) -> "TaskResources":
@@ -312,11 +308,23 @@ class TaskResources:
     def matches(self, config: FeatureConfig) -> bool:
         return config.idf_numerator == self.idf_numerator and config.log_base == self.log_base
 
-    def noise_profile(self, config: FeatureConfig) -> NoiseProfile | None:
+    def _noise_entry(self, config: FeatureConfig) -> tuple[NoiseProfile | None, np.ndarray]:
         key = (config.noise, config.intersection_semantics)
         if key not in self._noise:
-            self._noise[key] = build_noise_profile(self.index, config)
+            profile = build_noise_profile(self.index, config)
+            row = np.zeros((int(profile is not None), self.index.feature_count))
+            if profile is not None:
+                row[0, list(profile.vector)] = list(profile.vector.values())
+            row.flags.writeable = False
+            self._noise[key] = (profile, row)
         return self._noise[key]
+
+    def noise_profile(self, config: FeatureConfig) -> NoiseProfile | None:
+        return self._noise_entry(config)[0]
+
+    def noise_rows(self, config: FeatureConfig) -> np.ndarray:
+        """The noise profile as a dense row, 1 x F; 0 x F when noise is off."""
+        return self._noise_entry(config)[1]
 
     def arrays(self) -> TaskArrays:
         if self._arrays is None:
@@ -328,6 +336,14 @@ class TaskResources:
             arrays = self.arrays()
             self._smoothed = smoothed_profile(arrays.entities, arrays.rows)
         return self._smoothed
+
+    def kept_gram(self) -> Gram:
+        """The `gram` of the documents `clustering_eval_filter` keeps."""
+        if self._gram is None:
+            kept = clustering_eval_filter(self.task)
+            self._gram = gram({doc_id: self.doc_vectors[doc_id] for doc_id in kept})
+            self._gram.matrix.flags.writeable = False
+        return self._gram
 
 
 @dataclass
@@ -356,8 +372,8 @@ def build_context(task: Task, config: ModelConfig, resources: TaskResources | No
         raise ValueError("resources were built with different weighting options")
 
     index = resources.index
-    noise = resources.noise_profile(config.features)
-    class_ids = list(index.entity_ids) + ([NOISE_LABEL] if noise is not None else [])
+    noise_rows = resources.noise_rows(config.features)
+    class_ids = list(index.entity_ids) + [NOISE_LABEL] * len(noise_rows)
     if not class_ids:
         raise ValueError(f"task {task.name!r} has no entities and noise is disabled; nothing to assign to")
 
@@ -365,7 +381,6 @@ def build_context(task: Task, config: ModelConfig, resources: TaskResources | No
     rows = arrays.rows
     # The noise profile is uniform over its feature set, so it serves both
     # as the noise class's weight row and as its token distribution.
-    noise_rows = _dense([noise.vector] if noise is not None else [], index.feature_count)
     profiles = np.vstack([arrays.entities, noise_rows])
     values = rows.tfidf
     b = np.zeros(len(class_ids))

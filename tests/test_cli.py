@@ -10,6 +10,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -458,6 +459,42 @@ def test_report_never_raises_on_generated_grid_files(grid, metric):
     err.getvalue().encode("utf-8")
 
 
+_TSV_UNESCAPES = {"\\": "\\", "t": "\t", "r": "\r", "n": "\n"}
+# Names that hold every character a TSV cell escapes, and line breaks it does not.
+_NAME = st.text(st.sampled_from("ab-\t\r\n\\\x85\u2028é") | st.characters(), max_size=5)
+
+
+def _tsv_uncell(cell: str) -> str:
+    return re.sub(r"\\(.)", lambda m: _TSV_UNESCAPES[m.group(1)], cell, flags=re.DOTALL)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cells=st.lists(st.tuples(_NAME, _NAME, st.none() | st.floats(0.0, 1.0)), min_size=1, max_size=4))
+def test_report_round_trips_arbitrary_model_and_noise_names(cells):
+    """Split on LF and tab alone, the pivot gives back every name and value."""
+    grid = {"reports": [{"model": m, "noise": n, "per_task": {}, "aggregate": {"f1_bar": v}} for m, n, v in cells]}
+    rows: dict[str, dict[str, float | None]] = {}
+    columns: list[str] = []
+    for model, noise, value in cells:
+        column = noise or "-"
+        columns += [column] if column not in columns else []
+        rows.setdefault(model, {})[column] = value
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "grid.json"
+        path.write_text(json.dumps(grid), encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["report", str(path)]) == 0
+    lines = out.getvalue().split("\n")
+    assert lines.pop() == ""
+    table = [[_tsv_uncell(cell) for cell in line.split("\t")] for line in lines]
+    assert table[0] == ["model", *columns]
+    assert [row[0] for row in table[1:]] == list(rows)
+    for row in table[1:]:
+        values = rows[row[0]]
+        assert row[1:] == ["" if values.get(c) is None else f"{values[c]:.6f}" for c in columns]
+
+
 # ---------------------------------------------------------------------------
 # unwritable outputs and unreadable inputs
 
@@ -474,6 +511,20 @@ def test_blocked_output_path_is_a_usage_error(mini_corpus, clean_env, tmp_path, 
     assert main([command, str(mini_corpus), "--output", str(output), *extra]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: cannot write") and str(output) in err
+
+
+@pytest.mark.parametrize("command", ["grid", "cluster", "classify"])
+def test_blocked_output_directory_fails_before_any_task_loads(mini_corpus, clean_env, tmp_path, capsys, command):
+    taken = tmp_path / "file"
+    taken.write_text("", encoding="utf-8")
+    loads = []
+    load_task = namesift.experiments.load_task
+    clean_env.setattr(namesift.experiments, "load_task", lambda *a, **k: loads.append(a) or load_task(*a, **k))
+    extra = ["--model", "cosine"] if command == "classify" else []
+    assert main([command, str(mini_corpus), "--output", str(taken), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: cannot write") and str(taken) in err
+    assert loads == []
 
 
 def test_non_utf8_input_files_are_named(mini_corpus, clean_env, tmp_path, capsys):
@@ -550,6 +601,57 @@ def test_config_file_errors(mini_corpus, clean_env, tmp_path, capsys):
     arr = tmp_path / "arr.json"
     arr.write_text("[1, 2]", encoding="utf-8")
     assert main(["classify", str(mini_corpus), "--model", "score", "--config", str(arr)]) == 1
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [{"reps": 1e400}, {"reps": 2.5}, {"reps": 2.0}, {"reps": True}, {"reps": "many"}, {"alpha": True},
+     {"lambda": False}, {"alpha": 10**400}, {"alpha": [0.5]}, {"reps": {}}],
+)
+def test_config_numbers_must_have_the_setting_type(mini_corpus, clean_env, tmp_path, capsys, setting):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps(setting), encoding="utf-8")
+    assert main(["grid", str(mini_corpus), "--models", "score", "--noise-modes", "none", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    (key,) = setting
+    assert err.startswith("usage error: ") and key in err
+
+
+def test_config_numbers_of_the_setting_type_are_taken(mini_corpus, clean_env, tmp_path, capsys):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"reps": 2, "alpha": 1, "lambda": 0.25}), encoding="utf-8")
+    specs = []
+    run_grid = namesift.cli.run_grid
+    clean_env.setattr(namesift.cli, "run_grid", lambda spec: specs.append(spec) or run_grid(spec))
+    assert main(["grid", str(mini_corpus), "--models", "score", "--noise-modes", "none", "--config", str(config)]) == 0
+    assert (specs[0].reps, specs[0].alpha, specs[0].jm_lambda) == (2, 1.0, 0.25)
+    assert type(specs[0].alpha) is float
+
+
+# Config keys the grid command resolves, each with a generated JSON value.
+_CONFIG = st.dictionaries(
+    st.sampled_from(
+        ["reps", "alpha", "lambda", "strip_html", "idf_numerator", "log_base", "intersection_semantics",
+         "laplace_denominator", "format", "model", "noise"]
+    ),
+    _JSON | st.integers(min_value=-(10**400), max_value=10**400) | st.sampled_from([1e400, -1e400, 0.5, 2.0]),
+    max_size=4,
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=_CONFIG)
+def test_grid_never_raises_on_generated_config_values(mini_corpus, clean_env, config):
+    """Each config value is taken, or the command names its key and exits 1."""
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "conf.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["grid", str(mini_corpus), "--models", "score", "--noise-modes", "none", "--config", str(path)])
+    assert code in (0, 1)
+    if code == 1:
+        assert any(key in err.getvalue() for key in config)
 
 
 def test_missing_stopword_file_is_usage_error(mini_corpus, clean_env, tmp_path, capsys):

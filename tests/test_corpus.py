@@ -8,10 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from namesift.corpus import (
+    _TOKEN_RE,
     NOISE_LABEL,
     CorpusFormatError,
     CorpusIntegrityError,
@@ -74,6 +75,30 @@ def test_token_count_and_idempotence_properties():
         counts = term_frequencies(tokens)
         assert sum(counts.values()) == len(tokens)
         assert tokenize(" ".join(tokens)) == tokens
+
+
+# Characters where the ASCII and the regex paths could part: Kelvin sign
+# (lowercases to ASCII "k"), dotted capital I (lowercases to two code
+# points), superscript two, underscore, fullwidth digits, and the ASCII
+# controls and separators that str.split treats as whitespace.
+_TRICKY = st.sampled_from(["K", "İ", "²", "_", "０", "９", "\x1c", "\x1f", "\x85", " "])
+_ASCII_TEXT = st.text(st.characters(max_codepoint=127), max_size=40)
+_ANY_TEXT = st.lists(st.text(max_size=8) | _TRICKY, max_size=8).map("".join)
+_STOPWORDS = st.none() | st.frozensets(st.sampled_from(["a", "k", "i", "2", "0", "the", "i̇"]), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_ASCII_TEXT | _ANY_TEXT, stopwords=_STOPWORDS)
+@example(text="Kelvin \u212a2 and A_b", stopwords=None)
+@example(text="\u212a", stopwords=frozenset({"k"}))
+@example(text="\u0130stanbul x\u00b2 \uff10\uff19 snake_case", stopwords=None)
+@example(text="\u0130 i", stopwords=frozenset({"i"}))
+def test_tokenize_equals_the_token_regex(text, stopwords):
+    """Both tokenizer paths give the tokens of the regex on the lowercased text."""
+    expected = _TOKEN_RE.findall(text.lower())
+    if stopwords:
+        expected = [t for t in expected if t not in stopwords]
+    assert tokenize(text, stopwords) == expected
 
 
 def test_strip_html_removes_markup_and_decodes_entities():

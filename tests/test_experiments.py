@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import namesift.models
 from namesift.corpus import NOISE_LABEL, CorpusIntegrityError, write_task
 from namesift.features import FeatureConfig
 from namesift.experiments import (
@@ -174,6 +175,20 @@ def test_task_clusterings_take_vectors_from_matching_resources_only(mini_corpus)
     other = FeatureConfig(idf_numerator="paper")
     with pytest.raises(ValueError, match="weighting options"):
         task_clusterings(tasks[0], "hac_complete", other, resources=shared)
+
+
+def test_baseline_grid_builds_one_gram_per_task(mini_corpus, monkeypatch):
+    calls = []
+    build = namesift.models.gram
+
+    def counting(doc_vectors):
+        calls.append(tuple(doc_vectors))
+        return build(doc_vectors)
+
+    monkeypatch.setattr(namesift.models, "gram", counting)
+    result = run_grid(RunSpec(corpus_root=mini_corpus, models=(), hac=True, kmeans=True, reps=3))
+    assert len(result.task_names) == 2
+    assert len(calls) == 2 and calls[0] != calls[1]
 
 
 def test_task_clusterings_skip_tasks_without_entity_documents():

@@ -593,3 +593,26 @@ def test_noise_profiles_are_cached_per_semantics():
     second = resources.noise_profile(FeatureConfig(noise="union"))
     assert first is second
     assert resources.noise_profile(FeatureConfig(noise="none")) is None
+
+
+def test_noise_rows_and_gram_are_cached_read_only():
+    task = build_task(
+        {"e1": "a b", "e2": "b c"},
+        {"d1": "b", "d2": "a b", "d3": "c"},
+        gold={"d1": "e1", "d2": NOISE_LABEL, "d3": "e2"},
+    )
+    resources = TaskResources.from_task(task, FeatureConfig())
+    union = FeatureConfig(noise="union")
+    row = resources.noise_rows(union)
+    assert row is resources.noise_rows(union)
+    profile = resources.noise_profile(union)
+    assert row.shape == (1, resources.index.feature_count)
+    assert {int(f): row[0, f] for f in np.flatnonzero(row[0])} == profile.vector
+    assert resources.noise_rows(FeatureConfig(noise="none")).shape == (0, resources.index.feature_count)
+    gram = resources.kept_gram()
+    assert gram is resources.kept_gram()
+    assert gram.ids == ("d1", "d3")
+    for array in (row, gram.matrix):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
