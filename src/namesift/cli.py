@@ -445,6 +445,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
+        if getattr(args, "output", None) == "":
+            raise _UsageError("--output must name a path, not an empty string")
         settings = _resolve_settings(args)
         return args.handler(args, settings)
     except _UsageError as exc:

@@ -1,10 +1,15 @@
 """Experiment driver: corpus validation, configuration grids, baselines.
 
 `run_grid` evaluates a model x noise-mode grid plus optional clustering
-baselines over a corpus directory and returns one report per cell.  Cells
-share per-task feature artifacts but never intermediate results, so a
-grid cell always equals the same configuration run alone.  All outputs
-are deterministically ordered by task name.
+baselines over a corpus directory and returns one report per cell.  It
+runs task by task: it builds a task's `TaskResources`, runs every (model,
+noise) cell on that task, and releases the resources before the next
+task's are built.  When baselines are enabled, every task's resources are
+kept instead, and the baselines run after all cells.  Cells share a
+task's resources, whose caches hold only values that do not depend on the
+order of the cells, so a grid cell always equals the same configuration
+run alone.  Reports are in cell order and all outputs are
+deterministically ordered by task name.
 """
 
 from __future__ import annotations
@@ -146,14 +151,12 @@ def classification_report(
     config: ModelConfig,
     *,
     fingerprint: Mapping[str, object] | None = None,
-    resources: Mapping[str, TaskResources] | None = None,
 ) -> tuple[EvalReport, dict[str, Assignment]]:
     """Run one configuration over all tasks; returns report and assignments."""
     per_task: dict[str, TaskMetrics] = {}
     assignments: dict[str, Assignment] = {}
     for task in tasks:
-        shared = resources.get(task.name) if resources is not None else None
-        assignments[task.name] = map_documents(task, config, shared)
+        assignments[task.name] = map_documents(task, config)
         per_task[task.name] = evaluate_assignment(task, assignments[task.name])
     report = EvalReport.build(
         model=config.model,
@@ -240,21 +243,23 @@ def run_grid(spec: RunSpec) -> GridResult:
     if not tasks:
         return result
 
-    # One set of feature artifacts per task, shared read-only by all cells.
     base_features = spec.feature_config()
-    resources = {t.name: TaskResources.from_task(t, base_features) for t in tasks}
-
-    for model in spec.models:
-        for noise in spec.noise_modes:
-            config = spec.model_config(model, noise)
-            report, assignments = classification_report(
-                tasks,
-                config,
-                fingerprint=spec.fingerprint(model=model, noise=noise),
-                resources=resources,
-            )
-            result.reports.append(report)
-            result.assignments[(model, noise)] = assignments
+    configs = {(model, noise): spec.model_config(model, noise) for model in spec.models for noise in spec.noise_modes}
+    per_task: dict[tuple[str, str], dict[str, TaskMetrics]] = {cell: {} for cell in configs}
+    kept: dict[str, TaskResources] = {}
+    for task in tasks:
+        # One set of feature artifacts per task, shared read-only by all cells.
+        resources = TaskResources.from_task(task, base_features)
+        for cell, config in configs.items():
+            assignment = map_documents(task, config, resources)
+            result.assignments.setdefault(cell, {})[task.name] = assignment
+            per_task[cell][task.name] = evaluate_assignment(task, assignment)
+        if spec.hac or spec.kmeans:
+            kept[task.name] = resources
+        del resources  # released before the next task's are built
+    for (model, noise), metrics in per_task.items():
+        fingerprint = spec.fingerprint(model=model, noise=noise)
+        result.reports.append(EvalReport.build(model=model, noise=noise, per_task=metrics, config=fingerprint))
 
     for method, enabled in (("hac_complete", spec.hac), ("kmeans", spec.kmeans)):
         if not enabled:
@@ -266,7 +271,7 @@ def run_grid(spec: RunSpec) -> GridResult:
             base_features,
             reps=spec.reps,
             fingerprint=spec.fingerprint(model=method, noise=None, **extra),
-            resources=resources,
+            resources=kept,
         )
         result.reports.append(report)
         result.clusterings[method] = clusterings

@@ -27,8 +27,9 @@ The models differ only in the document row values and in ``W`` and ``b``:
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Mapping
+from functools import cached_property
 
 import numpy as np
 
@@ -52,6 +53,7 @@ __all__ = [
     "DocumentRows",
     "TaskArrays",
     "TaskResources",
+    "ClassFit",
     "ScoringContext",
     "unit_rows",
     "smoothed_profile",
@@ -135,14 +137,20 @@ class DocumentRows:
     def sizes(self) -> np.ndarray:
         return np.diff(self.offsets)
 
+    @cached_property
+    def _segments(self) -> tuple[np.ndarray, np.ndarray]:
+        """The mask of nonempty documents and the first positions of their segments."""
+        nonempty = self.sizes > 0
+        return nonempty, self.offsets[:-1][nonempty]
+
     def per_document(self, values: np.ndarray) -> np.ndarray:
         """Sums over each document's positions along the last axis of ``values``."""
         out = np.zeros(values.shape[:-1] + (len(self.offsets) - 1,))
-        nonempty = self.sizes > 0
+        nonempty, starts = self._segments
         # reduceat misreads empty segments, so only nonempty ones are reduced;
         # together they cover every stored position.
-        if nonempty.any():
-            out[..., nonempty] = np.add.reduceat(values, self.offsets[:-1][nonempty], axis=-1)
+        if len(starts):
+            out[..., nonempty] = np.add.reduceat(values, starts, axis=-1)
         return out
 
     def unit(self) -> np.ndarray:
@@ -154,10 +162,15 @@ class DocumentRows:
         return self.tfidf * np.repeat(_inverse(self.per_document(np.abs(self.tfidf))), self.sizes)
 
     def dot(self, weights: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Documents x classes: rows holding ``values`` at their positions, dotted with each row of ``weights``."""
-        gathered = np.take(weights, self.indices, axis=1)
-        gathered *= values
-        return self.per_document(gathered).T
+        """Documents x classes: rows holding ``values`` at their positions, dotted with each row of ``weights``.
+
+        One class row is gathered at a time, so the temporary is one stored
+        position long, not classes x positions.
+        """
+        out = np.empty((len(weights), len(self.offsets) - 1))
+        for row, products in zip(weights, out):
+            products[:] = self.per_document(np.take(row, self.indices) * values)
+        return out.T
 
 
 def smoothed_profile(entities: np.ndarray, rows: DocumentRows) -> np.ndarray:
@@ -272,16 +285,73 @@ class TaskArrays:
         )
 
 
+@dataclass(frozen=True)
+class ClassFit:
+    """Class rows ``W`` of one model setting and their product ``rows.dot(W, values)``.
+
+    ``values`` are the document row values the product was taken with,
+    ``masses`` the row sums of the weight rows the fit started from (the
+    Naive Bayes priors pool them across classes), and ``floored`` the
+    count of clamped fit-time probabilities.  The arrays are read-only.
+    """
+
+    values: np.ndarray
+    W: np.ndarray
+    product: np.ndarray
+    masses: np.ndarray
+    floored: int
+
+
+def _document_values(model: str, rows: DocumentRows) -> np.ndarray:
+    if model == COSINE:
+        return rows.unit()
+    if model == NB_BERNOULLI:
+        return np.ones_like(rows.counts)
+    if model == NB_MULTINOMIAL:
+        return rows.counts
+    return rows.tfidf
+
+
+def _fit(config: ModelConfig, arrays: TaskArrays, profiles: np.ndarray, ml: np.ndarray, values: np.ndarray) -> ClassFit:
+    """``config``'s class rows for weight rows ``profiles`` with token distributions ``ml``.
+
+    Every model fits each class row on its own, so rows fitted apart equal
+    the rows of a fit over all classes at once.
+    """
+    floored = 0
+    if config.model == COSINE:
+        W = unit_rows(profiles)
+    elif config.model == NB_BERNOULLI:
+        W, floored = bernoulli_log_probs(profiles, config.alpha, denominator=config.laplace_denominator)
+    elif config.model == NB_MULTINOMIAL:
+        W, clamped = jelinek_mercer_log_probs(ml, arrays.background, config.jm_lambda)
+        floored = int(clamped.sum(axis=0)[arrays.rows.indices].sum())
+    else:
+        W = profiles
+    fit = ClassFit(values, W, arrays.rows.dot(W, values), profiles.sum(axis=1), floored)
+    for array in (fit.values, fit.W, fit.product, fit.masses):
+        array.flags.writeable = False
+    return fit
+
+
 @dataclass
 class TaskResources:
     """Feature artifacts one task shares across model configurations.
 
     Everything here depends only on the weighting options (idf numerator
     and log base), never on the model or noise choice, so a configuration
-    grid can reuse one instance per task.  The scoring arrays, smoothed
-    profiles, noise profiles with their dense rows, and the Gram matrix of
-    the clustered documents are built on first use; the noise rows and the
-    Gram matrix are read-only.
+    grid can reuse one instance per task.  Built on first use and
+    read-only once built:
+
+    * the scoring arrays and the smoothed entity profiles;
+    * per (noise, intersection semantics): the noise profile and its dense
+      row;
+    * per model setting (model, ``alpha``, ``jm_lambda``,
+      ``laplace_denominator``): the `ClassFit` of the entity rows, which
+      holds the document values and their product with the rows;
+    * per model setting, noise and intersection semantics: the `ClassFit`
+      of the one noise row (no row when noise is off);
+    * the Gram matrix of the clustered documents.
     """
 
     task: Task
@@ -290,6 +360,7 @@ class TaskResources:
     log_base: str
     doc_vectors: dict[str, FeatureVector]
     _noise: dict[tuple[str, str], tuple[NoiseProfile | None, np.ndarray]] = field(default_factory=dict)
+    _fits: dict[tuple, ClassFit] = field(default_factory=dict)
     _arrays: TaskArrays | None = None
     _smoothed: np.ndarray | None = None
     _gram: Gram | None = None
@@ -337,6 +408,24 @@ class TaskResources:
             self._smoothed = smoothed_profile(arrays.entities, arrays.rows)
         return self._smoothed
 
+    def fits(self, config: ModelConfig) -> tuple[ClassFit, ClassFit]:
+        """The entity-row and noise-row `ClassFit` of ``config``."""
+        setting = (config.model, config.alpha, config.jm_lambda, config.laplace_denominator)
+        noise_key = setting + (config.features.noise, config.features.intersection_semantics)
+        arrays = self.arrays()
+        if setting not in self._fits:
+            # The noise row is never smoothed; the entity rows are.
+            profiles = self.smoothed_profiles() if config.model == SCORE_SMOOTHED else arrays.entities
+            values = _document_values(config.model, arrays.rows)
+            self._fits[setting] = _fit(config, arrays, profiles, arrays.ml, values)
+        entity = self._fits[setting]
+        if noise_key not in self._fits:
+            # The noise profile is uniform over its feature set, so it serves
+            # both as the noise class's weight row and as its token distribution.
+            noise_rows = self.noise_rows(config.features)
+            self._fits[noise_key] = _fit(config, arrays, noise_rows, noise_rows, entity.values)
+        return entity, self._fits[noise_key]
+
     def kept_gram(self) -> Gram:
         """The `gram` of the documents `clustering_eval_filter` keeps."""
         if self._gram is None:
@@ -351,7 +440,11 @@ class ScoringContext:
     """One (task, configuration) pair as a linear layer over document rows.
 
     Document i scores ``rows.dot(W, values)[i] + b`` against ``class_ids``;
-    ``floored`` counts the probabilities clamped on the way.
+    ``floored`` counts the probabilities clamped on the way.  `build_context`
+    stacks ``W`` and ``product``, the value of ``rows.dot(W, values)``, from
+    the entity and noise `ClassFit` cached in `TaskResources`.
+    `dataclasses.replace` does not copy ``product``, so a context rebuilt
+    with other values or weights computes its product anew.
     """
 
     config: ModelConfig
@@ -362,6 +455,7 @@ class ScoringContext:
     W: np.ndarray
     b: np.ndarray
     floored: int = 0
+    product: np.ndarray | None = field(default=None, init=False, repr=False)
 
 
 def build_context(task: Task, config: ModelConfig, resources: TaskResources | None = None) -> ScoringContext:
@@ -372,53 +466,62 @@ def build_context(task: Task, config: ModelConfig, resources: TaskResources | No
         raise ValueError("resources were built with different weighting options")
 
     index = resources.index
-    noise_rows = resources.noise_rows(config.features)
-    class_ids = list(index.entity_ids) + [NOISE_LABEL] * len(noise_rows)
+    class_ids = list(index.entity_ids) + [NOISE_LABEL] * len(resources.noise_rows(config.features))
     if not class_ids:
         raise ValueError(f"task {task.name!r} has no entities and noise is disabled; nothing to assign to")
 
-    arrays = resources.arrays()
-    rows = arrays.rows
-    # The noise profile is uniform over its feature set, so it serves both
-    # as the noise class's weight row and as its token distribution.
-    profiles = np.vstack([arrays.entities, noise_rows])
-    values = rows.tfidf
+    entity, noise = resources.fits(config)
     b = np.zeros(len(class_ids))
-    floored = 0
-    model = config.model
-    if model == COSINE:
-        W, values = unit_rows(profiles), rows.unit()
-    elif model == SCORE:
-        W = profiles
-    elif model == SCORE_SMOOTHED:
-        W = np.vstack([resources.smoothed_profiles(), noise_rows])
-    else:
-        b, clamped = laplace_log_priors(profiles.sum(axis=1), config.alpha, denominator=config.laplace_denominator)
-        floored = int(clamped.sum())
-        if model == NB_BERNOULLI:
-            W, fit_floored = bernoulli_log_probs(profiles, config.alpha, denominator=config.laplace_denominator)
-            values = np.ones_like(rows.counts)
-            floored += fit_floored
-        else:
-            ml = np.vstack([arrays.ml, noise_rows])
-            W, clamped = jelinek_mercer_log_probs(ml, arrays.background, config.jm_lambda)
-            values = rows.counts
-            floored += int(clamped.sum(axis=0)[rows.indices].sum())
-    return ScoringContext(
+    floored = entity.floored + noise.floored
+    if config.model in (NB_BERNOULLI, NB_MULTINOMIAL):
+        masses = np.concatenate([entity.masses, noise.masses])
+        b, clamped = laplace_log_priors(masses, config.alpha, denominator=config.laplace_denominator)
+        floored += int(clamped.sum())
+    ctx = ScoringContext(
         config=config,
         class_ids=class_ids,
         doc_ids=list(index.document_ids),
-        rows=rows,
-        values=values,
-        W=W,
+        rows=resources.arrays().rows,
+        values=entity.values,
+        W=np.vstack([entity.W, noise.W]),
         b=b,
         floored=floored,
     )
+    ctx.product = np.hstack([entity.product, noise.product])
+    return ctx
+
+
+class _ScoreRows(Mapping):
+    """``doc_id -> {class_id: score}`` over a documents x classes score matrix.
+
+    A document's dict is built from its matrix row each time it is read.
+    """
+
+    def __init__(self, doc_ids: list[str], class_ids: list[str], matrix: np.ndarray) -> None:
+        self.doc_ids = doc_ids
+        self.class_ids = class_ids
+        self.matrix = matrix
+        self._positions: dict[str, int] | None = None
+
+    def __getitem__(self, doc_id: str) -> dict[str, float]:
+        if self._positions is None:
+            self._positions = {d: i for i, d in enumerate(self.doc_ids)}
+        return dict(zip(self.class_ids, self.matrix[self._positions[doc_id]].tolist()))
+
+    def __iter__(self):
+        return iter(self.doc_ids)
+
+    def __len__(self) -> int:
+        return len(self.doc_ids)
 
 
 @dataclass
 class Assignment:
     """Mapping of every document to a class, with the full score matrix.
+
+    ``scores`` maps a document to its class scores.  `assign_from_context`
+    keeps the score matrix and builds a document's dict only when it is
+    read; any mapping of the same shape serves as well.
 
     ``floored`` counts probabilities clamped to ``PROB_FLOOR`` before their
     log was taken; only the Naive Bayes models can clamp.  Both count the
@@ -430,7 +533,7 @@ class Assignment:
     """
 
     mapping: dict[str, str]
-    scores: dict[str, dict[str, float]]
+    scores: Mapping[str, Mapping[str, float]]
     floored: int = 0
 
     def to_tsv(self) -> str:
@@ -446,11 +549,12 @@ class Assignment:
 
 def assign_from_context(ctx: ScoringContext) -> Assignment:
     """Score every document and map it to its first highest-scoring class."""
-    scores = ctx.rows.dot(ctx.W, ctx.values) + ctx.b
+    product = ctx.rows.dot(ctx.W, ctx.values) if ctx.product is None else ctx.product
+    scores = product + ctx.b
     best = scores.argmax(axis=1).tolist()
     return Assignment(
         mapping={doc_id: ctx.class_ids[i] for doc_id, i in zip(ctx.doc_ids, best)},
-        scores={doc_id: dict(zip(ctx.class_ids, row)) for doc_id, row in zip(ctx.doc_ids, scores.tolist())},
+        scores=_ScoreRows(ctx.doc_ids, ctx.class_ids, scores),
         floored=ctx.floored,
     )
 

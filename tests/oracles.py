@@ -3,8 +3,9 @@
 Everything here is recomputed from first principles with dense loops over
 raw token lists and plain dictionaries.  Nothing imports from the package
 under test, so a bug would have to be made twice, in two different shapes,
-to slip through a comparison.  numpy appears once, for the seeded draw of
-K-Means' initial centroids.
+to slip through a comparison.  numpy appears for the seeded draw of
+K-Means' initial centroids, and in `dot_ref`, whose job is to fix the
+floating-point summation order of the sparse row product.
 """
 
 from __future__ import annotations
@@ -166,6 +167,23 @@ def class_weights(task, noise: str = "none", idf_numerator: str = "corpus", log_
 
 # ---------------------------------------------------------------------------
 # vector models: cosine, dot product, smoothed-profile dot product
+
+
+def dot_ref(indices: np.ndarray, offsets: np.ndarray, weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Documents x classes product of CSR document rows with every row of ``weights``.
+
+    Gathers all class rows at once (classes x stored positions), scales
+    them by ``values`` and sums each document's segment with
+    ``np.add.reduceat``.  Empty documents score 0.
+    """
+    gathered = np.take(weights, indices, axis=1)
+    gathered *= values
+    sizes = np.diff(offsets)
+    out = np.zeros((len(weights), len(sizes)))
+    nonempty = sizes > 0
+    if nonempty.any():
+        out[:, nonempty] = np.add.reduceat(gathered, offsets[:-1][nonempty], axis=-1)
+    return out.T
 
 
 def _dot(u: dict, v: dict) -> float:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import weakref
 
 import pytest
 
 import namesift.models
 from namesift.corpus import NOISE_LABEL, CorpusIntegrityError, write_task
-from namesift.features import FeatureConfig
+from namesift.features import NOISE_MODES, FeatureConfig
 from namesift.experiments import (
     RunSpec,
     classification_report,
@@ -113,18 +114,39 @@ def test_grid_produces_one_report_per_cell(mini_corpus):
 
 
 def test_grid_cell_equals_single_run(mini_corpus):
-    spec = RunSpec(corpus_root=mini_corpus, models=MODELS, noise_modes=("none", "intersection"))
+    # Every cell, run alone on fresh resources, gives the same report and assignments.
+    spec = RunSpec(corpus_root=mini_corpus, models=MODELS, noise_modes=NOISE_MODES)
     result = run_grid(spec)
-    cell = next(
-        r for r in result.reports if r.model == "score_smoothed" and r.noise == "intersection"
-    )
     tasks, _ = load_tasks(spec)
-    single, _ = classification_report(
-        tasks,
-        spec.model_config("score_smoothed", "intersection"),
-        fingerprint=spec.fingerprint(model="score_smoothed", noise="intersection"),
-    )
-    assert cell.to_dict() == single.to_dict()
+    cells = [(model, noise) for model in MODELS for noise in NOISE_MODES]
+    assert [(r.model, r.noise) for r in result.reports] == cells
+    for cell, (model, noise) in zip(result.reports, cells):
+        single, assignments = classification_report(
+            tasks,
+            spec.model_config(model, noise),
+            fingerprint=spec.fingerprint(model=model, noise=noise),
+        )
+        assert cell.to_dict() == single.to_dict()
+        assert result.assignments[(model, noise)] == assignments
+
+
+@pytest.mark.parametrize("baselines", [False, True])
+def test_grid_keeps_task_resources_only_for_the_baselines(mini_corpus, monkeypatch, baselines):
+    built: list[weakref.ref] = []
+    alive: list[int] = []
+    from_task = TaskResources.from_task.__func__
+
+    def recording(cls, task, config):
+        resources = from_task(cls, task, config)
+        built.append(weakref.ref(resources))
+        alive.append(sum(ref() is not None for ref in built))
+        return resources
+
+    monkeypatch.setattr(TaskResources, "from_task", classmethod(recording))
+    run_grid(RunSpec(corpus_root=mini_corpus, models=MODELS, hac=baselines, kmeans=baselines, reps=2))
+    # Without baselines a task's resources are released before the next
+    # task's are built; the baselines need every task's after all cells.
+    assert alive == ([1, 2] if baselines else [1, 1])
 
 
 def test_grid_is_deterministic(mini_corpus):

@@ -7,12 +7,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from namesift.corpus import NOISE_LABEL, GoldAlignment, ResultDocument, Task
 from namesift.features import NOISE_MODES, ConfigError, FeatureConfig, build_index, l1_normalize
 from namesift.models import (
+    LAPLACE_DENOMINATORS,
     MODELS,
     DocumentRows,
     ModelConfig,
@@ -121,6 +122,33 @@ def test_cosine_worked_examples():
 
 # ---------------------------------------------------------------------------
 # smoothed profiles
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sizes=st.lists(st.integers(0, 20), max_size=6),
+    width=st.integers(1, 6),
+    classes=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(sizes=[0, 1, 0, 12], width=3, classes=0, seed=0)  # noise off: a 0 x F weight matrix
+@example(sizes=[1, 0, 1], width=2, classes=3, seed=1)  # empty and one-position documents
+@example(sizes=[], width=1, classes=2, seed=2)  # no documents
+def test_dot_equals_the_all_classes_reference(sizes, width, classes, seed):
+    rng = np.random.default_rng(seed)
+    positions = sum(sizes)
+    values = rng.standard_normal(positions) * (rng.random(positions) > 0.2)
+    rows = DocumentRows(
+        indices=rng.integers(0, width, positions),
+        offsets=np.cumsum([0] + sizes),
+        tfidf=values,
+        counts=values,
+    )
+    weights = rng.standard_normal((classes, width)) * (rng.random((classes, width)) > 0.2)
+    product = rows.dot(weights, values)
+    expected = oracles.dot_ref(rows.indices, rows.offsets, weights, values)
+    assert product.shape == expected.shape == (len(sizes), classes)
+    assert product.tobytes() == expected.tobytes()
 
 
 def test_smoothed_profile_with_no_documents_is_l1_of_entity():
@@ -576,6 +604,43 @@ def test_resources_shared_across_models_give_identical_results():
         shared = map_documents(task, config, resources)
         assert fresh.mapping == shared.mapping
         assert fresh.scores == shared.scores
+
+
+def _config(model, noise, denominator, semantics, alpha, jm_lambda):
+    features = FeatureConfig(noise=noise, intersection_semantics=semantics)
+    return ModelConfig(model, alpha=alpha, jm_lambda=jm_lambda, laplace_denominator=denominator, features=features)
+
+
+# Laplace denominator, intersection semantics, alpha, lambda.
+_OPTION_VALUES = (LAPLACE_DENOMINATORS, ("exists", "forall"), (0.01, 0.5), (0.3, 0.5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(task=micro_tasks(), data=st.data())
+def test_one_resources_instance_serves_any_sequence_of_configurations(task, data):
+    """Cached fits are keyed by every setting they depend on: a shared instance equals a fresh one."""
+    configs = []
+    for model in MODELS:
+        for noise in NOISE_MODES:
+            options = [data.draw(st.sampled_from(values)) for values in _OPTION_VALUES]
+            configs.append(_config(model, noise, *options))
+            # A neighbour that differs in one option alone: a cache key that
+            # leaves the option out would serve it the first one's fit.
+            i = data.draw(st.integers(0, len(options) - 1))
+            options[i] = next(v for v in _OPTION_VALUES[i] if v != options[i])
+            configs.append(_config(model, noise, *options))
+    # Together these two take every value of every option.
+    for options in zip(*_OPTION_VALUES):
+        configs.append(_config(data.draw(st.sampled_from(MODELS)), data.draw(st.sampled_from(NOISE_MODES)), *options))
+    resources = TaskResources.from_task(task, FeatureConfig())
+    for config in data.draw(st.permutations(configs)):
+        fresh = map_documents(task, config)
+        shared = map_documents(task, config, resources)
+        assert shared.mapping == fresh.mapping
+        assert shared.scores == fresh.scores
+        assert shared.floored == fresh.floored
+        matrix = np.array([list(row.values()) for row in shared.scores.values()])
+        assert matrix.tobytes() == np.array([list(row.values()) for row in fresh.scores.values()]).tobytes()
 
 
 def test_resources_reject_mismatched_weighting_options():
