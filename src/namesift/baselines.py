@@ -17,6 +17,7 @@ import numpy as np
 from .features import FeatureVector
 
 __all__ = [
+    "BASELINES",
     "Clustering",
     "Gram",
     "gram",
@@ -26,6 +27,9 @@ __all__ = [
     "run_repetitions",
     "assignment_to_clusters",
 ]
+
+# The baselines in report order; each name is also its `Clustering.method`.
+BASELINES = ("hac_complete", "kmeans")
 
 
 @dataclass

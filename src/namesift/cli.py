@@ -25,6 +25,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
+from .baselines import BASELINES
 from .corpus import CorpusFormatError, CorpusIntegrityError, tsv_cell
 from .evaluation import EvalReport, METRIC_COLUMNS, TaskMetrics
 from .experiments import (
@@ -37,8 +38,8 @@ from .experiments import (
     task_clusterings,  # noqa: F401  (kept importable here: perfbench's tracer wraps it in this module)
     validate_corpus,
 )
-from .features import NOISE_MODES, ConfigError, FeatureConfig
-from .models import MODELS
+from .features import IDF_NUMERATORS, INTERSECTION_SEMANTICS, LOG_BASES, NOISE_MODES, ConfigError, FeatureConfig
+from .models import LAPLACE_DENOMINATORS, MODELS
 
 __all__ = ["main"]
 
@@ -298,7 +299,7 @@ def cmd_classify(args, settings) -> int:
 
 
 def cmd_cluster(args, settings) -> int:
-    methods = ("hac_complete", "kmeans") if args.method == "both" else (args.method,)
+    methods = BASELINES if args.method == "both" else (args.method,)
     spec = _build_run_spec(
         args,
         settings,
@@ -379,13 +380,13 @@ def cmd_report(args, settings) -> int:
 
 def _add_config_flags(p: argparse.ArgumentParser, *, model_params: bool = True) -> None:
     p.add_argument("--config", metavar="FILE", help="JSON file with configuration defaults")
-    p.add_argument("--idf-numerator", choices=("corpus", "paper"), dest="idf_numerator")
-    p.add_argument("--log-base", choices=("e", "2", "10"), dest="log_base")
-    p.add_argument("--intersection-semantics", choices=("exists", "forall"), dest="intersection_semantics")
+    p.add_argument("--idf-numerator", choices=IDF_NUMERATORS, dest="idf_numerator")
+    p.add_argument("--log-base", choices=LOG_BASES, dest="log_base")
+    p.add_argument("--intersection-semantics", choices=INTERSECTION_SEMANTICS, dest="intersection_semantics")
     if model_params:
         p.add_argument("--alpha", type=float, help="additive smoothing weight (Bernoulli NB)")
         p.add_argument("--lambda", type=float, dest="jm_lambda", help="background mixture weight (multinomial NB)")
-        p.add_argument("--laplace-denominator", choices=("paper", "per_feature"), dest="laplace_denominator")
+        p.add_argument("--laplace-denominator", choices=LAPLACE_DENOMINATORS, dest="laplace_denominator")
     p.add_argument("--format", choices=("tsv", "json"))
     p.add_argument("--strip-html", action="store_const", const=True, dest="strip_html")
     p.add_argument("--stopwords", metavar="FILE", help="newline-separated stopword list")
@@ -413,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="run clustering baselines")
     p.add_argument("root")
-    p.add_argument("--method", choices=("hac_complete", "kmeans", "both"), default="both")
+    p.add_argument("--method", choices=(*BASELINES, "both"), default="both")
     p.add_argument("--reps", type=int, help=f"K-Means repetitions (default {RunSpec.reps})")
     p.add_argument("--output", metavar="DIR")
     _add_config_flags(p, model_params=False)

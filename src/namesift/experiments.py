@@ -1,15 +1,15 @@
 """Experiment driver: corpus validation, configuration grids, baselines.
 
 `run_grid` evaluates a model x noise-mode grid plus optional clustering
-baselines over a corpus directory and returns one report per cell.  It
-runs task by task: it builds a task's `TaskResources`, runs every (model,
-noise) cell on that task, and releases the resources before the next
-task's are built.  When baselines are enabled, every task's resources are
-kept instead, and the baselines run after all cells.  Cells share a
-task's resources, whose caches hold only values that do not depend on the
-order of the cells, so a grid cell always equals the same configuration
-run alone.  Reports are in cell order and all outputs are
-deterministically ordered by task name.
+baselines over a corpus directory and returns one report per cell and
+baseline.  It runs task by task: it builds a task's `TaskResources`, runs
+every (model, noise) cell and then every enabled baseline on that task,
+and releases the resources before the next task's are built.  Cells and
+baselines share a task's resources, whose caches hold only values that do
+not depend on the order of use, so a grid cell or baseline always equals
+the same configuration run alone.  Reports are in cell order, then
+``hac_complete``, then ``kmeans``, and all outputs are deterministically
+ordered by task name.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .baselines import Clustering, hac_complete, run_repetitions
+from .baselines import BASELINES, Clustering, hac_complete, run_repetitions
 from .corpus import (
     CorpusFormatError,
     CorpusIntegrityError,
@@ -38,7 +38,6 @@ __all__ = [
     "TaskValidation",
     "run_grid",
     "classification_report",
-    "baseline_report",
     "task_clusterings",
     "validate_corpus",
     "grid_tsv",
@@ -185,7 +184,7 @@ def task_clusterings(
     task when None; resources built with other weighting options raise
     ValueError.
     """
-    if method not in ("hac_complete", "kmeans"):
+    if method not in BASELINES:
         raise ValueError(f"unknown baseline {method!r}")
     kept = clustering_eval_filter(task)
     if not kept or not task.entities:
@@ -201,41 +200,6 @@ def task_clusterings(
     return run_repetitions(kept_gram, k, reps)
 
 
-def baseline_report(
-    tasks: Sequence[Task],
-    method: str,
-    feature_config: FeatureConfig,
-    *,
-    reps: int = 10,
-    fingerprint: Mapping[str, object] | None = None,
-    resources: Mapping[str, TaskResources] | None = None,
-) -> tuple[EvalReport, dict[str, list[Clustering]]]:
-    """Purity/NMI of one clustering baseline on the noise-filtered subset.
-
-    k is the task's entity count (clamped to the subset size).  Tasks with
-    no entity-labeled documents or no entities get no metrics and no
-    clusterings.  K-Means metrics are means over ``reps`` seeded
-    repetitions.  Returns the report and, per task, the clusterings it
-    was computed from.
-    """
-    per_task: dict[str, TaskMetrics] = {}
-    clusterings: dict[str, list[Clustering]] = {}
-    for task in tasks:
-        shared = resources.get(task.name) if resources is not None else None
-        runs = task_clusterings(task, method, feature_config, reps=reps, resources=shared)
-        if runs is None:
-            per_task[task.name] = TaskMetrics()
-            continue
-        gold = {doc_id: task.gold.labels[doc_id] for doc_id in clustering_eval_filter(task)}
-        per_task[task.name] = TaskMetrics(
-            purity=sum(purity(c, gold) for c in runs) / len(runs),
-            nmi=sum(nmi(c, gold) for c in runs) / len(runs),
-        )
-        clusterings[task.name] = runs
-    report = EvalReport.build(model=method, noise="", per_task=per_task, config=dict(fingerprint or {}))
-    return report, clusterings
-
-
 def run_grid(spec: RunSpec) -> GridResult:
     """Evaluate every (model, noise) cell plus any enabled baselines."""
     tasks, skipped = load_tasks(spec)
@@ -245,36 +209,38 @@ def run_grid(spec: RunSpec) -> GridResult:
 
     base_features = spec.feature_config()
     configs = {(model, noise): spec.model_config(model, noise) for model in spec.models for noise in spec.noise_modes}
-    per_task: dict[tuple[str, str], dict[str, TaskMetrics]] = {cell: {} for cell in configs}
-    kept: dict[str, TaskResources] = {}
+    methods = [method for method, enabled in zip(BASELINES, (spec.hac, spec.kmeans)) if enabled]
+    # Report (model, noise) -> fingerprint; a baseline's noise column is empty.
+    fingerprints = {cell: spec.fingerprint(model=cell[0], noise=cell[1]) for cell in configs}
+    for method in methods:
+        extra = {"reps": spec.reps} if method == "kmeans" else {}
+        fingerprints[(method, "")] = spec.fingerprint(model=method, noise=None, **extra)
+    per_task: dict[tuple[str, str], dict[str, TaskMetrics]] = {key: {} for key in fingerprints}
+    result.clusterings = {method: {} for method in methods}
     for task in tasks:
-        # One set of feature artifacts per task, shared read-only by all cells.
+        # One set of feature artifacts per task, shared read-only by its cells and baselines.
         resources = TaskResources.from_task(task, base_features)
         for cell, config in configs.items():
             assignment = map_documents(task, config, resources)
             result.assignments.setdefault(cell, {})[task.name] = assignment
             per_task[cell][task.name] = evaluate_assignment(task, assignment)
-        if spec.hac or spec.kmeans:
-            kept[task.name] = resources
+        for method in methods:
+            runs = task_clusterings(task, method, base_features, reps=spec.reps, resources=resources)
+            if runs is None:
+                per_task[(method, "")][task.name] = TaskMetrics()
+                continue
+            # K-Means metrics are means over its seeded repetitions.
+            gold = {doc_id: task.gold.labels[doc_id] for doc_id in clustering_eval_filter(task)}
+            per_task[(method, "")][task.name] = TaskMetrics(
+                purity=sum(purity(c, gold) for c in runs) / len(runs),
+                nmi=sum(nmi(c, gold) for c in runs) / len(runs),
+            )
+            result.clusterings[method][task.name] = runs
         del resources  # released before the next task's are built
-    for (model, noise), metrics in per_task.items():
-        fingerprint = spec.fingerprint(model=model, noise=noise)
-        result.reports.append(EvalReport.build(model=model, noise=noise, per_task=metrics, config=fingerprint))
-
-    for method, enabled in (("hac_complete", spec.hac), ("kmeans", spec.kmeans)):
-        if not enabled:
-            continue
-        extra = {"reps": spec.reps} if method == "kmeans" else {}
-        report, clusterings = baseline_report(
-            tasks,
-            method,
-            base_features,
-            reps=spec.reps,
-            fingerprint=spec.fingerprint(model=method, noise=None, **extra),
-            resources=kept,
-        )
-        result.reports.append(report)
-        result.clusterings[method] = clusterings
+    result.reports = [
+        EvalReport.build(model=model, noise=noise, per_task=per_task[(model, noise)], config=fingerprint)
+        for (model, noise), fingerprint in fingerprints.items()
+    ]
     return result
 
 

@@ -246,6 +246,7 @@ class TaskArrays:
     ``entities`` holds the tf-idf rows and ``ml`` the maximum-likelihood
     token distributions of the k entities (k x F); ``background`` is the
     corpus-wide relative token frequency over documents and entities.
+    Every array is read-only.
     """
 
     rows: DocumentRows
@@ -274,15 +275,14 @@ class TaskArrays:
         entities[cells] = weights[split:]
         entity_counts = np.zeros_like(entities)
         entity_counts[cells] = index.counts[split:]
+        ml = entity_counts * _inverse(entity_counts.sum(axis=1))[:, None]
         # Counts are integers, so these sums are exact in any order.
         feature_totals = np.bincount(index.features, weights=index.counts, minlength=width)
         grand_total = int(index.counts.sum())
-        return cls(
-            rows=rows,
-            entities=entities,
-            ml=entity_counts * _inverse(entity_counts.sum(axis=1))[:, None],
-            background=feature_totals / grand_total if grand_total else feature_totals,
-        )
+        background = feature_totals / grand_total if grand_total else feature_totals
+        for array in (entities, ml, background):
+            array.flags.writeable = False
+        return cls(rows=rows, entities=entities, ml=ml, background=background)
 
 
 @dataclass(frozen=True)
@@ -406,6 +406,7 @@ class TaskResources:
         if self._smoothed is None:
             arrays = self.arrays()
             self._smoothed = smoothed_profile(arrays.entities, arrays.rows)
+            self._smoothed.flags.writeable = False
         return self._smoothed
 
     def fits(self, config: ModelConfig) -> tuple[ClassFit, ClassFit]:
@@ -435,31 +436,28 @@ class TaskResources:
         return self._gram
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScoringContext:
-    """One (task, configuration) pair as a linear layer over document rows.
+    """One (task, configuration) pair as a fitted linear layer.
 
-    Document i scores ``rows.dot(W, values)[i] + b`` against ``class_ids``;
-    ``floored`` counts the probabilities clamped on the way.  `build_context`
-    stacks ``W`` and ``product``, the value of ``rows.dot(W, values)``, from
-    the entity and noise `ClassFit` cached in `TaskResources`.
-    `dataclasses.replace` does not copy ``product``, so a context rebuilt
-    with other values or weights computes its product anew.
+    ``product`` holds ``rows.dot(W, values)``, one row per document in
+    ``doc_ids`` and one column per class in ``class_ids``, so document i
+    scores ``product[i] + b``; ``floored`` counts the probabilities clamped
+    on the way.  `build_context` joins ``product`` from the entity and
+    noise `ClassFit` cached in `TaskResources`, which keep ``W`` and the
+    document row values.
     """
 
     config: ModelConfig
     class_ids: list[str]
     doc_ids: list[str]
-    rows: DocumentRows
-    values: np.ndarray
-    W: np.ndarray
+    product: np.ndarray
     b: np.ndarray
     floored: int = 0
-    product: np.ndarray | None = field(default=None, init=False, repr=False)
 
 
 def build_context(task: Task, config: ModelConfig, resources: TaskResources | None = None) -> ScoringContext:
-    """The class matrix, bias and document row values of one configuration."""
+    """The fitted product and bias of one configuration."""
     if resources is None:
         resources = TaskResources.from_task(task, config.features)
     elif not resources.matches(config.features):
@@ -477,18 +475,14 @@ def build_context(task: Task, config: ModelConfig, resources: TaskResources | No
         masses = np.concatenate([entity.masses, noise.masses])
         b, clamped = laplace_log_priors(masses, config.alpha, denominator=config.laplace_denominator)
         floored += int(clamped.sum())
-    ctx = ScoringContext(
+    return ScoringContext(
         config=config,
         class_ids=class_ids,
         doc_ids=list(index.document_ids),
-        rows=resources.arrays().rows,
-        values=entity.values,
-        W=np.vstack([entity.W, noise.W]),
+        product=np.hstack([entity.product, noise.product]),
         b=b,
         floored=floored,
     )
-    ctx.product = np.hstack([entity.product, noise.product])
-    return ctx
 
 
 class _ScoreRows(Mapping):
@@ -549,8 +543,7 @@ class Assignment:
 
 def assign_from_context(ctx: ScoringContext) -> Assignment:
     """Score every document and map it to its first highest-scoring class."""
-    product = ctx.rows.dot(ctx.W, ctx.values) if ctx.product is None else ctx.product
-    scores = product + ctx.b
+    scores = ctx.product + ctx.b
     best = scores.argmax(axis=1).tolist()
     return Assignment(
         mapping={doc_id: ctx.class_ids[i] for doc_id, i in zip(ctx.doc_ids, best)},

@@ -6,6 +6,7 @@ the host environment cannot leak into the precedence chain.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -22,11 +23,12 @@ from hypothesis import strategies as st
 
 import namesift.cli
 import namesift.experiments
-from namesift.cli import main
+from namesift.baselines import BASELINES
+from namesift.cli import build_parser, main
 from namesift.corpus import NOISE_LABEL, load_corpus, write_task
 from namesift.experiments import RunSpec, task_clusterings, validate_corpus
-from namesift.features import FeatureConfig
-from namesift.models import MODELS
+from namesift.features import IDF_NUMERATORS, INTERSECTION_SEMANTICS, LOG_BASES, NOISE_MODES, FeatureConfig
+from namesift.models import LAPLACE_DENOMINATORS, MODELS
 
 from conftest import build_task, write_broken_task
 
@@ -583,6 +585,26 @@ def test_built_in_defaults_are_the_run_spec_defaults(mini_corpus, clean_env, cap
     clean_env.setattr(namesift.cli, "run_grid", capture)
     assert main(["grid", str(mini_corpus)]) == 0
     assert specs == [RunSpec(corpus_root=mini_corpus)]
+
+
+@pytest.mark.parametrize(
+    "flag, values",
+    [
+        ("--idf-numerator", IDF_NUMERATORS),
+        ("--log-base", LOG_BASES),
+        ("--intersection-semantics", INTERSECTION_SEMANTICS),
+        ("--laplace-denominator", LAPLACE_DENOMINATORS),
+        ("--model", MODELS),
+        ("--noise", NOISE_MODES),
+        ("--method", (*BASELINES, "both")),
+    ],
+)
+def test_flag_choices_are_the_library_values(flag, values):
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    actions = [a for parser in commands.values() for a in parser._actions if flag in a.option_strings]
+    assert actions
+    for action in actions:
+        assert tuple(action.choices) == values
 
 
 def test_environment_supplies_model(mini_corpus, clean_env, capsys):

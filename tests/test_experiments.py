@@ -8,7 +8,9 @@ import weakref
 import pytest
 
 import namesift.models
+from namesift.baselines import BASELINES
 from namesift.corpus import NOISE_LABEL, CorpusIntegrityError, write_task
+from namesift.evaluation import clustering_eval_filter, nmi, purity
 from namesift.features import NOISE_MODES, FeatureConfig
 from namesift.experiments import (
     RunSpec,
@@ -114,12 +116,13 @@ def test_grid_produces_one_report_per_cell(mini_corpus):
 
 
 def test_grid_cell_equals_single_run(mini_corpus):
-    # Every cell, run alone on fresh resources, gives the same report and assignments.
-    spec = RunSpec(corpus_root=mini_corpus, models=MODELS, noise_modes=NOISE_MODES)
+    # Every cell and baseline, run alone on fresh resources, gives the same
+    # report, assignments and clusterings.
+    spec = RunSpec(corpus_root=mini_corpus, models=MODELS, noise_modes=NOISE_MODES, hac=True, kmeans=True, reps=3)
     result = run_grid(spec)
     tasks, _ = load_tasks(spec)
     cells = [(model, noise) for model in MODELS for noise in NOISE_MODES]
-    assert [(r.model, r.noise) for r in result.reports] == cells
+    assert [(r.model, r.noise) for r in result.reports] == cells + [(method, "") for method in BASELINES]
     for cell, (model, noise) in zip(result.reports, cells):
         single, assignments = classification_report(
             tasks,
@@ -128,10 +131,21 @@ def test_grid_cell_equals_single_run(mini_corpus):
         )
         assert cell.to_dict() == single.to_dict()
         assert result.assignments[(model, noise)] == assignments
+    for report, method in zip(result.reports[len(cells) :], BASELINES):
+        clusterings = {}
+        for task in tasks:
+            runs = task_clusterings(task, method, spec.feature_config(), reps=spec.reps)
+            gold = {doc_id: task.gold.labels[doc_id] for doc_id in clustering_eval_filter(task)}
+            assert report.per_task[task.name].purity == sum(purity(c, gold) for c in runs) / len(runs)
+            assert report.per_task[task.name].nmi == sum(nmi(c, gold) for c in runs) / len(runs)
+            clusterings[task.name] = [c.to_dict() for c in runs]
+        assert {name: [c.to_dict() for c in runs] for name, runs in result.clusterings[method].items()} == clusterings
+        extra = {"reps": spec.reps} if method == "kmeans" else {}
+        assert report.config == spec.fingerprint(model=method, noise=None, **extra)
 
 
 @pytest.mark.parametrize("baselines", [False, True])
-def test_grid_keeps_task_resources_only_for_the_baselines(mini_corpus, monkeypatch, baselines):
+def test_grid_releases_each_task_resources_before_the_next(mini_corpus, monkeypatch, baselines):
     built: list[weakref.ref] = []
     alive: list[int] = []
     from_task = TaskResources.from_task.__func__
@@ -144,9 +158,8 @@ def test_grid_keeps_task_resources_only_for_the_baselines(mini_corpus, monkeypat
 
     monkeypatch.setattr(TaskResources, "from_task", classmethod(recording))
     run_grid(RunSpec(corpus_root=mini_corpus, models=MODELS, hac=baselines, kmeans=baselines, reps=2))
-    # Without baselines a task's resources are released before the next
-    # task's are built; the baselines need every task's after all cells.
-    assert alive == ([1, 2] if baselines else [1, 1])
+    # A task's cells and baselines all run before the next task's resources are built.
+    assert alive == [1, 1]
 
 
 def test_grid_is_deterministic(mini_corpus):

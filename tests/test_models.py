@@ -227,12 +227,13 @@ def test_vector_models_match_dense_oracle(noise):
 def test_context_smooths_entities_but_not_noise():
     task = build_task({"e1": "a b", "e2": "c d"}, {"d1": "a b x", "d2": "c y"})
     config = ModelConfig(model="score_smoothed", features=FeatureConfig(noise="union"))
-    ctx = build_context(task, config)
-    raw = build_context(task, dataclasses.replace(config, model="score"))
-    assert ctx.class_ids == ["e1", "e2", NOISE_LABEL]
+    resources = TaskResources.from_task(task, config.features)
+    assert build_context(task, config, resources).class_ids == ["e1", "e2", NOISE_LABEL]
+    entity, noise = resources.fits(config)
+    raw_entity, raw_noise = resources.fits(dataclasses.replace(config, model="score"))
     # The noise profile is used as-is, never pulled toward documents.
-    assert np.array_equal(ctx.W[-1], raw.W[-1])
-    assert not np.array_equal(ctx.W[0], raw.W[0])
+    assert np.array_equal(noise.W[-1], raw_noise.W[-1])
+    assert not np.array_equal(entity.W[0], raw_entity.W[0])
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +266,11 @@ def test_bernoulli_empty_document_scores_prior_only():
 def test_bernoulli_uses_distinct_features_not_frequencies():
     task = build_task({"e1": "a b", "e2": "c"}, {"d1": "a a a b", "d2": "a b"})
     config = ModelConfig(model="nb_bernoulli_laplace")
-    ctx = build_context(task, config)
+    resources = TaskResources.from_task(task, config.features)
     # Every stored document feature counts once, whatever its frequency.
-    assert np.array_equal(ctx.values, np.ones(4))
+    assert np.array_equal(resources.fits(config)[0].values, np.ones(4))
     # d1 and d2 share the same distinct-feature set, so identical scores.
-    assignment = assign_from_context(ctx)
+    assignment = assign_from_context(build_context(task, config, resources))
     assert assignment.scores["d1"] == assignment.scores["d2"]
 
 
@@ -513,9 +514,12 @@ def test_scaling_document_vectors_preserves_vector_model_argmax(task, factor):
     # Scaled products round differently, so an exact tie may fall either way.
     for model in ("cosine", "score", "score_smoothed"):
         config = ModelConfig(model=model, features=FeatureConfig(noise="union"))
-        ctx = build_context(task, config)
+        resources = TaskResources.from_task(task, config.features)
+        ctx = build_context(task, config, resources)
         baseline = assign_from_context(ctx)
-        rescored = assign_from_context(dataclasses.replace(ctx, values=factor * ctx.values))
+        entity, noise = resources.fits(config)
+        product = resources.arrays().rows.dot(np.vstack([entity.W, noise.W]), factor * entity.values)
+        rescored = assign_from_context(dataclasses.replace(ctx, product=product))
         for doc_id, row in baseline.scores.items():
             assert rescored.scores[doc_id] == pytest.approx({c: factor * s for c, s in row.items()}, rel=1e-12)
             assert rescored.mapping[doc_id] in _tied_with_best(row, rel=1e-12, abs=1e-12)
@@ -677,7 +681,11 @@ def test_noise_rows_and_gram_are_cached_read_only():
     gram = resources.kept_gram()
     assert gram is resources.kept_gram()
     assert gram.ids == ("d1", "d3")
-    for array in (row, gram.matrix):
+    arrays = resources.arrays()
+    assert arrays is resources.arrays()
+    smoothed = resources.smoothed_profiles()
+    assert smoothed is resources.smoothed_profiles()
+    for array in (row, gram.matrix, arrays.entities, arrays.ml, arrays.background[None, :], smoothed):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0, 0] = 1.0
