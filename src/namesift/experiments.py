@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .baselines import BASELINES, Clustering, hac_complete, run_repetitions
 from .corpus import (
@@ -37,7 +37,6 @@ __all__ = [
     "GridResult",
     "TaskValidation",
     "run_grid",
-    "classification_report",
     "task_clusterings",
     "validate_corpus",
     "grid_tsv",
@@ -145,27 +144,6 @@ def load_tasks(spec: RunSpec) -> tuple[list[Task], list[tuple[str, str]]]:
     return tasks, skipped
 
 
-def classification_report(
-    tasks: Sequence[Task],
-    config: ModelConfig,
-    *,
-    fingerprint: Mapping[str, object] | None = None,
-) -> tuple[EvalReport, dict[str, Assignment]]:
-    """Run one configuration over all tasks; returns report and assignments."""
-    per_task: dict[str, TaskMetrics] = {}
-    assignments: dict[str, Assignment] = {}
-    for task in tasks:
-        assignments[task.name] = map_documents(task, config)
-        per_task[task.name] = evaluate_assignment(task, assignments[task.name])
-    report = EvalReport.build(
-        model=config.model,
-        noise=config.features.noise,
-        per_task=per_task,
-        config=dict(fingerprint or {}),
-    )
-    return report, assignments
-
-
 def task_clusterings(
     task: Task,
     method: str,
@@ -181,18 +159,18 @@ def task_clusterings(
     1..reps, all from the one `gram` of the kept documents that
     ``resources`` holds (`TaskResources.kept_gram`).  k is the entity
     count, clamped to the subset size.  ``resources`` is built from the
-    task when None; resources built with other weighting options raise
-    ValueError.
+    task when None; resources built for another task or with other
+    weighting options raise ValueError.
     """
     if method not in BASELINES:
         raise ValueError(f"unknown baseline {method!r}")
+    if resources is not None:
+        resources.check(task, feature_config)
     kept = clustering_eval_filter(task)
     if not kept or not task.entities:
         return None
     if resources is None:
         resources = TaskResources.from_task(task, feature_config)
-    elif not resources.matches(feature_config):
-        raise ValueError("resources were built with different weighting options")
     kept_gram = resources.kept_gram()
     k = min(len(task.entities), len(kept))
     if method == "hac_complete":

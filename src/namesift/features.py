@@ -13,7 +13,7 @@ from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain, count
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -303,10 +303,13 @@ class NoiseProfile:
         return set(self.vector)
 
 
-def _uniform(feature_ids: Iterable[int], kind: str) -> NoiseProfile:
-    ordered = sorted(set(feature_ids))
-    weight = 1.0 / len(ordered) if ordered else 0.0
-    return NoiseProfile(kind, {fid: weight for fid in ordered})
+def _uniform(feature_ids: np.ndarray, kind: str) -> NoiseProfile:
+    """Uniform weight over the distinct ``feature_ids``, in ascending order."""
+    ordered = np.sort(feature_ids)
+    distinct = np.ones(len(ordered), dtype=bool)
+    distinct[1:] = ordered[1:] != ordered[:-1]
+    ordered = ordered[distinct].tolist()
+    return NoiseProfile(kind, dict.fromkeys(ordered, 1.0 / len(ordered) if ordered else 0.0))
 
 
 def _entity_features(index: FeatureIndex) -> np.ndarray:
@@ -316,7 +319,7 @@ def _entity_features(index: FeatureIndex) -> np.ndarray:
 
 def union_noise(index: FeatureIndex) -> NoiseProfile:
     """Noise profile over the union of all entity-profile features."""
-    return _uniform(_entity_features(index).tolist(), "union")
+    return _uniform(_entity_features(index), "union")
 
 
 def intersection_noise(index: FeatureIndex, semantics: str = "exists") -> NoiseProfile:
@@ -333,10 +336,10 @@ def intersection_noise(index: FeatureIndex, semantics: str = "exists") -> NoiseP
     _check(semantics, INTERSECTION_SEMANTICS, "intersection_semantics")
     if semantics == "exists":
         feats = _entity_features(index)
-        return _uniform(feats[index.df[feats] >= 2].tolist(), "intersection")
+        return _uniform(feats[index.df[feats] >= 2], "intersection")
     if not index.entity_ids or index.corpus_size < 2:
-        return _uniform((), "intersection")
-    return _uniform(np.flatnonzero(index.df == index.corpus_size).tolist(), "intersection")
+        return _uniform(np.empty(0, dtype=np.int64), "intersection")
+    return _uniform(np.flatnonzero(index.df == index.corpus_size), "intersection")
 
 
 def build_noise_profile(index: FeatureIndex, config: FeatureConfig) -> NoiseProfile | None:

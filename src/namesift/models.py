@@ -180,15 +180,17 @@ def smoothed_profile(entities: np.ndarray, rows: DocumentRows) -> np.ndarray:
     for every document, its L1-normalized tf-idf row scaled by the cosine
     between the raw entity and document rows.  Every document contributes,
     including the one later being scored.
+
+    One class row is pulled at a time: a weighted bincount over the stored
+    positions adds each feature's pulls in position order, so the
+    temporaries are one position long, not classes x positions.
     """
-    k, width = entities.shape
     sims = rows.dot(unit_rows(entities), rows.unit())
-    pulled = np.repeat(sims, rows.sizes, axis=0).T * rows.l1()
-    # One weighted bincount over (class, feature) cells adds every pull.
-    cells = (np.arange(k)[:, None] * width + rows.indices).ravel()
-    mixed = np.bincount(cells, weights=pulled.ravel(), minlength=k * width).reshape(k, width)
-    l1_entities = entities * _inverse(np.abs(entities).sum(axis=1))[:, None]
-    return l1_entities + mixed
+    l1, sizes = rows.l1(), rows.sizes
+    profiles = entities * _inverse(np.abs(entities).sum(axis=1))[:, None]
+    for profile, column in zip(profiles, sims.T):
+        profile += np.bincount(rows.indices, weights=np.repeat(column, sizes) * l1, minlength=entities.shape[1])
+    return profiles
 
 
 def multinomial_log_coefficient(freqs: Mapping[int, int]) -> float:
@@ -198,9 +200,13 @@ def multinomial_log_coefficient(freqs: Mapping[int, int]) -> float:
 
 
 def floored_log(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Natural log with entries <= 0 clamped to PROB_FLOOR, and the clamp mask."""
+    """Natural log with entries <= 0 clamped to PROB_FLOOR, and the clamp mask.
+
+    The logs are written over ``p``, so callers pass an array of their own.
+    """
     clamped = p <= 0.0
-    return np.log(np.where(clamped, PROB_FLOOR, p)), clamped
+    p[clamped] = PROB_FLOOR
+    return np.log(p, out=p), clamped
 
 
 def laplace_log_priors(
@@ -229,14 +235,18 @@ def bernoulli_log_probs(profiles: np.ndarray, alpha: float, *, denominator: str 
     """
     masses = profiles.sum(axis=1)
     denom = masses + (alpha if denominator == "paper" else alpha * profiles.shape[1])
-    logs, clamped = floored_log((profiles + alpha) / denom[:, None])
+    probs = profiles + alpha
+    probs /= denom[:, None]
+    logs, clamped = floored_log(probs)
     floored = (clamped & (profiles != 0.0)).sum() + (alpha / denom <= 0.0).sum()
     return logs, int(floored)
 
 
 def jelinek_mercer_log_probs(ml: np.ndarray, background: np.ndarray, jm_lambda: float) -> tuple[np.ndarray, np.ndarray]:
     """log((1 - lambda) * ml + lambda * background) per class and feature, and the clamp mask."""
-    return floored_log((1.0 - jm_lambda) * ml + jm_lambda * background)
+    mixed = ml * (1.0 - jm_lambda)
+    mixed += jm_lambda * background
+    return floored_log(mixed)
 
 
 @dataclass(frozen=True)
@@ -376,8 +386,12 @@ class TaskResources:
             doc_vectors={d.id: vectorize(d.id, index, config) for d in task.documents},
         )
 
-    def matches(self, config: FeatureConfig) -> bool:
-        return config.idf_numerator == self.idf_numerator and config.log_base == self.log_base
+    def check(self, task: Task, config: FeatureConfig) -> None:
+        """Raise ValueError unless these resources were built for ``task`` with ``config``'s weighting."""
+        if self.task is not task:
+            raise ValueError("resources were built for a different task")
+        if (config.idf_numerator, config.log_base) != (self.idf_numerator, self.log_base):
+            raise ValueError("resources were built with different weighting options")
 
     def _noise_entry(self, config: FeatureConfig) -> tuple[NoiseProfile | None, np.ndarray]:
         key = (config.noise, config.intersection_semantics)
@@ -385,7 +399,8 @@ class TaskResources:
             profile = build_noise_profile(self.index, config)
             row = np.zeros((int(profile is not None), self.index.feature_count))
             if profile is not None:
-                row[0, list(profile.vector)] = list(profile.vector.values())
+                ids = np.fromiter(profile.vector, dtype=np.int64, count=len(profile.vector))
+                row[0, ids] = np.fromiter(profile.vector.values(), dtype=float, count=len(ids))
             row.flags.writeable = False
             self._noise[key] = (profile, row)
         return self._noise[key]
@@ -457,11 +472,14 @@ class ScoringContext:
 
 
 def build_context(task: Task, config: ModelConfig, resources: TaskResources | None = None) -> ScoringContext:
-    """The fitted product and bias of one configuration."""
+    """The fitted product and bias of one configuration.
+
+    Resources built for another task or with other weighting options raise ValueError.
+    """
     if resources is None:
         resources = TaskResources.from_task(task, config.features)
-    elif not resources.matches(config.features):
-        raise ValueError("resources were built with different weighting options")
+    else:
+        resources.check(task, config.features)
 
     index = resources.index
     class_ids = list(index.entity_ids) + [NOISE_LABEL] * len(resources.noise_rows(config.features))

@@ -186,6 +186,41 @@ def dot_ref(indices: np.ndarray, offsets: np.ndarray, weights: np.ndarray, value
     return out.T
 
 
+def _segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Sum of each CSR segment of ``values``; empty segments give 0."""
+    sizes = np.diff(offsets)
+    out = np.zeros(len(sizes))
+    nonempty = sizes > 0
+    if nonempty.any():
+        out[nonempty] = np.add.reduceat(values, offsets[:-1][nonempty])
+    return out
+
+
+def _inverse(norms: np.ndarray) -> np.ndarray:
+    return np.divide(1.0, norms, out=np.zeros_like(norms), where=norms != 0.0)
+
+
+def smoothed_ref(entities: np.ndarray, indices: np.ndarray, offsets: np.ndarray, tfidf: np.ndarray) -> np.ndarray:
+    """Smoothed entity profiles with every pull added by one bincount over (class, feature) cells.
+
+    Each entity row is L1-normalized and gets, for every document, the
+    document's L1-normalized tf-idf row scaled by their cosine (taken with
+    `dot_ref`).  The pulls of all classes are gathered at once, classes x
+    stored positions, and summed into each cell in position order.
+    """
+    k, width = entities.shape
+    sizes = np.diff(offsets)
+    unit_entities = entities * _inverse(np.sqrt((entities * entities).sum(axis=1)))[:, None]
+    unit_docs = tfidf * np.repeat(_inverse(np.sqrt(_segment_sums(tfidf**2, offsets))), sizes)
+    l1_docs = tfidf * np.repeat(_inverse(_segment_sums(np.abs(tfidf), offsets)), sizes)
+    sims = dot_ref(indices, offsets, unit_entities, unit_docs)
+    pulled = np.repeat(sims, sizes, axis=0).T * l1_docs
+    cells = (np.arange(k)[:, None] * width + indices).ravel()
+    mixed = np.bincount(cells, weights=pulled.ravel(), minlength=k * width).reshape(k, width)
+    l1_entities = entities * _inverse(np.abs(entities).sum(axis=1))[:, None]
+    return l1_entities + mixed
+
+
 def _dot(u: dict, v: dict) -> float:
     return sum(w * v[t] for t, w in u.items() if t in v)
 

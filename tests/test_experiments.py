@@ -10,11 +10,10 @@ import pytest
 import namesift.models
 from namesift.baselines import BASELINES
 from namesift.corpus import NOISE_LABEL, CorpusIntegrityError, write_task
-from namesift.evaluation import clustering_eval_filter, nmi, purity
+from namesift.evaluation import EvalReport, clustering_eval_filter, evaluate_assignment, nmi, purity
 from namesift.features import NOISE_MODES, FeatureConfig
 from namesift.experiments import (
     RunSpec,
-    classification_report,
     grid_json_dict,
     grid_tsv,
     load_tasks,
@@ -23,7 +22,7 @@ from namesift.experiments import (
     task_clusterings,
     validate_corpus,
 )
-from namesift.models import MODELS, TaskResources
+from namesift.models import MODELS, TaskResources, map_documents
 
 from conftest import build_task, write_broken_task, write_mini_corpus
 
@@ -113,6 +112,17 @@ def test_grid_produces_one_report_per_cell(mini_corpus):
         ("score", "none"),
         ("score", "union"),
     }
+
+
+def classification_report(tasks, config, *, fingerprint):
+    """One configuration run alone over all tasks, each on fresh resources: report and assignments."""
+    per_task = {}
+    assignments = {}
+    for task in tasks:
+        assignments[task.name] = map_documents(task, config)
+        per_task[task.name] = evaluate_assignment(task, assignments[task.name])
+    report = EvalReport.build(model=config.model, noise=config.features.noise, per_task=per_task, config=fingerprint)
+    return report, assignments
 
 
 def test_grid_cell_equals_single_run(mini_corpus):
@@ -210,6 +220,9 @@ def test_task_clusterings_take_vectors_from_matching_resources_only(mini_corpus)
     other = FeatureConfig(idf_numerator="paper")
     with pytest.raises(ValueError, match="weighting options"):
         task_clusterings(tasks[0], "hac_complete", other, resources=shared)
+    for method in BASELINES:
+        with pytest.raises(ValueError, match="different task"):
+            task_clusterings(tasks[1], method, features, reps=3, resources=shared)
 
 
 def test_baseline_grid_builds_one_gram_per_task(mini_corpus, monkeypatch):

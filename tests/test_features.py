@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from namesift.corpus import NOISE_LABEL
@@ -21,6 +21,7 @@ from namesift.features import (
     l1_normalize,
     tfidf,
     union_noise,
+    _uniform,
     vectorize,
 )
 from namesift.models import TaskResources
@@ -345,6 +346,19 @@ def test_noise_vectors_are_uniform_and_sum_to_one():
             assert len(values) == 1
             assert sum(profile.vector.values()) == pytest.approx(1.0, abs=1e-12)
             assert list(profile.vector) == sorted(profile.vector)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ids=st.lists(st.integers(0, 50), max_size=40))
+@example(ids=[])
+@example(ids=[7, 3, 7, 0, 3, 3])
+def test_uniform_profile_keeps_each_feature_once_in_ascending_order(ids):
+    profile = _uniform(np.array(ids, dtype=np.int64), "union")
+    expected = sorted(set(ids))
+    assert list(profile.vector) == expected
+    assert all(type(fid) is int for fid in profile.vector)
+    assert all(weight == 1.0 / len(expected) for weight in profile.vector.values())
+    assert profile.kind == "union"
 
 
 def test_build_noise_profile_dispatch():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +150,59 @@ def test_dot_equals_the_all_classes_reference(sizes, width, classes, seed):
     expected = oracles.dot_ref(rows.indices, rows.offsets, weights, values)
     assert product.shape == expected.shape == (len(sizes), classes)
     assert product.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sizes=st.lists(st.integers(0, 20), max_size=6),
+    width=st.integers(0, 6),
+    classes=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(sizes=[], width=3, classes=2, seed=0)  # no documents
+@example(sizes=[0, 0], width=3, classes=2, seed=1)  # only empty documents
+@example(sizes=[], width=0, classes=1, seed=2)  # one class, zero features
+@example(sizes=[4, 0, 7], width=5, classes=1, seed=3)  # one class
+def test_smoothed_profile_equals_the_all_classes_bincount(sizes, width, classes, seed):
+    rng = np.random.default_rng(seed)
+    if width == 0:
+        sizes = [0] * len(sizes)
+    positions = sum(sizes)
+    tfidf = rng.standard_normal(positions) * (rng.random(positions) > 0.2)
+    rows = DocumentRows(
+        indices=rng.integers(0, max(width, 1), positions),
+        offsets=np.cumsum([0] + sizes),
+        tfidf=tfidf,
+        counts=np.abs(tfidf),
+    )
+    entities = rng.standard_normal((classes, width)) * (rng.random((classes, width)) > 0.3)
+    entities[rng.random(classes) < 0.25] = 0.0  # all-zero entity rows
+    profiles = smoothed_profile(entities, rows)
+    expected = oracles.smoothed_ref(entities, rows.indices, rows.offsets, rows.tfidf)
+    assert profiles.shape == expected.shape == (classes, width)
+    assert profiles.tobytes() == expected.tobytes()
+
+
+def test_smoothed_profile_allocates_less_than_one_classes_by_positions_array():
+    # Positions far outnumber features, as on real tasks: 16 classes over
+    # 1,000 features and 500 documents of 100 stored positions each.
+    rng = np.random.default_rng(0)
+    classes, width, docs, size = 16, 1_000, 500, 100
+    tfidf = rng.random(docs * size)
+    rows = DocumentRows(
+        indices=rng.integers(0, width, docs * size),
+        offsets=np.arange(docs + 1) * size,
+        tfidf=tfidf,
+        counts=tfidf,
+    )
+    entities = rng.random((classes, width))
+    tracemalloc.start()
+    try:
+        smoothed_profile(entities, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < classes * docs * size * 8
 
 
 def test_smoothed_profile_with_no_documents_is_l1_of_entity():
@@ -651,8 +705,22 @@ def test_resources_reject_mismatched_weighting_options():
     task = build_task({"e1": "a"}, {"d1": "b"})
     resources = TaskResources.from_task(task, FeatureConfig(idf_numerator="corpus"))
     config = ModelConfig(model="cosine", features=FeatureConfig(idf_numerator="paper"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="weighting options"):
         build_context(task, config, resources)
+
+
+def test_resources_reject_another_task():
+    # An equal task that is another object is refused too: resources belong to the instance they were built from.
+    task = build_task({"e1": "a"}, {"d1": "a", "d2": "b"})
+    other = build_task({"e1": "a"}, {"d1": "b", "d2": "a"})
+    resources = TaskResources.from_task(task, FeatureConfig())
+    config = ModelConfig(model="cosine")
+    for scored in (other, build_task({"e1": "a"}, {"d1": "a", "d2": "b"})):
+        with pytest.raises(ValueError, match="different task"):
+            build_context(scored, config, resources)
+        with pytest.raises(ValueError, match="different task"):
+            map_documents(scored, config, resources)
+    assert map_documents(task, config, resources).mapping == map_documents(task, config).mapping
 
 
 def test_noise_profiles_are_cached_per_semantics():
