@@ -21,7 +21,7 @@ from namesift import (
     smoothed_profile,
     vectorize,
 )
-from namesift.models import TaskResources
+from namesift.models import TaskResources, unit_rows
 
 
 def demo_task() -> Task:
@@ -88,10 +88,12 @@ def main() -> None:
     # part of d1's vocabulary into the profile, so documents that only
     # share d1's words still reach e1.
     # smoothed_profile takes every entity row at once (a dense entities x
-    # features matrix) against the task's sparse document rows.
+    # features matrix) against the task's sparse document rows, with the
+    # documents x entities cosines that the cosine model scores.
     config = FeatureConfig()
-    arrays = TaskResources.from_task(task, config).arrays()
-    expanded = smoothed_profile(arrays.entities, arrays.rows)
+    arrays = TaskResources.from_task(task, config).arrays
+    sims = arrays.rows.dot(unit_rows(arrays.entities), arrays.rows.unit())
+    expanded = smoothed_profile(arrays.entities, arrays.rows, sims)
     for token in ("jazz", "live", "assay"):
         fid = index.feature_id(token)
         raw = vectorize("e1", index, config).get(fid, 0.0)

@@ -43,6 +43,7 @@ from .models import LAPLACE_DENOMINATORS, MODELS
 
 __all__ = ["main"]
 
+_FORMATS = ("tsv", "json")
 _TRUTHY = ("1", "true", "yes", "on")
 _FALSY = ("0", "false", "no", "off")
 
@@ -161,6 +162,8 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
                 value = _cast(file_config[key], caster, key)
         if value is not None:
             settings[attr] = value
+    if settings["format"] not in _FORMATS:
+        raise _UsageError(f"format must be one of {', '.join(_FORMATS)}, got {settings['format']!r}")
     return settings
 
 
@@ -173,8 +176,18 @@ def _load_stopwords(settings: dict) -> frozenset[str] | None:
     return frozenset(words)
 
 
-def _safe_name(name: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._-]+", "_", name)
+def _task_stems(task_names, output: str, suffix: str) -> dict[str, Path]:
+    """Each task's output path less ``suffix``; two tasks that would share a file are refused.
+
+    A task's file name is its name with each run of characters outside ``A-Za-z0-9._-`` made one ``_``.
+    """
+    owners: dict[Path, str] = {}
+    for name in sorted(task_names):
+        stem = Path(output) / re.sub(r"[^A-Za-z0-9._-]+", "_", name)
+        if stem in owners:
+            raise _UsageError(f"tasks {owners[stem]!r} and {name!r} would both write {stem}{suffix}")
+        owners[stem] = name
+    return {name: stem for stem, name in owners.items()}
 
 
 def _write(path: Path, text: str) -> None:
@@ -287,13 +300,12 @@ def cmd_classify(args, settings) -> int:
         if floored:
             print(f"warning: {floored} probabilities were floored to stay positive", file=sys.stderr)
         if args.output:
-            outdir = Path(args.output)
-            for task_name in sorted(assignments):
+            for task_name, stem in _task_stems(assignments, args.output, ".assignment.tsv").items():
                 assignment = assignments[task_name]
-                _write(outdir / f"{_safe_name(task_name)}.assignment.tsv", assignment.to_tsv())
+                _write(Path(f"{stem}.assignment.tsv"), assignment.to_tsv())
                 if args.scores:
                     scores = json.dumps(assignment.scores_dict(), indent=2) + "\n"
-                    _write(outdir / f"{_safe_name(task_name)}.scores.json", scores)
+                    _write(Path(f"{stem}.scores.json"), scores)
         _emit_reports(result, settings, args.output, "report")
     return _exit_code(result)
 
@@ -313,13 +325,11 @@ def cmd_cluster(args, settings) -> int:
     _warn_skipped(result.skipped)
     if result.task_names:
         if args.output:
+            stems = _task_stems(result.clusterings[methods[0]], args.output, f".{methods[0]}.json")
             for method in methods:
                 for task_name, clusterings in result.clusterings[method].items():
                     payload = {"task": task_name, "method": method, "runs": [c.to_dict() for c in clusterings]}
-                    _write(
-                        Path(args.output) / f"{_safe_name(task_name)}.{method}.json",
-                        json.dumps(payload, indent=2) + "\n",
-                    )
+                    _write(Path(f"{stems[task_name]}.{method}.json"), json.dumps(payload, indent=2) + "\n")
         _emit_reports(result, settings, args.output, "clusters")
     return _exit_code(result)
 
@@ -387,7 +397,7 @@ def _add_config_flags(p: argparse.ArgumentParser, *, model_params: bool = True) 
         p.add_argument("--alpha", type=float, help="additive smoothing weight (Bernoulli NB)")
         p.add_argument("--lambda", type=float, dest="jm_lambda", help="background mixture weight (multinomial NB)")
         p.add_argument("--laplace-denominator", choices=LAPLACE_DENOMINATORS, dest="laplace_denominator")
-    p.add_argument("--format", choices=("tsv", "json"))
+    p.add_argument("--format", choices=_FORMATS)
     p.add_argument("--strip-html", action="store_const", const=True, dest="strip_html")
     p.add_argument("--stopwords", metavar="FILE", help="newline-separated stopword list")
     p.add_argument("--tasks", help="comma-separated task name filter")

@@ -171,7 +171,7 @@ def task_clusterings(
         return None
     if resources is None:
         resources = TaskResources.from_task(task, feature_config)
-    kept_gram = resources.kept_gram()
+    kept_gram = resources.kept_gram
     k = min(len(task.entities), len(kept))
     if method == "hac_complete":
         return [hac_complete(kept_gram, k)]

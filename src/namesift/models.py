@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -40,7 +40,6 @@ from .features import (
     FeatureConfig,
     FeatureIndex,
     FeatureVector,
-    NoiseProfile,
     build_index,
     build_noise_profile,
     vectorize,
@@ -173,19 +172,20 @@ class DocumentRows:
         return out.T
 
 
-def smoothed_profile(entities: np.ndarray, rows: DocumentRows) -> np.ndarray:
+def smoothed_profile(entities: np.ndarray, rows: DocumentRows, sims: np.ndarray) -> np.ndarray:
     """Entity profiles pulled toward documents by cosine-weighted mixing.
 
     Row e of the result starts from entity row e, L1-normalized, and adds,
     for every document, its L1-normalized tf-idf row scaled by the cosine
     between the raw entity and document rows.  Every document contributes,
-    including the one later being scored.
+    including the one later being scored.  ``sims`` holds those cosines,
+    documents x entities: ``rows.dot(unit_rows(entities), rows.unit())``,
+    which is the ``cosine`` model's entity product.
 
     One class row is pulled at a time: a weighted bincount over the stored
     positions adds each feature's pulls in position order, so the
     temporaries are one position long, not classes x positions.
     """
-    sims = rows.dot(unit_rows(entities), rows.unit())
     l1, sizes = rows.l1(), rows.sizes
     profiles = entities * _inverse(np.abs(entities).sum(axis=1))[:, None]
     for profile, column in zip(profiles, sims.T):
@@ -297,16 +297,16 @@ class TaskArrays:
 
 @dataclass(frozen=True)
 class ClassFit:
-    """Class rows ``W`` of one model setting and their product ``rows.dot(W, values)``.
+    """The product ``rows.dot(W, values)`` of one model setting's class rows ``W``.
 
     ``values`` are the document row values the product was taken with,
     ``masses`` the row sums of the weight rows the fit started from (the
     Naive Bayes priors pool them across classes), and ``floored`` the
-    count of clamped fit-time probabilities.  The arrays are read-only.
+    count of clamped fit-time probabilities.  The arrays are read-only;
+    ``W`` itself is not kept.
     """
 
     values: np.ndarray
-    W: np.ndarray
     product: np.ndarray
     masses: np.ndarray
     floored: int
@@ -338,8 +338,8 @@ def _fit(config: ModelConfig, arrays: TaskArrays, profiles: np.ndarray, ml: np.n
         floored = int(clamped.sum(axis=0)[arrays.rows.indices].sum())
     else:
         W = profiles
-    fit = ClassFit(values, W, arrays.rows.dot(W, values), profiles.sum(axis=1), floored)
-    for array in (fit.values, fit.W, fit.product, fit.masses):
+    fit = ClassFit(values, arrays.rows.dot(W, values), profiles.sum(axis=1), floored)
+    for array in (fit.values, fit.product, fit.masses):
         array.flags.writeable = False
     return fit
 
@@ -353,12 +353,12 @@ class TaskResources:
     grid can reuse one instance per task.  Built on first use and
     read-only once built:
 
-    * the scoring arrays and the smoothed entity profiles;
-    * per (noise, intersection semantics): the noise profile and its dense
-      row;
+    * the scoring arrays;
+    * per (noise, intersection semantics): the dense noise row;
     * per model setting (model, ``alpha``, ``jm_lambda``,
       ``laplace_denominator``): the `ClassFit` of the entity rows, which
-      holds the document values and their product with the rows;
+      holds the document values and their product with the rows; the
+      ``score_smoothed`` fit smooths with the ``cosine`` fit's product;
     * per model setting, noise and intersection semantics: the `ClassFit`
       of the one noise row (no row when noise is off);
     * the Gram matrix of the clustered documents.
@@ -369,11 +369,8 @@ class TaskResources:
     idf_numerator: str
     log_base: str
     doc_vectors: dict[str, FeatureVector]
-    _noise: dict[tuple[str, str], tuple[NoiseProfile | None, np.ndarray]] = field(default_factory=dict)
-    _fits: dict[tuple, ClassFit] = field(default_factory=dict)
-    _arrays: TaskArrays | None = None
-    _smoothed: np.ndarray | None = None
-    _gram: Gram | None = None
+    _noise: dict[tuple[str, str], np.ndarray] = field(init=False, default_factory=dict)
+    _fits: dict[tuple, ClassFit] = field(init=False, default_factory=dict)
 
     @classmethod
     def from_task(cls, task: Task, config: FeatureConfig) -> "TaskResources":
@@ -393,7 +390,8 @@ class TaskResources:
         if (config.idf_numerator, config.log_base) != (self.idf_numerator, self.log_base):
             raise ValueError("resources were built with different weighting options")
 
-    def _noise_entry(self, config: FeatureConfig) -> tuple[NoiseProfile | None, np.ndarray]:
+    def noise_rows(self, config: FeatureConfig) -> np.ndarray:
+        """The noise profile as a dense row, 1 x F; 0 x F when noise is off."""
         key = (config.noise, config.intersection_semantics)
         if key not in self._noise:
             profile = build_noise_profile(self.index, config)
@@ -402,36 +400,24 @@ class TaskResources:
                 ids = np.fromiter(profile.vector, dtype=np.int64, count=len(profile.vector))
                 row[0, ids] = np.fromiter(profile.vector.values(), dtype=float, count=len(ids))
             row.flags.writeable = False
-            self._noise[key] = (profile, row)
+            self._noise[key] = row
         return self._noise[key]
 
-    def noise_profile(self, config: FeatureConfig) -> NoiseProfile | None:
-        return self._noise_entry(config)[0]
-
-    def noise_rows(self, config: FeatureConfig) -> np.ndarray:
-        """The noise profile as a dense row, 1 x F; 0 x F when noise is off."""
-        return self._noise_entry(config)[1]
-
+    @cached_property
     def arrays(self) -> TaskArrays:
-        if self._arrays is None:
-            self._arrays = TaskArrays.build(self)
-        return self._arrays
-
-    def smoothed_profiles(self) -> np.ndarray:
-        if self._smoothed is None:
-            arrays = self.arrays()
-            self._smoothed = smoothed_profile(arrays.entities, arrays.rows)
-            self._smoothed.flags.writeable = False
-        return self._smoothed
+        return TaskArrays.build(self)
 
     def fits(self, config: ModelConfig) -> tuple[ClassFit, ClassFit]:
         """The entity-row and noise-row `ClassFit` of ``config``."""
         setting = (config.model, config.alpha, config.jm_lambda, config.laplace_denominator)
         noise_key = setting + (config.features.noise, config.features.intersection_semantics)
-        arrays = self.arrays()
+        arrays = self.arrays
         if setting not in self._fits:
-            # The noise row is never smoothed; the entity rows are.
-            profiles = self.smoothed_profiles() if config.model == SCORE_SMOOTHED else arrays.entities
+            profiles = arrays.entities
+            if config.model == SCORE_SMOOTHED:
+                # The pulls are the cosine entity product; the noise row is never smoothed.
+                sims = self.fits(replace(config, model=COSINE))[0].product
+                profiles = smoothed_profile(profiles, arrays.rows, sims)
             values = _document_values(config.model, arrays.rows)
             self._fits[setting] = _fit(config, arrays, profiles, arrays.ml, values)
         entity = self._fits[setting]
@@ -442,13 +428,13 @@ class TaskResources:
             self._fits[noise_key] = _fit(config, arrays, noise_rows, noise_rows, entity.values)
         return entity, self._fits[noise_key]
 
+    @cached_property
     def kept_gram(self) -> Gram:
         """The `gram` of the documents `clustering_eval_filter` keeps."""
-        if self._gram is None:
-            kept = clustering_eval_filter(self.task)
-            self._gram = gram({doc_id: self.doc_vectors[doc_id] for doc_id in kept})
-            self._gram.matrix.flags.writeable = False
-        return self._gram
+        kept = clustering_eval_filter(self.task)
+        shared = gram({doc_id: self.doc_vectors[doc_id] for doc_id in kept})
+        shared.matrix.flags.writeable = False
+        return shared
 
 
 @dataclass(frozen=True)
@@ -459,8 +445,7 @@ class ScoringContext:
     ``doc_ids`` and one column per class in ``class_ids``, so document i
     scores ``product[i] + b``; ``floored`` counts the probabilities clamped
     on the way.  `build_context` joins ``product`` from the entity and
-    noise `ClassFit` cached in `TaskResources`, which keep ``W`` and the
-    document row values.
+    noise `ClassFit` cached in `TaskResources`.
     """
 
     config: ModelConfig

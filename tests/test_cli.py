@@ -18,7 +18,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import namesift.cli
@@ -209,6 +209,65 @@ def test_assignment_tsv_keeps_one_row_per_document_whatever_its_class(tmp_path, 
         assert [row.split("\t")[:2] for row in rows] == [
             ["doc_id", "assigned"], ["d1", "e\\t1"], ["d2", "e2"], ["d3", "e\\t1"]
         ]
+
+
+# Task name pieces: runs of characters a file name keeps, and runs it replaces by one "_".
+_KEPT = st.text("Aaz09._-", min_size=1, max_size=3)
+_REPLACED = st.text(" \t/\u00e9\u00e8\u2028!", min_size=1, max_size=2)
+
+
+@st.composite
+def _task_name_pairs(draw):
+    """Two distinct task names; about half differ only inside their replaced runs."""
+    pieces = draw(st.lists(st.tuples(_KEPT, _REPLACED), min_size=1, max_size=3))
+    first = "".join(kept + replaced for kept, replaced in pieces)
+    if draw(st.booleans()):
+        second = "".join(kept + draw(_REPLACED | st.just("_")) for kept, _ in pieces)
+    else:
+        second = draw(st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=6))
+    assume(first != second)
+    return first, second
+
+
+def _file_name(task_name: str) -> str:
+    return re.sub(r"[^A-Za-z0-9._-]+", "_", task_name)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(names=_task_name_pairs())
+@example(names=("john porter", "john_porter"))
+@example(names=("Jos\u00e9", "Jos\u00e8"))
+@example(names=("john porter", "mary reilly"))
+def test_tasks_sharing_an_output_file_are_refused_before_any_write(clean_env, names):
+    collide = _file_name(names[0]) == _file_name(names[1])
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "corpus"
+        for i, name in enumerate(names):
+            task = build_task({"e1": "jazz album", "e2": "enzyme cell"}, {"d1": "jazz", "d2": "cell"},
+                              gold={"d1": "e1", "d2": "e2"}, name=name)
+            write_task(task, root / f"t{i}")
+        for argv, suffix in (
+            (["classify", str(root), "--model", "score", "--scores"], ".assignment.tsv"),
+            (["cluster", str(root), "--reps", "1"], ".hac_complete.json"),
+        ):
+            outdir = Path(tmp) / argv[0]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv + ["--output", str(outdir)])
+            if collide:
+                assert code == 1
+                assert err.getvalue().startswith("usage error: tasks ")
+                assert all(repr(name) in err.getvalue() for name in names)
+                assert str(outdir / (_file_name(names[0]) + suffix)) in err.getvalue()
+                assert list(outdir.iterdir()) == []
+            else:
+                assert code == 0, err.getvalue()
+                for name in names:
+                    assert (outdir / (_file_name(name) + suffix)).exists()
+                if argv[0] == "cluster":
+                    for name in names:
+                        payload = json.loads((outdir / f"{_file_name(name)}.kmeans.json").read_text(encoding="utf-8"))
+                        assert payload["task"] == name
 
 
 def test_validate_empty_root_exits_two(tmp_path, clean_env, capsys):
@@ -597,6 +656,7 @@ def test_built_in_defaults_are_the_run_spec_defaults(mini_corpus, clean_env, cap
         ("--model", MODELS),
         ("--noise", NOISE_MODES),
         ("--method", (*BASELINES, "both")),
+        ("--format", ("tsv", "json")),
     ],
 )
 def test_flag_choices_are_the_library_values(flag, values):
@@ -605,6 +665,34 @@ def test_flag_choices_are_the_library_values(flag, values):
     assert actions
     for action in actions:
         assert tuple(action.choices) == values
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    value=st.sampled_from(["tsv", "json", "jsno", "xml", "TSV", " json"])
+    | st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x00"), max_size=5),
+    source=st.sampled_from(["environment", "config"]),
+)
+def test_format_from_environment_or_config_must_be_a_flag_choice(mini_corpus, clean_env, value, source):
+    clean_env.delenv("NAMESIFT_FORMAT", raising=False)
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["validate", str(mini_corpus)]
+        if source == "environment":
+            clean_env.setenv("NAMESIFT_FORMAT", value)
+        else:
+            config = Path(tmp) / "conf.json"
+            config.write_text(json.dumps({"format": value}), encoding="utf-8")
+            argv += ["--config", str(config)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    if value in namesift.cli._FORMATS:
+        assert code == 0
+        assert out.getvalue().startswith("{" if value == "json" else "directory\t")
+    else:
+        assert code == 1
+        assert err.getvalue() == f"usage error: format must be one of tsv, json, got {value!r}\n"
+        assert out.getvalue() == ""
 
 
 def test_environment_supplies_model(mini_corpus, clean_env, capsys):

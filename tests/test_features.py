@@ -209,7 +209,7 @@ def test_index_matches_scalar_reference_bit_for_bit(documents, entities, numerat
 
     # The scoring arrays hold the same weights: document rows in
     # first-occurrence order (zeros kept), entity rows dense.
-    arrays = TaskResources.from_task(task, config).arrays()
+    arrays = TaskResources.from_task(task, config).arrays
     doc_pairs = [pair for did in index.document_ids for pair in ref["counts"][did]]
     assert arrays.rows.indices.tolist() == [fid for fid, _ in doc_pairs]
     assert arrays.rows.tfidf.tolist() == [

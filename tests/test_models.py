@@ -12,10 +12,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from namesift.corpus import NOISE_LABEL, GoldAlignment, ResultDocument, Task
-from namesift.features import NOISE_MODES, ConfigError, FeatureConfig, build_index, l1_normalize
+from namesift import models
+from namesift.features import (
+    INTERSECTION_SEMANTICS,
+    NOISE_MODES,
+    ConfigError,
+    FeatureConfig,
+    build_index,
+    build_noise_profile,
+    l1_normalize,
+)
 from namesift.models import (
     LAPLACE_DENOMINATORS,
     MODELS,
+    ClassFit,
     DocumentRows,
     ModelConfig,
     TaskResources,
@@ -99,6 +109,11 @@ def dot_score(u, v):
     return float(rows.dot(_dense(v), rows.tfidf)[0, 0])
 
 
+def _smoothed(entities, rows):
+    """`smoothed_profile` given the cosine product, as a fit gives it."""
+    return smoothed_profile(entities, rows, rows.dot(unit_rows(entities), rows.unit()))
+
+
 def cosine_sim(u, v):
     """Cosine of sparse ``u`` and ``v`` through the cosine model's rows and class matrix."""
     rows = _rows(u)
@@ -177,7 +192,7 @@ def test_smoothed_profile_equals_the_all_classes_bincount(sizes, width, classes,
     )
     entities = rng.standard_normal((classes, width)) * (rng.random((classes, width)) > 0.3)
     entities[rng.random(classes) < 0.25] = 0.0  # all-zero entity rows
-    profiles = smoothed_profile(entities, rows)
+    profiles = smoothed_profile(entities, rows, rows.dot(unit_rows(entities), rows.unit()))
     expected = oracles.smoothed_ref(entities, rows.indices, rows.offsets, rows.tfidf)
     assert profiles.shape == expected.shape == (classes, width)
     assert profiles.tobytes() == expected.tobytes()
@@ -198,7 +213,7 @@ def test_smoothed_profile_allocates_less_than_one_classes_by_positions_array():
     entities = rng.random((classes, width))
     tracemalloc.start()
     try:
-        smoothed_profile(entities, rows)
+        _smoothed(entities, rows)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -207,17 +222,17 @@ def test_smoothed_profile_allocates_less_than_one_classes_by_positions_array():
 
 def test_smoothed_profile_with_no_documents_is_l1_of_entity():
     entity = {1: 2.0, 2: 6.0}
-    assert np.array_equal(smoothed_profile(_dense(entity), _rows()), _dense(l1_normalize(entity)))
+    assert np.array_equal(_smoothed(_dense(entity), _rows()), _dense(l1_normalize(entity)))
 
 
 def test_smoothed_profile_ignores_orthogonal_documents():
     entity = {1: 1.0}
-    assert np.array_equal(smoothed_profile(_dense(entity), _rows({2: 4.0})), _dense(l1_normalize(entity)))
+    assert np.array_equal(_smoothed(_dense(entity), _rows({2: 4.0})), _dense(l1_normalize(entity)))
 
 
 def test_smoothed_profile_works_on_all_entity_rows_at_once():
     entities = _dense({1: 1.0}, {2: 3.0}, {})
-    profiles = smoothed_profile(entities, _rows({1: 1.0, 2: 1.0}))
+    profiles = _smoothed(entities, _rows({1: 1.0, 2: 1.0}))
     pull = 0.5 / math.sqrt(2)
     assert profiles[0, 1:3] == pytest.approx([1.0 + pull, pull], abs=1e-12)
     assert profiles[1, 1:3] == pytest.approx([pull, 1.0 + pull], abs=1e-12)
@@ -229,7 +244,7 @@ def test_smoothed_profile_worked_example():
     # cos(e, d) = 1/sqrt(2); the document mixes in at half weight per feature.
     entity = {1: 1.0}
     doc = {1: 1.0, 2: 1.0}
-    profile = dict(enumerate(smoothed_profile(_dense(entity), _rows(doc))[0]))
+    profile = dict(enumerate(_smoothed(_dense(entity), _rows(doc))[0]))
     pull = 0.5 / math.sqrt(2)
     assert profile[1] == pytest.approx(1.0 + pull, abs=1e-12)
     assert profile[2] == pytest.approx(pull, abs=1e-12)
@@ -237,7 +252,7 @@ def test_smoothed_profile_worked_example():
 
 
 def test_smoothed_score_composition_example():
-    profile = dict(enumerate(smoothed_profile(_dense({1: 1.0}), _rows({1: 1.0, 2: 1.0}))[0]))
+    profile = dict(enumerate(_smoothed(_dense({1: 1.0}), _rows({1: 1.0, 2: 1.0}))[0]))
     query = {1: math.log(2.0) / 2.0}  # w(1, d) = 0.3466, w(2, d) = 0
     exact = (1.0 + 0.5 / math.sqrt(2)) * (math.log(2.0) / 2.0)
     assert dot_score(query, profile) == pytest.approx(exact, abs=1e-12)
@@ -250,7 +265,7 @@ def test_smoothed_score_with_empty_corpus_equals_plain_score_on_l1():
     for _ in range(20):
         entity = {int(f): float(w) for f, w in enumerate(rng.uniform(0.1, 2.0, size=4))}
         query = {int(f): float(w) for f, w in enumerate(rng.uniform(0.0, 2.0, size=6))}
-        smoothed = dict(enumerate(smoothed_profile(_dense(entity), _rows())[0]))
+        smoothed = dict(enumerate(_smoothed(_dense(entity), _rows())[0]))
         assert dot_score(query, smoothed) == pytest.approx(
             dot_score(query, l1_normalize(entity)), abs=1e-12
         )
@@ -286,8 +301,23 @@ def test_context_smooths_entities_but_not_noise():
     entity, noise = resources.fits(config)
     raw_entity, raw_noise = resources.fits(dataclasses.replace(config, model="score"))
     # The noise profile is used as-is, never pulled toward documents.
-    assert np.array_equal(noise.W[-1], raw_noise.W[-1])
-    assert not np.array_equal(entity.W[0], raw_entity.W[0])
+    assert noise.product.tobytes() == raw_noise.product.tobytes()
+    assert not np.array_equal(entity.product[:, 0], raw_entity.product[:, 0])
+    rows = resources.arrays.rows
+    assert entity.product.tobytes() == rows.dot(_smoothed(resources.arrays.entities, rows), rows.tfidf).tobytes()
+
+
+def test_score_smoothed_reuses_the_cosine_entity_product(monkeypatch):
+    task = build_task({"e1": "a b", "e2": "c d"}, {"d1": "a b x", "d2": "c y"})
+    resources = TaskResources.from_task(task, FeatureConfig())
+    cosine, _ = resources.fits(ModelConfig(model="cosine"))
+    sims, dots = [], []
+    smooth, dot = models.smoothed_profile, DocumentRows.dot
+    monkeypatch.setattr(models, "smoothed_profile", lambda *args: sims.append(args[-1]) or smooth(*args))
+    monkeypatch.setattr(DocumentRows, "dot", lambda rows, *args: dots.append(args) or dot(rows, *args))
+    resources.fits(ModelConfig(model="score_smoothed"))
+    assert len(sims) == 1 and sims[0] is cosine.product
+    assert len(dots) == 2  # the smoothed entity rows and the noise row, but no second cosine product
 
 
 # ---------------------------------------------------------------------------
@@ -571,8 +601,13 @@ def test_scaling_document_vectors_preserves_vector_model_argmax(task, factor):
         resources = TaskResources.from_task(task, config.features)
         ctx = build_context(task, config, resources)
         baseline = assign_from_context(ctx)
-        entity, noise = resources.fits(config)
-        product = resources.arrays().rows.dot(np.vstack([entity.W, noise.W]), factor * entity.values)
+        arrays, (entity, _) = resources.arrays, resources.fits(config)
+        entities = _smoothed(arrays.entities, arrays.rows) if model == "score_smoothed" else arrays.entities
+        W = np.vstack([entities, resources.noise_rows(config.features)])
+        if model == "cosine":
+            W = unit_rows(W)
+        assert arrays.rows.dot(W, entity.values).tobytes() == ctx.product.tobytes()
+        product = arrays.rows.dot(W, factor * entity.values)
         rescored = assign_from_context(dataclasses.replace(ctx, product=product))
         for doc_id, row in baseline.scores.items():
             assert rescored.scores[doc_id] == pytest.approx({c: factor * s for c, s in row.items()}, rel=1e-12)
@@ -723,13 +758,25 @@ def test_resources_reject_another_task():
     assert map_documents(task, config, resources).mapping == map_documents(task, config).mapping
 
 
-def test_noise_profiles_are_cached_per_semantics():
+def test_resources_are_built_from_their_inputs_alone():
+    init = [f.name for f in dataclasses.fields(TaskResources) if f.init]
+    assert init == ["task", "index", "idf_numerator", "log_base", "doc_vectors"]
+    assert [f.name for f in dataclasses.fields(ClassFit)] == ["values", "product", "masses", "floored"]
+
+
+def test_noise_rows_are_cached_per_semantics():
     task = build_task({"e1": "a b", "e2": "b c"}, {"d1": "b"})
     resources = TaskResources.from_task(task, FeatureConfig())
-    first = resources.noise_profile(FeatureConfig(noise="union"))
-    second = resources.noise_profile(FeatureConfig(noise="union"))
-    assert first is second
-    assert resources.noise_profile(FeatureConfig(noise="none")) is None
+    for noise in ("union", "intersection"):
+        for semantics in INTERSECTION_SEMANTICS:
+            config = FeatureConfig(noise=noise, intersection_semantics=semantics)
+            row = resources.noise_rows(config)
+            assert row is resources.noise_rows(config)
+            vector = build_noise_profile(resources.index, config).vector
+            assert {int(f): row[0, f] for f in np.flatnonzero(row[0])} == vector
+    exists, forall = (FeatureConfig(noise="intersection", intersection_semantics=s) for s in ("exists", "forall"))
+    assert resources.noise_rows(exists) is not resources.noise_rows(forall)
+    assert resources.noise_rows(FeatureConfig(noise="none")).shape == (0, resources.index.feature_count)
 
 
 def test_noise_rows_and_gram_are_cached_read_only():
@@ -742,17 +789,17 @@ def test_noise_rows_and_gram_are_cached_read_only():
     union = FeatureConfig(noise="union")
     row = resources.noise_rows(union)
     assert row is resources.noise_rows(union)
-    profile = resources.noise_profile(union)
+    profile = build_noise_profile(resources.index, union)
     assert row.shape == (1, resources.index.feature_count)
     assert {int(f): row[0, f] for f in np.flatnonzero(row[0])} == profile.vector
     assert resources.noise_rows(FeatureConfig(noise="none")).shape == (0, resources.index.feature_count)
-    gram = resources.kept_gram()
-    assert gram is resources.kept_gram()
+    gram = resources.kept_gram
+    assert gram is resources.kept_gram
     assert gram.ids == ("d1", "d3")
-    arrays = resources.arrays()
-    assert arrays is resources.arrays()
-    smoothed = resources.smoothed_profiles()
-    assert smoothed is resources.smoothed_profiles()
+    arrays = resources.arrays
+    assert arrays is resources.arrays
+    smoothed = resources.fits(ModelConfig(model="score_smoothed"))[0].product
+    assert smoothed is resources.fits(ModelConfig(model="score_smoothed"))[0].product
     for array in (row, gram.matrix, arrays.entities, arrays.ml, arrays.background[None, :], smoothed):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
