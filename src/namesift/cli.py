@@ -176,16 +176,17 @@ def _load_stopwords(settings: dict) -> frozenset[str] | None:
     return frozenset(words)
 
 
-def _task_stems(task_names, output: str, suffix: str) -> dict[str, Path]:
-    """Each task's output path less ``suffix``; two tasks that would share a file are refused.
+def _task_stems(task_names, output: str, suffix: str) -> dict[str, str]:
+    """Each task's file name less ``suffix``; two tasks that would share a file are refused.
 
-    A task's file name is its name with each run of characters outside ``A-Za-z0-9._-`` made one ``_``.
+    A task's file name is its name with each run of characters outside ``A-Za-z0-9._-`` made one ``_``;
+    callers join it to ``output`` with its suffix, so a task named ``.`` or ``..`` writes inside it too.
     """
-    owners: dict[Path, str] = {}
+    owners: dict[str, str] = {}
     for name in sorted(task_names):
-        stem = Path(output) / re.sub(r"[^A-Za-z0-9._-]+", "_", name)
+        stem = re.sub(r"[^A-Za-z0-9._-]+", "_", name)
         if stem in owners:
-            raise _UsageError(f"tasks {owners[stem]!r} and {name!r} would both write {stem}{suffix}")
+            raise _UsageError(f"tasks {owners[stem]!r} and {name!r} would both write {Path(output, stem + suffix)}")
         owners[stem] = name
     return {name: stem for stem, name in owners.items()}
 
@@ -302,10 +303,10 @@ def cmd_classify(args, settings) -> int:
         if args.output:
             for task_name, stem in _task_stems(assignments, args.output, ".assignment.tsv").items():
                 assignment = assignments[task_name]
-                _write(Path(f"{stem}.assignment.tsv"), assignment.to_tsv())
+                _write(Path(args.output, f"{stem}.assignment.tsv"), assignment.to_tsv())
                 if args.scores:
                     scores = json.dumps(assignment.scores_dict(), indent=2) + "\n"
-                    _write(Path(f"{stem}.scores.json"), scores)
+                    _write(Path(args.output, f"{stem}.scores.json"), scores)
         _emit_reports(result, settings, args.output, "report")
     return _exit_code(result)
 
@@ -329,7 +330,7 @@ def cmd_cluster(args, settings) -> int:
             for method in methods:
                 for task_name, clusterings in result.clusterings[method].items():
                     payload = {"task": task_name, "method": method, "runs": [c.to_dict() for c in clusterings]}
-                    _write(Path(f"{stems[task_name]}.{method}.json"), json.dumps(payload, indent=2) + "\n")
+                    _write(Path(args.output, f"{stems[task_name]}.{method}.json"), json.dumps(payload, indent=2) + "\n")
         _emit_reports(result, settings, args.output, "clusters")
     return _exit_code(result)
 
@@ -458,7 +459,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if getattr(args, "output", None) == "":
             raise _UsageError("--output must name a path, not an empty string")
-        settings = _resolve_settings(args)
+        # report reads no setting, so a stale NAMESIFT_* value cannot fail it.
+        settings = {} if args.handler is cmd_report else _resolve_settings(args)
         return args.handler(args, settings)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

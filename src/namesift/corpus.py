@@ -28,7 +28,7 @@ import json
 import os
 import re
 from collections import Counter
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Collection, Iterable
 
@@ -105,33 +105,43 @@ def strip_html(text: str) -> str:
 
 @dataclass
 class EntityProfile:
-    """Knowledge-base description of one candidate person."""
+    """Knowledge-base description of one candidate person.
+
+    ``tokens`` is ``tokenize(text, stopwords)``, derived on each access from
+    the text and a frozen copy of the stopwords given at construction.
+    """
 
     id: str
     title: str
     text: str
-    stopwords: InitVar[Collection[str] | None] = None
-    tokens: tuple[str, ...] = field(init=False)
+    stopwords: Collection[str] | None = field(default=None, repr=False)
 
-    def __post_init__(self, stopwords: Collection[str] | None) -> None:
-        self.tokens = tuple(tokenize(self.text, stopwords))
+    def __post_init__(self) -> None:
+        self.stopwords = frozenset(self.stopwords) if self.stopwords else None
+
+    @property
+    def tokens(self) -> tuple[str, ...]:
+        return tuple(tokenize(self.text, self.stopwords))
 
 
 @dataclass
 class ResultDocument:
-    """One web search result retrieved for the ambiguous name."""
+    """One web search result retrieved for the ambiguous name; its ``tokens`` are derived as a profile's are."""
 
     id: str
     url: str
     rank: int
     text: str
-    stopwords: InitVar[Collection[str] | None] = None
-    tokens: tuple[str, ...] = field(init=False)
+    stopwords: Collection[str] | None = field(default=None, repr=False)
 
-    def __post_init__(self, stopwords: Collection[str] | None) -> None:
+    def __post_init__(self) -> None:
         if not isinstance(self.rank, int) or isinstance(self.rank, bool) or self.rank < 1:
             raise CorpusIntegrityError(f"document {self.id!r}: rank must be a positive integer, got {self.rank!r}")
-        self.tokens = tuple(tokenize(self.text, stopwords))
+        self.stopwords = frozenset(self.stopwords) if self.stopwords else None
+
+    @property
+    def tokens(self) -> tuple[str, ...]:
+        return tuple(tokenize(self.text, self.stopwords))
 
 
 @dataclass
@@ -287,15 +297,17 @@ def load_task(
 
     Args:
         path: task directory containing ``task.json`` and ``gold.tsv``.
-        strip_markup: apply :func:`strip_html` to every body before
-            tokenization (for corpora stored as raw HTML).
-        stopwords: optional token blacklist applied during tokenization.
+        strip_markup: apply :func:`strip_html` to every body as it is read
+            (for corpora stored as raw HTML).
+        stopwords: optional token blacklist; every element keeps one shared
+            frozen copy and applies it when its ``tokens`` are derived.
 
     Raises:
         CorpusFormatError: missing or malformed files.
         CorpusIntegrityError: parseable but inconsistent task.
     """
     path = Path(path)
+    stopwords = frozenset(stopwords) if stopwords else None
     manifest_path = path / "task.json"
     if not manifest_path.is_file():
         raise CorpusFormatError(f"{path}: no task.json manifest")
@@ -362,10 +374,10 @@ def write_task(task: Task, path: str | Path) -> Path:
     """Serialize ``task`` into a directory readable by :func:`load_task`.
 
     Bodies are written verbatim, so a write/load round trip reproduces the
-    task exactly (under default tokenization).  A task the format cannot
-    carry (an empty name, a document id or gold label that would not read
-    back as its own gold.tsv row, or text UTF-8 cannot encode) raises
-    :class:`CorpusFormatError` before anything is written.
+    task exactly (loaded with the stopwords its elements hold).  A task the
+    format cannot carry (an empty name, a document id or gold label that
+    would not read back as its own gold.tsv row, or text UTF-8 cannot
+    encode) raises :class:`CorpusFormatError` before anything is written.
     """
     if not task.name:
         raise CorpusFormatError("task name must be a non-empty string")

@@ -193,27 +193,32 @@ def build_index(task: Task) -> FeatureIndex:
 
     Feature ids are assigned in first-occurrence order, scanning documents
     in task order and then entities in task order, so indexing is
-    deterministic.
+    deterministic.  Each element's counts become its feature-id and count
+    arrays before the next element is tokenized.
     """
-    element_counts = [term_frequencies(d.tokens) for d in task.documents]
-    element_counts += [term_frequencies(e.tokens) for e in task.entities]
-    offsets = np.zeros(len(element_counts) + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, element_counts), dtype=np.int64, count=len(element_counts)), out=offsets[1:])
-    size = int(offsets[-1])
     # Looking up a token the defaultdict has not seen gives it the next id,
     # so ids follow first occurrence in one pass over the (element, token)
     # stream.  Without its factory it then raises KeyError like a dict.
     ids: defaultdict[str, int] = defaultdict(count().__next__)
-    features = np.fromiter(map(ids.__getitem__, chain.from_iterable(element_counts)), dtype=np.int64, count=size)
+    features, counts, sizes = [np.empty(0, dtype=np.int64)], [np.empty(0)], [0]
+    for element in chain(task.documents, task.entities):
+        frequencies = term_frequencies(element.tokens)
+        sizes.append(len(frequencies))
+        features.append(np.fromiter(map(ids.__getitem__, frequencies), dtype=np.int64, count=sizes[-1]))
+        counts.append(np.fromiter(frequencies.values(), dtype=float, count=sizes[-1]))
     ids.default_factory = None
+    # The empty first arrays keep a task without elements joinable, and each
+    # join drops its per-element arrays before the next join starts.
+    features = np.concatenate(features)
+    counts = np.concatenate(counts)
     return FeatureIndex(
         tokens=list(ids),
         ids=ids,
         document_ids=[d.id for d in task.documents],
         entity_ids=[e.id for e in task.entities],
         features=features,
-        counts=np.fromiter(chain.from_iterable(c.values() for c in element_counts), dtype=float, count=size),
-        offsets=offsets,
+        counts=counts,
+        offsets=np.cumsum(sizes, dtype=np.int64),
         df=np.bincount(features, minlength=len(ids)),
     )
 

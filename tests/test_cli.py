@@ -238,6 +238,8 @@ def _file_name(task_name: str) -> str:
 @example(names=("john porter", "john_porter"))
 @example(names=("Jos\u00e9", "Jos\u00e8"))
 @example(names=("john porter", "mary reilly"))
+@example(names=("0\u00e8", "."))
+@example(names=("..", "a"))
 def test_tasks_sharing_an_output_file_are_refused_before_any_write(clean_env, names):
     collide = _file_name(names[0]) == _file_name(names[1])
     with tempfile.TemporaryDirectory() as tmp:
@@ -268,6 +270,8 @@ def test_tasks_sharing_an_output_file_are_refused_before_any_write(clean_env, na
                     for name in names:
                         payload = json.loads((outdir / f"{_file_name(name)}.kmeans.json").read_text(encoding="utf-8"))
                         assert payload["task"] == name
+        # Every file lands inside its --output directory, whatever the task's name.
+        assert sorted(path.name for path in Path(tmp).iterdir()) == ["classify", "cluster", "corpus"]
 
 
 def test_validate_empty_root_exits_two(tmp_path, clean_env, capsys):
@@ -518,6 +522,63 @@ def test_report_never_raises_on_generated_grid_files(grid, metric):
         assert out.getvalue().startswith("model\t")
     out.getvalue().encode("utf-8")
     err.getvalue().encode("utf-8")
+
+
+_GRID_JSON = {
+    "reports": [
+        {"model": "cosine", "noise": "none", "per_task": {"t": {"f1_bar": 0.5}}, "aggregate": {"f1_bar": 0.5}},
+        {"model": "kmeans", "noise": "", "per_task": {}, "aggregate": {"f1_bar": 0.25, "nmi": None}},
+    ]
+}
+# Setting names from the settings table and others; any value an environment can hold.
+_ENV_NAMES = st.sampled_from([key.upper() for key, _ in namesift.cli._SETTINGS.values()]) | st.text(
+    "ABJOSX_", min_size=1, max_size=6
+)
+_ENV_VALUES = st.sampled_from(["x", "", "xml", "1.5", "-1", "maybe", "all"]) | st.text(
+    st.characters(exclude_categories=("Cs",), exclude_characters="\x00"), max_size=5
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(environment=st.dictionaries(_ENV_NAMES, _ENV_VALUES, min_size=1, max_size=4))
+@example(environment={"ALPHA": "x"})
+@example(environment={"FORMAT": "xml", "REPS": "1.5", "STRIP_HTML": "maybe", "STOPWORDS": "/no/such/file"})
+def test_report_reads_no_setting(environment):
+    """NAMESIFT_* values, good or bad, leave report's output and exit code as in a clean environment."""
+    with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as mp:
+        path = Path(root) / "grid.json"
+        path.write_text(json.dumps(_GRID_JSON), encoding="utf-8")
+        for key in [key for key in os.environ if key.startswith("NAMESIFT_")]:
+            mp.delenv(key)
+        runs = []
+        for variables in ({}, environment):
+            for key, value in variables.items():
+                mp.setenv(f"NAMESIFT_{key}", value)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                runs.append((main(["report", str(path)]), out.getvalue(), err.getvalue()))
+    assert runs[0][0] == 0 and runs[0][1].startswith("model\t")
+    assert runs[1] == runs[0]
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("ALPHA", "x", "alpha expects a number, got 'x'"),
+        ("REPS", "1.5", "reps expects an integer, got '1.5'"),
+        ("STRIP_HTML", "maybe", "strip_html must be a boolean, got 'maybe'"),
+        ("FORMAT", "xml", "format must be one of tsv, json, got 'xml'"),
+    ],
+)
+def test_a_bad_setting_fails_grid_but_not_report(mini_corpus, clean_env, tmp_path, capsys, key, value, message):
+    outdir = tmp_path / "g"
+    assert main(["grid", str(mini_corpus), "--models", "cosine", "--noise-modes", "none", "--output", str(outdir)]) == 0
+    capsys.readouterr()
+    clean_env.setenv(f"NAMESIFT_{key}", value)
+    assert main(["report", str(outdir / "grid.json")]) == 0
+    assert capsys.readouterr().out == (outdir / "pivot.tsv").read_text(encoding="utf-8")
+    assert main(["grid", str(mini_corpus)]) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
 _TSV_UNESCAPES = {"\\": "\\", "t": "\t", "r": "\r", "n": "\n"}

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +130,52 @@ def test_profile_and_document_tokens_are_derived():
 
 def test_empty_text_gives_empty_tokens():
     assert EntityProfile(id="e", title="t", text="").tokens == ()
+
+
+_WORDS = st.lists(st.sampled_from(["a", "k", "the", "x1", "ü", "i̇"]) | st.text(max_size=3), max_size=5)
+_COLLECTIONS = st.sampled_from([set, frozenset, list, lambda words: None])
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_ASCII_TEXT | _ANY_TEXT, words=_WORDS, collection=_COLLECTIONS, mutate=st.booleans())
+@example(text="the cat", words=["the"], collection=set, mutate=True)
+def test_tokens_are_the_text_tokenized_with_the_stopwords_given(text, words, collection, mutate):
+    """``tokens`` is derived from ``text`` and a frozen copy of the stopwords the caller passed."""
+    stopwords = collection(words)
+    expected = tuple(tokenize(text, stopwords))
+    entity = EntityProfile("e", "t", text, stopwords)
+    document = ResultDocument("d", "u", 1, text, stopwords)
+    if mutate and stopwords is not None:
+        # A later change to the caller's collection does not reach the elements.
+        if isinstance(stopwords, list):
+            stopwords.extend(tokenize(text))
+        elif isinstance(stopwords, set):
+            stopwords.update(tokenize(text))
+    assert entity.tokens == document.tokens == expected
+    assert entity.stopwords == document.stopwords == (frozenset(words) if stopwords is not None and words else None)
+    assert repr(entity) == f"EntityProfile(id='e', title='t', text={text!r})"
+
+
+def test_a_loaded_task_retains_about_its_text_not_its_tokens(tmp_path, make_task):
+    # Two-letter tokens: each is a str object of about 51 bytes plus a
+    # pointer, against 3 bytes of text, so stored tokens would be ~20x the text.
+    rng = np.random.default_rng(3)
+    pairs = [a + b for a in "abcdefghij" for b in "klmnopqrst"]
+    documents = {f"d{i}": " ".join(rng.choice(pairs, size=500)) for i in range(40)}
+    write_task(make_task({"e1": " ".join(pairs)}, documents), tmp_path / "t")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        task = load_task(tmp_path / "t", stopwords={"ab"})
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    elements = [*task.entities, *task.documents]
+    text_bytes = sum(sys.getsizeof(e.text) for e in elements)
+    assert sum(len(e.tokens) for e in elements) > 20_000
+    assert {id(e.stopwords) for e in elements} == {id(task.documents[0].stopwords)}  # one shared copy
+    # The texts, plus a kilobyte per element for its ids, fields and object.
+    assert retained < text_bytes + 1024 * len(elements), (retained, text_bytes)
 
 
 @pytest.mark.parametrize("rank", [0, -1, True, "2", 1.5])

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from namesift.corpus import NOISE_LABEL
+from namesift.corpus import NOISE_LABEL, term_frequencies, tokenize
 from namesift.features import (
     IDF_NUMERATORS,
     LOG_BASES,
@@ -217,6 +218,30 @@ def test_index_matches_scalar_reference_bit_for_bit(documents, entities, numerat
     ]
     for row, eid in zip(arrays.entities, index.entity_ids):
         assert {int(fid): float(row[fid]) for fid in np.flatnonzero(row)} == ref["weights"][eid]
+
+
+def test_build_index_holds_one_element_of_tokens_at_a_time():
+    """Above the index it returns, build_index allocates one element's tokens and counts and one join."""
+    rng = np.random.default_rng(5)
+    vocabulary = [f"w{i}" for i in range(5000)]
+    documents = {f"d{i}": " ".join(rng.choice(vocabulary, size=400)) for i in range(80)}
+    task = build_task({"e1": " ".join(vocabulary[:300])}, documents)
+    largest = max([*task.documents, *task.entities], key=lambda element: len(element.text))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        frequencies = term_frequencies(tuple(tokenize(largest.text)))
+        one_element = tracemalloc.get_traced_memory()[1] - start
+        del frequencies
+        tracemalloc.reset_peak()
+        index = build_index(task)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Every element's counts held at once, as when all are counted before
+    # any is numbered, would take about 80 elements' worth.
+    assert peak - current <= 2 * one_element + index.features.nbytes, (peak - current, one_element)
 
 
 def test_weights_take_the_scalar_log():
