@@ -8,11 +8,12 @@ Subcommands::
     namesift grid ROOT         run the model x noise grid (+ baselines)
     namesift report GRID_JSON  pivot a saved grid into a model x noise table
 
-Configuration precedence: command line flags override ``NAMESIFT_*``
-environment variables, which override the ``--config`` JSON file, which
-overrides built-in defaults.  Exit codes: 0 success, 1 usage or
-configuration error, 2 corpus integrity failure, 3 partial task failures
-(some tasks were skipped with warnings).
+A subcommand takes flags for, resolves and checks only the settings its
+run reads, and checks them before any task loads.  Precedence: command
+line flags override ``NAMESIFT_*`` environment variables, which override
+the ``--config`` JSON file, which overrides built-in defaults.  Exit
+codes: 0 success, 1 usage or configuration error, 2 corpus integrity
+failure, 3 partial task failures (some tasks were skipped with warnings).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Sequence
 
@@ -63,36 +65,40 @@ def _comma_list(value: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in value.split(",") if part.strip())
 
 
-# Settings resolvable from flag, environment, or config file.  Each entry:
-# attribute name -> (config key, caster).
-_SETTINGS: dict[str, tuple[str, object]] = {
-    "model": ("model", str),
-    "noise": ("noise", str),
-    "models": ("models", "list"),
-    "noise_modes": ("noise_modes", "list"),
-    "idf_numerator": ("idf_numerator", str),
-    "log_base": ("log_base", str),
-    "intersection_semantics": ("intersection_semantics", str),
-    "alpha": ("alpha", float),
-    "jm_lambda": ("lambda", float),
-    "laplace_denominator": ("laplace_denominator", str),
-    "format": ("format", str),
-    "reps": ("reps", int),
-    "strip_html": ("strip_html", bool),
-    "stopwords": ("stopwords", str),
+_RUNS = ("classify", "cluster", "grid")
+_MODEL_RUNS = ("classify", "grid")
+_ALL = ("validate", *_RUNS)
+
+# The one declaration of each setting a subcommand resolves from flag,
+# environment or config file: attribute (the RunSpec field name, where the
+# RunSpec has one) -> (config key, caster, subcommands whose run reads it,
+# add_argument options).  The flag is ``--`` plus the key with ``-`` for
+# ``_``, the environment variable ``NAMESIFT_`` plus the key in upper case.
+_SETTINGS: dict[str, tuple[str, object, tuple[str, ...], dict]] = {
+    "model": ("model", str, ("classify",), dict(choices=MODELS)),
+    "noise": ("noise", str, ("classify",), dict(choices=NOISE_MODES)),
+    "models": ("models", "list", ("grid",), dict(help="comma-separated models, or 'all'")),
+    "noise_modes": ("noise_modes", "list", ("grid",), dict(help="comma-separated noise modes, or 'all'")),
+    "idf_numerator": ("idf_numerator", str, _RUNS, dict(choices=IDF_NUMERATORS)),
+    "log_base": ("log_base", str, _RUNS, dict(choices=LOG_BASES)),
+    "intersection_semantics": ("intersection_semantics", str, _MODEL_RUNS, dict(choices=INTERSECTION_SEMANTICS)),
+    "alpha": ("alpha", float, _MODEL_RUNS, dict(help="additive smoothing weight (Bernoulli NB)")),
+    "jm_lambda": ("lambda", float, _MODEL_RUNS, dict(help="background mixture weight (multinomial NB)")),
+    "laplace_denominator": ("laplace_denominator", str, _MODEL_RUNS, dict(choices=LAPLACE_DENOMINATORS)),
+    "format": ("format", _FORMATS, _ALL, dict(choices=_FORMATS)),
+    "reps": ("reps", int, ("cluster", "grid"), dict(help=f"K-Means repetitions (default {RunSpec.reps})")),
+    "strip_markup": ("strip_html", bool, _ALL, dict(action="store_const", const=True)),
+    "stopwords": ("stopwords", str, _ALL, dict(metavar="FILE", help="newline-separated stopword list")),
 }
 
-# Built-in defaults are the RunSpec (and so the ModelConfig/FeatureConfig)
-# field defaults; only the output format is the CLI's own.
-_DEFAULTS = {
-    **{attr: getattr(RunSpec, attr) for attr in _SETTINGS if hasattr(RunSpec, attr)},
-    "noise": FeatureConfig.noise,
-    "strip_html": RunSpec.strip_markup,
-    "format": "tsv",
-}
+_RUN_SPEC_FIELDS = frozenset(f.name for f in fields(RunSpec) if f.init)
 
 
 def _cast(raw, caster, key: str):
+    if isinstance(caster, tuple):  # the allowed values
+        if str(raw) in caster:
+            return str(raw)
+        raise _UsageError(f"{key} must be one of {', '.join(caster)}, got {str(raw)!r}")
     if caster == "list":
         if isinstance(raw, str):
             return _comma_list(raw)
@@ -141,7 +147,11 @@ def _read_json(path: str, what: str):
 
 
 def _resolve_settings(args: argparse.Namespace) -> dict:
-    """Apply the flag > environment > file > default precedence."""
+    """The settings ``args.command`` reads, by flag > environment > file precedence.
+
+    A setting given nowhere is left out, so its reader's default holds; a
+    stopword file is read into its word set.
+    """
     file_config: dict = {}
     config_path = getattr(args, "config", None)
     if config_path is not None:
@@ -149,26 +159,23 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
         if not isinstance(file_config, dict):
             raise _UsageError(f"config file {config_path} must hold a JSON object")
 
-    settings = dict(_DEFAULTS)
-    for attr, (key, caster) in _SETTINGS.items():
-        value = getattr(args, attr, None)
-        if value is not None and caster == "list":
-            value = _cast(value, caster, key)
+    settings = {}
+    for attr, (key, caster, commands, _) in _SETTINGS.items():
+        if args.command not in commands:
+            continue
+        value = getattr(args, attr)
         if value is None:
-            env = os.environ.get(f"NAMESIFT_{key.upper()}")
-            if env is not None:
-                value = _cast(env, caster, key)
-            elif key in file_config and file_config[key] is not None:
-                value = _cast(file_config[key], caster, key)
+            value = os.environ.get(f"NAMESIFT_{key.upper()}")
+        if value is None:
+            value = file_config.get(key)
         if value is not None:
-            settings[attr] = value
-    if settings["format"] not in _FORMATS:
-        raise _UsageError(f"format must be one of {', '.join(_FORMATS)}, got {settings['format']!r}")
+            settings[attr] = _cast(value, caster, key)
+    if "stopwords" in settings:
+        settings["stopwords"] = _load_stopwords(settings["stopwords"])
     return settings
 
 
-def _load_stopwords(settings: dict) -> frozenset[str] | None:
-    path = settings.get("stopwords")
+def _load_stopwords(path: str) -> frozenset[str] | None:
     if not path:
         return None
     lines = _read_text(path, "stopword file").splitlines()
@@ -199,39 +206,27 @@ def _write(path: Path, text: str) -> None:
         raise _UsageError(f"cannot write {path} ({exc})") from None
 
 
-def _make_output_dir(output: str | None) -> None:
-    """Create the ``--output`` directory before any task loads, so a blocked path fails at once."""
-    if output is None:
-        return
-    try:
-        Path(output).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a file where a directory belongs; no permission
-        raise _UsageError(f"cannot write {output} ({exc})") from None
+def _run(spec: RunSpec, output: str | None) -> GridResult:
+    """Run ``spec`` and warn of each skipped task.
 
-
-def _warn_skipped(skipped) -> None:
-    for directory, reason in skipped:
+    The ``output`` directory is created first, before any task loads, so a blocked path fails at once.
+    """
+    if output is not None:
+        try:
+            Path(output).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file where a directory belongs; no permission
+            raise _UsageError(f"cannot write {output} ({exc})") from None
+    result = run_grid(spec)
+    for directory, reason in result.skipped:
         print(f"warning: skipped {directory}: {reason}", file=sys.stderr)
+    return result
 
 
-def _build_run_spec(args, settings, *, models, noise_modes, hac=False, km=False) -> RunSpec:
-    return RunSpec(
-        corpus_root=Path(args.root),
-        tasks=_comma_list(args.tasks) if getattr(args, "tasks", None) else None,
-        models=models,
-        noise_modes=noise_modes,
-        hac=hac,
-        kmeans=km,
-        reps=settings["reps"],
-        idf_numerator=settings["idf_numerator"],
-        log_base=settings["log_base"],
-        intersection_semantics=settings["intersection_semantics"],
-        alpha=settings["alpha"],
-        jm_lambda=settings["jm_lambda"],
-        laplace_denominator=settings["laplace_denominator"],
-        strip_markup=settings["strip_html"],
-        stopwords=_load_stopwords(settings),
-    )
+def _build_run_spec(args, settings, **overrides) -> RunSpec:
+    """The RunSpec of the settings named by RunSpec field, then ``overrides``; checked at construction."""
+    given = {attr: value for attr, value in settings.items() if attr in _RUN_SPEC_FIELDS}
+    tasks = _comma_list(args.tasks) if args.tasks else None
+    return RunSpec(**{**given, "corpus_root": Path(args.root), "tasks": tasks, **overrides})
 
 
 def _exit_code(result: GridResult) -> int:
@@ -243,7 +238,7 @@ def _exit_code(result: GridResult) -> int:
 
 def _emit_reports(result: GridResult, settings, output: str | None, stem: str) -> None:
     if output is None:
-        if settings["format"] == "json":
+        if settings.get("format") == "json":
             sys.stdout.write(json.dumps(grid_json_dict(result), indent=2) + "\n")
         else:
             sys.stdout.write(grid_tsv(result.reports))
@@ -255,11 +250,9 @@ def _emit_reports(result: GridResult, settings, output: str | None, stem: str) -
 
 def cmd_validate(args, settings) -> int:
     results = validate_corpus(
-        args.root,
-        strip_markup=settings["strip_html"],
-        stopwords=_load_stopwords(settings),
+        args.root, strip_markup=settings.get("strip_markup", False), stopwords=settings.get("stopwords")
     )
-    if settings["format"] == "json":
+    if settings.get("format") == "json":
         payload = {
             "ok": all(r.ok for r in results),
             "tasks": [
@@ -275,7 +268,7 @@ def cmd_validate(args, settings) -> int:
             cells = [tsv_cell(r.directory), tsv_cell(r.name or ""), status, tsv_cell("; ".join(r.problems))]
             lines.append("\t".join(cells))
         text = "\n".join(lines) + "\n"
-    if getattr(args, "output", None):
+    if args.output:
         _write(Path(args.output), text)
     else:
         sys.stdout.write(text)
@@ -291,12 +284,10 @@ def cmd_classify(args, settings) -> int:
         raise _UsageError("classify needs a model (--model, NAMESIFT_MODEL, or config file)")
     if args.scores and not args.output:
         raise _UsageError("--scores requires --output")
-    spec = _build_run_spec(args, settings, models=(model,), noise_modes=(settings["noise"],))
-    _make_output_dir(args.output)
-    result = run_grid(spec)
-    _warn_skipped(result.skipped)
+    noise = settings.get("noise", FeatureConfig.noise)
+    result = _run(_build_run_spec(args, settings, models=(model,), noise_modes=(noise,)), args.output)
     if result.task_names:
-        assignments = result.assignments[(model, settings["noise"])]
+        assignments = result.assignments[(model, noise)]
         floored = sum(a.floored for a in assignments.values())
         if floored:
             print(f"warning: {floored} probabilities were floored to stay positive", file=sys.stderr)
@@ -313,17 +304,8 @@ def cmd_classify(args, settings) -> int:
 
 def cmd_cluster(args, settings) -> int:
     methods = BASELINES if args.method == "both" else (args.method,)
-    spec = _build_run_spec(
-        args,
-        settings,
-        models=(),
-        noise_modes=(),
-        hac="hac_complete" in methods,
-        km="kmeans" in methods,
-    )
-    _make_output_dir(args.output)
-    result = run_grid(spec)
-    _warn_skipped(result.skipped)
+    spec = _build_run_spec(args, settings, models=(), hac="hac_complete" in methods, kmeans="kmeans" in methods)
+    result = _run(spec, args.output)
     if result.task_names:
         if args.output:
             stems = _task_stems(result.clusterings[methods[0]], args.output, f".{methods[0]}.json")
@@ -336,24 +318,10 @@ def cmd_cluster(args, settings) -> int:
 
 
 def cmd_grid(args, settings) -> int:
-    models = settings["models"]
-    if models == ("all",):
-        models = MODELS
-    noise_modes = settings["noise_modes"]
-    if noise_modes == ("all",):
-        noise_modes = NOISE_MODES
-    for model in models:
-        if model not in MODELS:
-            raise _UsageError(f"unknown model {model!r}; choose from {', '.join(MODELS)}")
-    for noise in noise_modes:
-        if noise not in NOISE_MODES:
-            raise _UsageError(f"unknown noise mode {noise!r}; choose from {', '.join(NOISE_MODES)}")
-    spec = _build_run_spec(
-        args, settings, models=models, noise_modes=noise_modes, hac=args.baselines, km=args.baselines
-    )
-    _make_output_dir(args.output)
-    result = run_grid(spec)
-    _warn_skipped(result.skipped)
+    for attr, every in (("models", MODELS), ("noise_modes", NOISE_MODES)):
+        if settings.get(attr) == ("all",):
+            settings[attr] = every
+    result = _run(_build_run_spec(args, settings, hac=args.baselines, kmeans=args.baselines), args.output)
     if result.task_names:
         _emit_reports(result, settings, args.output, "grid")
         if args.output:
@@ -389,56 +357,27 @@ def cmd_report(args, settings) -> int:
     return 0
 
 
-def _add_config_flags(p: argparse.ArgumentParser, *, model_params: bool = True) -> None:
-    p.add_argument("--config", metavar="FILE", help="JSON file with configuration defaults")
-    p.add_argument("--idf-numerator", choices=IDF_NUMERATORS, dest="idf_numerator")
-    p.add_argument("--log-base", choices=LOG_BASES, dest="log_base")
-    p.add_argument("--intersection-semantics", choices=INTERSECTION_SEMANTICS, dest="intersection_semantics")
-    if model_params:
-        p.add_argument("--alpha", type=float, help="additive smoothing weight (Bernoulli NB)")
-        p.add_argument("--lambda", type=float, dest="jm_lambda", help="background mixture weight (multinomial NB)")
-        p.add_argument("--laplace-denominator", choices=LAPLACE_DENOMINATORS, dest="laplace_denominator")
-    p.add_argument("--format", choices=_FORMATS)
-    p.add_argument("--strip-html", action="store_const", const=True, dest="strip_html")
-    p.add_argument("--stopwords", metavar="FILE", help="newline-separated stopword list")
-    p.add_argument("--tasks", help="comma-separated task name filter")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="namesift", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("validate", help="check corpus integrity")
-    p.add_argument("root")
     p.add_argument("--output", metavar="FILE")
-    _add_config_flags(p, model_params=False)
     p.set_defaults(handler=cmd_validate)
 
     p = sub.add_parser("classify", help="assign documents under one configuration")
-    p.add_argument("root")
-    p.add_argument("--model", choices=MODELS)
-    p.add_argument("--noise", choices=NOISE_MODES)
     p.add_argument("--output", metavar="DIR")
     p.add_argument("--scores", action="store_true", help="also write per-task score matrices")
-    _add_config_flags(p)
     p.set_defaults(handler=cmd_classify)
 
     p = sub.add_parser("cluster", help="run clustering baselines")
-    p.add_argument("root")
     p.add_argument("--method", choices=(*BASELINES, "both"), default="both")
-    p.add_argument("--reps", type=int, help=f"K-Means repetitions (default {RunSpec.reps})")
     p.add_argument("--output", metavar="DIR")
-    _add_config_flags(p, model_params=False)
     p.set_defaults(handler=cmd_cluster)
 
     p = sub.add_parser("grid", help="run the model x noise configuration grid")
-    p.add_argument("root")
-    p.add_argument("--models", help="comma-separated models, or 'all'")
-    p.add_argument("--noise-modes", dest="noise_modes", help="comma-separated noise modes, or 'all'")
     p.add_argument("--baselines", action="store_true", help="also run HAC and K-Means")
-    p.add_argument("--reps", type=int)
     p.add_argument("--output", metavar="DIR")
-    _add_config_flags(p)
     p.set_defaults(handler=cmd_grid)
 
     p = sub.add_parser("report", help="pivot a saved grid JSON")
@@ -446,6 +385,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=METRIC_COLUMNS, default="f1_bar")
     p.set_defaults(handler=cmd_report)
 
+    for command in _ALL:
+        p = sub.choices[command]
+        p.add_argument("root")
+        if command in _RUNS:
+            p.add_argument("--tasks", help="comma-separated task name filter")
+        p.add_argument("--config", metavar="FILE", help="JSON file with configuration defaults")
+        for attr, (key, _, commands, options) in _SETTINGS.items():
+            if command in commands:
+                p.add_argument(f"--{key.replace('_', '-')}", dest=attr, **options)
     return parser
 
 
@@ -459,9 +407,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if getattr(args, "output", None) == "":
             raise _UsageError("--output must name a path, not an empty string")
-        # report reads no setting, so a stale NAMESIFT_* value cannot fail it.
-        settings = {} if args.handler is cmd_report else _resolve_settings(args)
-        return args.handler(args, settings)
+        return args.handler(args, _resolve_settings(args))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

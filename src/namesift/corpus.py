@@ -240,10 +240,11 @@ def _read_text(path: Path, where: str) -> str:
         raise CorpusFormatError(f"{where}: cannot read {path} ({exc})") from None
 
 
-def _resolves_inside(path: Path, directory: Path) -> bool:
+def _resolves_inside(path: Path, directory: str) -> bool:
+    """Whether ``path``, symlinks followed, is or lies under ``directory``, a resolved path ending in a separator."""
     try:
-        return path.resolve().is_relative_to(directory.resolve())
-    except (OSError, RuntimeError, ValueError):  # a symlink loop, a NUL byte
+        return os.path.join(os.path.realpath(path), "").startswith(directory)
+    except (OSError, ValueError):  # a NUL byte
         return False
 
 
@@ -308,6 +309,19 @@ def load_task(
     """
     path = Path(path)
     stopwords = frozenset(stopwords) if stopwords else None
+    inside = os.path.join(os.path.realpath(path), "")
+    inside_dirs: dict[str, bool] = {}
+
+    def _inside(rel: str) -> bool:
+        # A body that is no symlink and no ``..`` lies in the directory its
+        # path names, so each body directory is resolved once per task.
+        head, name = os.path.split(rel)
+        if name == ".." or os.path.islink(path / rel):
+            return _resolves_inside(path / rel, inside)
+        if head not in inside_dirs:
+            inside_dirs[head] = _resolves_inside(path / head, inside)
+        return inside_dirs[head]
+
     manifest_path = path / "task.json"
     if not manifest_path.is_file():
         raise CorpusFormatError(f"{path}: no task.json manifest")
@@ -333,8 +347,8 @@ def load_task(
         if not isinstance(rel, str):
             raise CorpusFormatError(f"{where}: file must be a string, got {rel!r}")
         # Bodies live inside the task directory: no absolute path, and no
-        # ``..`` that leads out of it once resolved (symlinks included).
-        if os.path.isabs(rel) or (".." in rel and not _resolves_inside(path / rel, path)):
+        # ``..`` or symlink that leads out of it once resolved.
+        if os.path.isabs(rel) or not _inside(rel):
             raise CorpusFormatError(f"{where}: file {rel!r} is not a path inside the task directory")
         text = _read_text(path / rel, "task.json")
         return strip_html(text) if strip_markup else text

@@ -28,7 +28,7 @@ from .corpus import (
     tsv_cell,
 )
 from .evaluation import EvalReport, TaskMetrics, clustering_eval_filter, evaluate_assignment, nmi, purity
-from .features import NOISE_MODES, FeatureConfig
+from .features import NOISE_MODES, ConfigError, FeatureConfig
 from .features import build_index, vectorize  # noqa: F401  (kept importable here: perfbench's tracer wraps them in this module)
 from .models import MODELS, Assignment, ModelConfig, TaskResources, map_documents
 
@@ -44,12 +44,15 @@ __all__ = [
     "pivot_tsv",
 ]
 
-@dataclass
+@dataclass(frozen=True)
 class RunSpec:
     """Everything one experiment run depends on.
 
     Feature and model settings default to the `FeatureConfig` and
-    `ModelConfig` defaults.
+    `ModelConfig` defaults.  Construction builds ``cells``, the
+    `ModelConfig` of each (model, noise) pair in grid order, so a value
+    either config class refuses raises `ConfigError` here, before any
+    task loads; the spec is frozen, so its cells stay its own.
     """
 
     corpus_root: Path
@@ -67,13 +70,16 @@ class RunSpec:
     laplace_denominator: str = ModelConfig.laplace_denominator
     strip_markup: bool = False
     stopwords: frozenset[str] | None = None
+    cells: dict[tuple[str, str], ModelConfig] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.corpus_root = Path(self.corpus_root)
-        if not (self.models or self.hac or self.kmeans):
-            raise ValueError("select at least one model or baseline")
+        object.__setattr__(self, "corpus_root", Path(self.corpus_root))
         if self.reps < 1:
-            raise ValueError(f"reps must be >= 1, got {self.reps}")
+            raise ConfigError(f"reps must be >= 1, got {self.reps}")
+        self.feature_config()  # checks the feature settings, which the baselines read too
+        object.__setattr__(self, "cells", {(m, n): self.model_config(m, n) for m in self.models for n in self.noise_modes})
+        if not (self.cells or self.hac or self.kmeans):
+            raise ConfigError("select at least one model and noise mode, or a baseline")
 
     def feature_config(self, noise: str = "none") -> FeatureConfig:
         return FeatureConfig(
@@ -186,10 +192,9 @@ def run_grid(spec: RunSpec) -> GridResult:
         return result
 
     base_features = spec.feature_config()
-    configs = {(model, noise): spec.model_config(model, noise) for model in spec.models for noise in spec.noise_modes}
     methods = [method for method, enabled in zip(BASELINES, (spec.hac, spec.kmeans)) if enabled]
     # Report (model, noise) -> fingerprint; a baseline's noise column is empty.
-    fingerprints = {cell: spec.fingerprint(model=cell[0], noise=cell[1]) for cell in configs}
+    fingerprints = {cell: spec.fingerprint(model=cell[0], noise=cell[1]) for cell in spec.cells}
     for method in methods:
         extra = {"reps": spec.reps} if method == "kmeans" else {}
         fingerprints[(method, "")] = spec.fingerprint(model=method, noise=None, **extra)
@@ -198,7 +203,7 @@ def run_grid(spec: RunSpec) -> GridResult:
     for task in tasks:
         # One set of feature artifacts per task, shared read-only by its cells and baselines.
         resources = TaskResources.from_task(task, base_features)
-        for cell, config in configs.items():
+        for cell, config in spec.cells.items():
             assignment = map_documents(task, config, resources)
             result.assignments.setdefault(cell, {})[task.name] = assignment
             per_task[cell][task.name] = evaluate_assignment(task, assignment)

@@ -441,7 +441,7 @@ def test_grid_writes_three_artifacts_and_is_deterministic(mini_corpus, clean_env
 
 def test_grid_rejects_unknown_model(mini_corpus, clean_env, capsys):
     assert main(["grid", str(mini_corpus), "--models", "bogus"]) == 1
-    assert "unknown model" in capsys.readouterr().err
+    assert "'bogus'" in capsys.readouterr().err
 
 
 def test_grid_models_all_keyword(mini_corpus, clean_env, capsys):
@@ -531,34 +531,126 @@ _GRID_JSON = {
     ]
 }
 # Setting names from the settings table and others; any value an environment can hold.
-_ENV_NAMES = st.sampled_from([key.upper() for key, _ in namesift.cli._SETTINGS.values()]) | st.text(
+_ENV_NAMES = st.sampled_from([key.upper() for key, *_ in namesift.cli._SETTINGS.values()]) | st.text(
     "ABJOSX_", min_size=1, max_size=6
 )
-_ENV_VALUES = st.sampled_from(["x", "", "xml", "1.5", "-1", "maybe", "all"]) | st.text(
+_ENV_VALUES = st.sampled_from(["x", "", "xml", "1.5", "-1", "0", "2", "maybe", "all"]) | st.text(
     st.characters(exclude_categories=("Cs",), exclude_characters="\x00"), max_size=5
 )
+# Each subcommand's long flags, written out by hand: a setting's flag is
+# "--" plus its config key with "-" for "_", so these also name the
+# settings each subcommand reads.
+_FLAGS = {
+    "validate": {"--output", "--config", "--format", "--strip-html", "--stopwords"},
+    "classify": {
+        "--output", "--scores", "--tasks", "--config", "--model", "--noise", "--idf-numerator", "--log-base",
+        "--intersection-semantics", "--alpha", "--lambda", "--laplace-denominator", "--format", "--strip-html",
+        "--stopwords",
+    },
+    "cluster": {
+        "--method", "--output", "--tasks", "--config", "--idf-numerator", "--log-base", "--format", "--reps",
+        "--strip-html", "--stopwords",
+    },
+    "grid": {
+        "--baselines", "--output", "--tasks", "--config", "--models", "--noise-modes", "--idf-numerator",
+        "--log-base", "--intersection-semantics", "--alpha", "--lambda", "--laplace-denominator", "--format",
+        "--reps", "--strip-html", "--stopwords",
+    },
+    "report": {"--metric"},
+}
 
 
-@settings(max_examples=60, deadline=None)
-@given(environment=st.dictionaries(_ENV_NAMES, _ENV_VALUES, min_size=1, max_size=4))
-@example(environment={"ALPHA": "x"})
-@example(environment={"FORMAT": "xml", "REPS": "1.5", "STRIP_HTML": "maybe", "STOPWORDS": "/no/such/file"})
-def test_report_reads_no_setting(environment):
-    """NAMESIFT_* values, good or bad, leave report's output and exit code as in a clean environment."""
+def test_each_subcommand_has_exactly_its_flags():
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    flags = {
+        name: {flag for action in parser._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, parser in commands.items()
+    }
+    assert flags == _FLAGS
+    assert not flags["validate"] & {"--idf-numerator", "--log-base", "--intersection-semantics", "--tasks"}
+    assert "--intersection-semantics" not in flags["cluster"]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(sorted(_FLAGS)),
+    environment=st.dictionaries(_ENV_NAMES, _ENV_VALUES, min_size=1, max_size=4),
+)
+@example(command="report", environment={"ALPHA": "x"})
+@example(
+    command="report", environment={"FORMAT": "xml", "REPS": "1.5", "STRIP_HTML": "maybe", "STOPWORDS": "/no/such/file"}
+)
+@example(command="validate", environment={"ALPHA": "x"})
+@example(command="classify", environment={"REPS": "0"})
+@example(command="cluster", environment={"ALPHA": "x"})
+@example(command="cluster", environment={"LAMBDA": "2"})
+def test_a_subcommand_ignores_settings_it_does_not_read(mini_corpus, command, environment):
+    """NAMESIFT_* values, good or bad, of settings a subcommand does not read leave its run as in a clean one."""
+    flags = _FLAGS[command]
+    unread = {key: value for key, value in environment.items() if f"--{key.lower().replace('_', '-')}" not in flags}
     with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as mp:
         path = Path(root) / "grid.json"
         path.write_text(json.dumps(_GRID_JSON), encoding="utf-8")
+        argv = {
+            "validate": ["validate", str(mini_corpus)],
+            "classify": ["classify", str(mini_corpus), "--model", "cosine"],
+            "cluster": ["cluster", str(mini_corpus), "--reps", "2"],
+            "grid": ["grid", str(mini_corpus), "--models=cosine", "--noise-modes=none", "--baselines", "--reps=2"],
+            "report": ["report", str(path)],
+        }[command]
         for key in [key for key in os.environ if key.startswith("NAMESIFT_")]:
             mp.delenv(key)
         runs = []
-        for variables in ({}, environment):
+        for variables in ({}, unread):
             for key, value in variables.items():
                 mp.setenv(f"NAMESIFT_{key}", value)
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                runs.append((main(["report", str(path)]), out.getvalue(), err.getvalue()))
-    assert runs[0][0] == 0 and runs[0][1].startswith("model\t")
+                runs.append((main(argv), out.getvalue(), err.getvalue()))
+    assert runs[0][0] == 0 and runs[0][1]
     assert runs[1] == runs[0]
+
+
+# A bad value of each checked setting: (subcommand, config key, value).
+_BAD_SETTINGS = [
+    ("classify", "model", "bogus"),
+    ("classify", "noise", "bogus"),
+    ("grid", "models", "bogus"),
+    ("grid", "noise_modes", "bogus"),
+    ("grid", "alpha", "-1"),
+    ("grid", "lambda", "2"),
+    ("grid", "idf_numerator", "bogus"),
+    ("grid", "log_base", "3"),
+]
+_CHOICE_FLAGS = ("model", "noise", "idf_numerator", "log_base")
+
+
+@pytest.mark.parametrize("empty_root", [False, True])
+@pytest.mark.parametrize("source", ["flag", "environment", "config"])
+@pytest.mark.parametrize("command, key, value", _BAD_SETTINGS)
+def test_a_bad_setting_fails_before_any_task_loads(
+    mini_corpus, clean_env, tmp_path, capsys, command, key, value, source, empty_root
+):
+    root = tmp_path / "empty" if empty_root else mini_corpus
+    root.mkdir(exist_ok=True)
+    argv = [command, str(root)] + (["--model", "cosine"] if command == "classify" and key != "model" else [])
+    if source == "flag":
+        argv.append(f"--{key.replace('_', '-')}={value}")
+    elif source == "environment":
+        clean_env.setenv(f"NAMESIFT_{key.upper()}", value)
+    else:
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({key: value}), encoding="utf-8")
+        argv += ["--config", str(config)]
+    loads = []
+    load_task = namesift.experiments.load_task
+    clean_env.setattr(namesift.experiments, "load_task", lambda *a, **k: loads.append(a) or load_task(*a, **k))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    # argparse checks a flag with choices itself; the config classes check every other value.
+    expected = "usage error: argument" if source == "flag" and key in _CHOICE_FLAGS else "configuration error: "
+    assert err.startswith(expected) and value in err
+    assert loads == []
 
 
 @pytest.mark.parametrize(

@@ -476,13 +476,29 @@ def test_load_task_rejects_file_path_escaping_upwards(tmp_path):
 def test_load_task_rejects_dotdot_through_a_symlink(tmp_path):
     # Lexically "link/../secret.txt" is "secret.txt", but the OS resolves
     # ".." from the link's target, which lies outside the task directory.
+    # A body file or a documents/ directory that links out is refused too.
     (tmp_path / "outside" / "deeper").mkdir(parents=True)
     (tmp_path / "outside" / "secret.txt").write_text("outside words", encoding="utf-8")
+    (tmp_path / "outside" / "d1.txt").write_text("outside words", encoding="utf-8")
+    links = {
+        "link/../secret.txt": ("link", tmp_path / "outside" / "deeper"),
+        "linked.txt": ("linked.txt", tmp_path / "outside" / "secret.txt"),
+        "documents/d1.txt": ("documents", tmp_path / "outside"),
+    }
+    for i, (file, (link, target)) in enumerate(links.items()):
+        d = tmp_path / f"t{i}"
+        _write_manifest(d, documents=[{"id": "d1", "url": "http://x", "rank": 1, "file": file}])
+        (d / link).symlink_to(target)
+        with pytest.raises(CorpusFormatError, match="inside the task directory"):
+            load_task(d)
+
+
+def test_load_task_accepts_a_symlink_that_stays_inside(tmp_path):
     d = tmp_path / "t"
-    _write_manifest(d, documents=[{"id": "d1", "url": "http://x", "rank": 1, "file": "link/../secret.txt"}])
-    (d / "link").symlink_to(tmp_path / "outside" / "deeper")
-    with pytest.raises(CorpusFormatError, match="inside the task directory"):
-        load_task(d)
+    _write_manifest(d, documents=[{"id": "d1", "url": "http://x", "rank": 1, "file": "documents/linked.txt"}])
+    (d / "documents").mkdir()
+    (d / "documents" / "linked.txt").symlink_to(d / "d1.txt")
+    assert load_task(d).documents[0].text == "document body words"
 
 
 def test_load_task_accepts_dotdot_that_stays_inside(tmp_path):

@@ -11,7 +11,7 @@ import namesift.models
 from namesift.baselines import BASELINES
 from namesift.corpus import NOISE_LABEL, CorpusIntegrityError, write_task
 from namesift.evaluation import EvalReport, clustering_eval_filter, evaluate_assignment, nmi, purity
-from namesift.features import NOISE_MODES, FeatureConfig
+from namesift.features import NOISE_MODES, ConfigError, FeatureConfig
 from namesift.experiments import (
     RunSpec,
     grid_json_dict,
@@ -34,8 +34,21 @@ from conftest import build_task, write_broken_task, write_mini_corpus
 def test_run_spec_needs_some_work(tmp_path):
     with pytest.raises(ValueError):
         RunSpec(corpus_root=tmp_path, models=(), hac=False, kmeans=False)
+    with pytest.raises(ConfigError, match="select at least one"):
+        RunSpec(corpus_root=tmp_path, noise_modes=())  # models, but no cell to run them in
     with pytest.raises(ValueError):
         RunSpec(corpus_root=tmp_path, reps=0)
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [{"models": ("bogus",)}, {"noise_modes": ("bogus",)}, {"alpha": -1.0}, {"jm_lambda": 2.0},
+     {"laplace_denominator": "x"}, {"idf_numerator": "x"}, {"log_base": "3"},
+     {"models": (), "hac": True, "idf_numerator": "x"}],  # the baselines read the weighting options too
+)
+def test_run_spec_checks_its_settings_at_construction(tmp_path, setting):
+    with pytest.raises(ConfigError):
+        RunSpec(corpus_root=tmp_path, **setting)
 
 
 def test_run_spec_config_builders(tmp_path):
