@@ -140,9 +140,16 @@ def _read_json(path: str, what: str):
     text = _read_text(path, what)
     try:
         value = json.loads(text)
-        json.dumps(value, ensure_ascii=False).encode("utf-8")  # a \udXXX escape no output could encode
     except (ValueError, RecursionError) as exc:  # bad JSON, an over-long integer, nesting too deep
         raise _UsageError(f"{what} {path} is not valid JSON ({exc})") from None
+    # A \udXXX escape can decode to a lone surrogate, which no output could
+    # encode; name the top-level entry that holds one.
+    for key, item in value.items() if isinstance(value, dict) else [(None, value)]:
+        try:
+            json.dumps([key, item], ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            where = "" if key is None else f" entry {key!r}"
+            raise _UsageError(f"{what} {path}{where} holds an unpaired surrogate escape") from None
     return value
 
 

@@ -882,7 +882,7 @@ def test_config_file_errors(mini_corpus, clean_env, tmp_path, capsys):
 @pytest.mark.parametrize(
     "setting",
     [{"reps": 1e400}, {"reps": 2.5}, {"reps": 2.0}, {"reps": True}, {"reps": "many"}, {"alpha": True},
-     {"lambda": False}, {"alpha": 10**400}, {"alpha": [0.5]}, {"reps": {}}],
+     {"lambda": False}, {"alpha": 10**400}, {"alpha": [0.5]}, {"reps": {}}, {"reps": "\ud800"}],
 )
 def test_config_numbers_must_have_the_setting_type(mini_corpus, clean_env, tmp_path, capsys, setting):
     config = tmp_path / "conf.json"
