@@ -146,10 +146,13 @@ def _read_json(path: str, what: str):
     # encode; name the top-level entry that holds one.
     for key, item in value.items() if isinstance(value, dict) else [(None, value)]:
         try:
-            json.dumps([key, item], ensure_ascii=False).encode("utf-8")
+            json.dumps(key, ensure_ascii=False).encode("utf-8")
+            json.dumps(item, ensure_ascii=False).encode("utf-8")
         except UnicodeEncodeError:
             where = "" if key is None else f" entry {key!r}"
             raise _UsageError(f"{what} {path}{where} holds an unpaired surrogate escape") from None
+        except RecursionError as exc:  # nesting too deep to write back
+            raise _UsageError(f"{what} {path} is not valid JSON ({exc})") from None
     return value
 
 

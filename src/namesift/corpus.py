@@ -310,17 +310,6 @@ def load_task(
     path = Path(path)
     stopwords = frozenset(stopwords) if stopwords else None
     inside = os.path.join(os.path.realpath(path), "")
-    inside_dirs: dict[str, bool] = {}
-
-    def _inside(rel: str) -> bool:
-        # A body that is no symlink and no ``..`` lies in the directory its
-        # path names, so each body directory is resolved once per task.
-        head, name = os.path.split(rel)
-        if name == ".." or os.path.islink(path / rel):
-            return _resolves_inside(path / rel, inside)
-        if head not in inside_dirs:
-            inside_dirs[head] = _resolves_inside(path / head, inside)
-        return inside_dirs[head]
 
     manifest_path = path / "task.json"
     if not manifest_path.is_file():
@@ -348,7 +337,7 @@ def load_task(
             raise CorpusFormatError(f"{where}: file must be a string, got {rel!r}")
         # Bodies live inside the task directory: no absolute path, and no
         # ``..`` or symlink that leads out of it once resolved.
-        if os.path.isabs(rel) or not _inside(rel):
+        if os.path.isabs(rel) or not _resolves_inside(path / rel, inside):
             raise CorpusFormatError(f"{where}: file {rel!r} is not a path inside the task directory")
         text = _read_text(path / rel, "task.json")
         return strip_html(text) if strip_markup else text

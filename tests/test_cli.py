@@ -877,6 +877,18 @@ def test_config_file_errors(mini_corpus, clean_env, tmp_path, capsys):
     arr = tmp_path / "arr.json"
     arr.write_text("[1, 2]", encoding="utf-8")
     assert main(["classify", str(mini_corpus), "--model", "score", "--config", str(arr)]) == 1
+    # A top-level list nested as deep as the reader can decode, and one level
+    # past it: each is a usage error, never a traceback.
+    deep = tmp_path / "deep.json"
+    depth = sys.getrecursionlimit()
+    while True:
+        deep.write_text("[" * depth + "]" * depth, encoding="utf-8")
+        assert main(["classify", str(mini_corpus), "--model", "score", "--config", str(deep)]) == 1
+        err = capsys.readouterr().err
+        if "is not valid JSON" not in err:
+            break
+        depth -= 1
+    assert "must hold a JSON object" in err and depth < sys.getrecursionlimit()
 
 
 @pytest.mark.parametrize(
