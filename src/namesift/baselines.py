@@ -207,15 +207,13 @@ def _reseed_empty(labels: np.ndarray, gram: np.ndarray, members: np.ndarray, dis
         distances[:, cluster] = np.diagonal(gram) - 2.0 * gram[:, farthest] + gram[farthest, farthest]
 
 
-def _lloyd(gram: np.ndarray, k: int, seed: int, max_iterations: int) -> tuple[np.ndarray, int, list[float]]:
-    """Run Lloyd iterations on a Gram matrix; returns labels, iteration count, objectives.
+def _lloyd(gram: np.ndarray, k: int, seed: int, max_iterations: int) -> tuple[np.ndarray, int]:
+    """Run Lloyd iterations on a Gram matrix; returns labels and iteration count.
 
     Every centroid is the mean of a set of rows, held as a row of the
-    k x n membership matrix.  The objective (sum of squared distances to
-    the assigned centroid) is recorded once per iteration, after the
-    centroid update.  The run stops when a labeling repeats any earlier
-    one: from then on the labels cycle, since after the first iteration
-    the next labeling depends only on the current one.
+    k x n membership matrix.  The run stops when a labeling repeats any
+    earlier one: from then on the labels cycle, since after the first
+    iteration the next labeling depends only on the current one.
     """
     n = gram.shape[0]
     rng = np.random.default_rng(seed)
@@ -223,24 +221,20 @@ def _lloyd(gram: np.ndarray, k: int, seed: int, max_iterations: int) -> tuple[np
     members[np.arange(k), rng.choice(n, size=k, replace=False)] = 1.0
     distances = _sq_distances(gram, members)
 
-    everyone = np.arange(n)
     labels = np.full(n, -1)
     seen: set[bytes] = set()
-    history: list[float] = []
     n_iterations = 0
     for _ in range(max_iterations):
         n_iterations += 1
         labels = np.argmin(distances, axis=1)
         _reseed_empty(labels, gram, members, distances)
         key = labels.tobytes()
-        converged = key in seen
+        if key in seen:
+            break
         seen.add(key)
         members = (labels == np.arange(k)[:, None]).astype(float)
         distances = _sq_distances(gram, members)
-        history.append(float(distances[everyone, labels].sum()))
-        if converged:
-            break
-    return labels, n_iterations, history
+    return labels, n_iterations
 
 
 def kmeans(gram: Gram, k: int, seed: int, max_iterations: int = 100) -> Clustering:
@@ -258,7 +252,7 @@ def kmeans(gram: Gram, k: int, seed: int, max_iterations: int = 100) -> Clusteri
     after ``max_iterations``.  All distances come from ``gram``.
     """
     k = _check_k(k, len(gram.ids))
-    labels, n_iterations, _ = _lloyd(gram.matrix, k, seed, max_iterations)
+    labels, n_iterations = _lloyd(gram.matrix, k, seed, max_iterations)
     clusters = [[doc_id for doc_id, label in zip(gram.ids, labels) if label == cluster] for cluster in range(k)]
     clusters = [c for c in clusters if c]
     return Clustering(clusters=clusters, method="kmeans", k=k, seed=seed, n_iterations=n_iterations)

@@ -44,6 +44,7 @@ __all__ = [
     "term_frequencies",
     "strip_html",
     "load_task",
+    "read_manifest",
     "write_task",
     "discover_tasks",
     "load_corpus",
@@ -288,6 +289,30 @@ def _parse_gold(path: Path) -> dict[str, str]:
     return rows
 
 
+def read_manifest(path: str | Path) -> dict:
+    """The parsed task.json of a task directory, its ``name`` checked; bodies and gold are not read."""
+    manifest_path = Path(path, "task.json")
+    if not manifest_path.is_file():
+        raise CorpusFormatError(f"{path}: no task.json manifest")
+    manifest_text = _read_text(manifest_path, "task.json")
+    try:
+        manifest = json.loads(manifest_text)
+        # A \udXXX escape can decode to a lone surrogate, which no output
+        # could encode.
+        json.dumps(manifest, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        raise CorpusFormatError(f"{manifest_path}: a string holds an unpaired surrogate escape") from None
+    except (ValueError, RecursionError) as exc:  # bad JSON, an over-long integer, nesting too deep
+        raise CorpusFormatError(f"{manifest_path}: invalid JSON ({exc})") from None
+    if not isinstance(manifest, dict):
+        raise CorpusFormatError(f"{manifest_path}: manifest must be a JSON object")
+
+    name = _require(manifest, "name", "task.json")
+    if not isinstance(name, str) or not name:
+        raise CorpusFormatError("task.json: name must be a non-empty string")
+    return manifest
+
+
 def load_task(
     path: str | Path,
     *,
@@ -310,26 +335,7 @@ def load_task(
     path = Path(path)
     stopwords = frozenset(stopwords) if stopwords else None
     inside = os.path.join(os.path.realpath(path), "")
-
-    manifest_path = path / "task.json"
-    if not manifest_path.is_file():
-        raise CorpusFormatError(f"{path}: no task.json manifest")
-    manifest_text = _read_text(manifest_path, "task.json")
-    try:
-        manifest = json.loads(manifest_text)
-        # A \udXXX escape can decode to a lone surrogate, which no output
-        # could encode.
-        json.dumps(manifest, ensure_ascii=False).encode("utf-8")
-    except UnicodeEncodeError:
-        raise CorpusFormatError(f"{manifest_path}: a string holds an unpaired surrogate escape") from None
-    except (ValueError, RecursionError) as exc:  # bad JSON, an over-long integer, nesting too deep
-        raise CorpusFormatError(f"{manifest_path}: invalid JSON ({exc})") from None
-    if not isinstance(manifest, dict):
-        raise CorpusFormatError(f"{manifest_path}: manifest must be a JSON object")
-
-    name = _require(manifest, "name", "task.json")
-    if not isinstance(name, str) or not name:
-        raise CorpusFormatError("task.json: name must be a non-empty string")
+    manifest = read_manifest(path)
 
     def _body(spec: dict, where: str) -> str:
         rel = _require(spec, "file", where)
@@ -370,7 +376,7 @@ def load_task(
         )
 
     gold = GoldAlignment(_parse_gold(path / "gold.tsv"))
-    return Task(name=name, entities=entities, documents=documents, gold=gold)
+    return Task(name=manifest["name"], entities=entities, documents=documents, gold=gold)
 
 
 def write_task(task: Task, path: str | Path) -> Path:

@@ -1,5 +1,6 @@
 """Clustering and classification quality metrics, per-task and aggregated.
 
+Every metric reads one contingency table of (predicted, gold) pairs.
 Metric functions accept either the library's dataclasses (Clustering,
 Assignment, GoldAlignment) or plain lists and mappings, so they are easy
 to call from scripts and tests.
@@ -12,8 +13,8 @@ import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Mapping
 
-from .baselines import Clustering, assignment_to_clusters
-from .corpus import CorpusIntegrityError, GoldAlignment, Task, clustering_eval_filter, tsv_cell
+from .baselines import Clustering
+from .corpus import NOISE_LABEL, CorpusIntegrityError, GoldAlignment, Task, clustering_eval_filter, tsv_cell
 from .models import Assignment
 
 __all__ = [
@@ -31,40 +32,98 @@ __all__ = [
 METRIC_COLUMNS = ("purity", "nmi", "micro_f1", "macro_f1", "f1_bar")
 
 
-def _cluster_lists(clusters) -> list[list[str]]:
-    if isinstance(clusters, Clustering):
-        return [list(c) for c in clusters.clusters]
-    return [list(c) for c in clusters]
+def _contingency(pairs: Iterable[tuple[object, str]]) -> dict[object, dict[str, int]]:
+    """Gold-label counts per predicted group: groups, and labels within one, in first-seen order."""
+    table: dict[object, dict[str, int]] = {}
+    for predicted, label in pairs:
+        row = table.setdefault(predicted, {})
+        row[label] = row.get(label, 0) + 1
+    return table
 
 
-def _label_map(gold) -> Mapping[str, str]:
-    if isinstance(gold, GoldAlignment):
-        return gold.labels
-    return gold
-
-
-def _contingency(clusters: list[list[str]], labels: Mapping[str, str]) -> tuple[list[dict[str, int]], int]:
-    """Per-cluster gold-class counts; raises on unlabeled documents."""
-    table: list[dict[str, int]] = []
-    total = 0
-    for cluster in clusters:
-        row: dict[str, int] = {}
+def _cluster_pairs(clusters, gold) -> Iterable[tuple[int, str]]:
+    """(cluster index, gold label) per member; raises on unlabeled documents."""
+    labels = gold.labels if isinstance(gold, GoldAlignment) else gold
+    for i, cluster in enumerate(clusters.clusters if isinstance(clusters, Clustering) else clusters):
         for doc_id in cluster:
             if doc_id not in labels:
                 raise CorpusIntegrityError(f"document {doc_id!r} has no gold label")
-            label = labels[doc_id]
-            row[label] = row.get(label, 0) + 1
-            total += 1
-        table.append(row)
-    return table, total
+            yield i, labels[doc_id]
+
+
+def _assigned_pairs(assignment, gold) -> list[tuple[str, str]]:
+    """(assigned class, gold label) per document, in assignment order; coverage must be exact."""
+    labels = gold.labels if isinstance(gold, GoldAlignment) else gold
+    if isinstance(assignment, Assignment):
+        doc_ids, assigned = assignment.doc_ids, [assignment.class_ids[i] for i in assignment.labels.tolist()]
+    else:
+        doc_ids, assigned = list(assignment), list(assignment.values())
+    covered = set(doc_ids)
+    if labels.keys() - covered:
+        raise CorpusIntegrityError(f"assignment does not cover documents {sorted(labels.keys() - covered)!r}")
+    if covered - labels.keys():
+        raise CorpusIntegrityError(f"assignment covers unlabeled documents {sorted(covered - labels.keys())!r}")
+    return [(predicted, labels[doc_id]) for doc_id, predicted in zip(doc_ids, assigned)]
+
+
+def _purity(table: Mapping[object, dict[str, int]]) -> float:
+    if not table:
+        raise ValueError("cannot score an empty clustering")
+    return sum(max(row.values()) for row in table.values()) / sum(sum(row.values()) for row in table.values())
+
+
+def _nmi(table: Mapping[object, dict[str, int]]) -> float:
+    if not table:
+        raise ValueError("cannot score an empty clustering")
+    cluster_sizes = [sum(row.values()) for row in table.values()]
+    total = sum(cluster_sizes)
+    class_sizes: dict[str, int] = {}
+    for row in table.values():
+        for label, n in row.items():
+            class_sizes[label] = class_sizes.get(label, 0) + n
+
+    h_clusters = -sum((n / total) * math.log(n / total) for n in cluster_sizes)
+    h_classes = -sum((n / total) * math.log(n / total) for n in class_sizes.values())
+    if h_clusters + h_classes == 0.0:
+        return 1.0
+
+    mutual = 0.0
+    for row, size in zip(table.values(), cluster_sizes):
+        for label, n in row.items():
+            mutual += (n / total) * math.log(total * n / (size * class_sizes[label]))
+    if mutual <= 0.0:
+        return 0.0
+    # Clamp float noise so the documented [0,1] range is exact.
+    return min(1.0, mutual / ((h_clusters + h_classes) / 2.0))
+
+
+def _micro_macro_f1(table: Mapping[object, dict[str, int]]) -> tuple[float, float]:
+    classes = sorted({label for row in table.values() for label in row})
+    if not classes:
+        raise ValueError("cannot score an empty assignment")
+    tp: dict[str, int] = {c: 0 for c in classes}
+    fp: dict[str, int] = {c: 0 for c in classes}
+    fn: dict[str, int] = {c: 0 for c in classes}
+    for predicted, row in table.items():
+        for label, n in row.items():
+            if predicted == label:
+                tp[label] += n
+            else:
+                fn[label] += n
+                if predicted in fp:
+                    fp[predicted] += n
+
+    def f1(t: int, p: int, n: int) -> float:
+        return 2.0 * t / (2.0 * t + p + n) if t else 0.0
+
+    macro = sum(f1(tp[c], fp[c], fn[c]) for c in classes) / len(classes)
+    micro = f1(sum(tp.values()), sum(fp.values()), sum(fn.values()))
+    return micro, macro
 
 
 def purity(clusters, gold) -> float:
     """Fraction of documents that belong to their cluster's majority class."""
-    table, total = _contingency(_cluster_lists(clusters), _label_map(gold))
-    if total == 0:
-        raise ValueError("cannot score an empty clustering")
-    return sum(max(row.values()) for row in table if row) / total
+    return _purity(_contingency(_cluster_pairs(clusters, gold)))
 
 
 def nmi(clusters, gold) -> float:
@@ -74,29 +133,7 @@ def nmi(clusters, gold) -> float:
     both partitions are trivial (one cluster, one class) the score is 1.0,
     and when the mutual information is 0 the score is 0.0.
     """
-    table, total = _contingency(_cluster_lists(clusters), _label_map(gold))
-    if total == 0:
-        raise ValueError("cannot score an empty clustering")
-
-    cluster_sizes = [sum(row.values()) for row in table]
-    class_sizes: dict[str, int] = {}
-    for row in table:
-        for label, n in row.items():
-            class_sizes[label] = class_sizes.get(label, 0) + n
-
-    h_clusters = -sum((n / total) * math.log(n / total) for n in cluster_sizes if n)
-    h_classes = -sum((n / total) * math.log(n / total) for n in class_sizes.values())
-    if h_clusters + h_classes == 0.0:
-        return 1.0
-
-    mutual = 0.0
-    for row, size in zip(table, cluster_sizes):
-        for label, n in row.items():
-            mutual += (n / total) * math.log(total * n / (size * class_sizes[label]))
-    if mutual <= 0.0:
-        return 0.0
-    # Clamp float noise so the documented [0,1] range is exact.
-    return min(1.0, mutual / ((h_clusters + h_classes) / 2.0))
+    return _nmi(_contingency(_cluster_pairs(clusters, gold)))
 
 
 def micro_macro_f1(assignment, gold) -> tuple[float, float]:
@@ -108,36 +145,7 @@ def micro_macro_f1(assignment, gold) -> tuple[float, float]:
     recall = 0 contributes F1 = 0.  Micro-F1 pools TP/FP/FN over the
     universe.
     """
-    labels = _label_map(gold)
-    mapping = assignment.mapping if isinstance(assignment, Assignment) else assignment
-    missing = [doc_id for doc_id in labels if doc_id not in mapping]
-    if missing:
-        raise CorpusIntegrityError(f"assignment does not cover documents {sorted(missing)!r}")
-    extra = [doc_id for doc_id in mapping if doc_id not in labels]
-    if extra:
-        raise CorpusIntegrityError(f"assignment covers unlabeled documents {sorted(extra)!r}")
-
-    classes = sorted(set(labels.values()))
-    if not classes:
-        raise ValueError("cannot score an empty assignment")
-    tp: dict[str, int] = {c: 0 for c in classes}
-    fp: dict[str, int] = {c: 0 for c in classes}
-    fn: dict[str, int] = {c: 0 for c in classes}
-    for doc_id, true_label in labels.items():
-        predicted = mapping[doc_id]
-        if predicted == true_label:
-            tp[true_label] += 1
-        else:
-            fn[true_label] += 1
-            if predicted in fp:
-                fp[predicted] += 1
-
-    def f1(t: int, p: int, n: int) -> float:
-        return 2.0 * t / (2.0 * t + p + n) if t else 0.0
-
-    macro = sum(f1(tp[c], fp[c], fn[c]) for c in classes) / len(classes)
-    micro = f1(sum(tp.values()), sum(fp.values()), sum(fn.values()))
-    return micro, macro
+    return _micro_macro_f1(_contingency(_assigned_pairs(assignment, gold)))
 
 
 def f1_bar(micro_macro_pairs: Iterable[tuple[float, float]]) -> float:
@@ -173,16 +181,15 @@ def evaluate_assignment(task: Task, assignment: Assignment) -> TaskMetrics:
     None.
     """
     metrics = TaskMetrics()
-    if task.documents:
-        micro, macro = micro_macro_f1(assignment, task.gold)
-        metrics.micro_f1, metrics.macro_f1 = micro, macro
-        metrics.f1_bar = (micro + macro) / 2.0
-    kept = clustering_eval_filter(task)
+    if not task.documents:
+        return metrics
+    pairs = _assigned_pairs(assignment, task.gold)
+    micro, macro = _micro_macro_f1(_contingency(pairs))
+    metrics.micro_f1, metrics.macro_f1 = micro, macro
+    metrics.f1_bar = (micro + macro) / 2.0
+    kept = _contingency(pair for pair in pairs if pair[1] != NOISE_LABEL)
     if kept:
-        clusters = assignment_to_clusters(assignment.mapping, kept)
-        subset = {doc_id: task.gold.labels[doc_id] for doc_id in kept}
-        metrics.purity = purity(clusters, subset)
-        metrics.nmi = nmi(clusters, subset)
+        metrics.purity, metrics.nmi = _purity(kept), _nmi(kept)
     return metrics
 
 

@@ -25,6 +25,7 @@ from .corpus import (
     Task,
     discover_tasks,
     load_task,
+    read_manifest,
     tsv_cell,
 )
 from .evaluation import EvalReport, TaskMetrics, clustering_eval_filter, evaluate_assignment, nmi, purity
@@ -98,17 +99,18 @@ class RunSpec:
             features=self.feature_config(noise),
         )
 
-    def fingerprint(self, **overrides) -> dict[str, object]:
-        base: dict[str, object] = {
-            "idf_numerator": self.idf_numerator,
-            "log_base": self.log_base,
-            "intersection_semantics": self.intersection_semantics,
-            "alpha": self.alpha,
-            "lambda": self.jm_lambda,
-            "laplace_denominator": self.laplace_denominator,
-        }
-        base.update(overrides)
-        return base
+    def fingerprint(self, model: str, noise: str | None = None) -> dict[str, object]:
+        """A report's ``config``: the settings its runs read; a baseline reads no model setting."""
+        config: dict[str, object] = {"idf_numerator": self.idf_numerator, "log_base": self.log_base}
+        if model not in BASELINES:
+            config["intersection_semantics"] = self.intersection_semantics
+            config["alpha"] = self.alpha
+            config["lambda"] = self.jm_lambda
+            config["laplace_denominator"] = self.laplace_denominator
+        config.update(model=model, noise=noise)
+        if model == "kmeans":
+            config["reps"] = self.reps
+        return config
 
 
 @dataclass
@@ -129,19 +131,18 @@ class GridResult:
 def load_tasks(spec: RunSpec) -> tuple[list[Task], list[tuple[str, str]]]:
     """Load, filter, and name-sort the corpus; broken tasks are skipped.
 
-    Returns the loadable tasks sorted by task name and a list of
-    (directory, reason) pairs for tasks that failed to load.
+    The filter reads a task's name before its bodies.  Returns the loadable
+    tasks sorted by task name and a list of (directory, reason) pairs for
+    tasks that failed to load.
     """
     tasks: list[Task] = []
     skipped: list[tuple[str, str]] = []
     for path in discover_tasks(spec.corpus_root):
         try:
-            tasks.append(load_task(path, strip_markup=spec.strip_markup, stopwords=spec.stopwords))
+            if spec.tasks is None or read_manifest(path)["name"] in spec.tasks:
+                tasks.append(load_task(path, strip_markup=spec.strip_markup, stopwords=spec.stopwords))
         except (CorpusFormatError, CorpusIntegrityError) as exc:
             skipped.append((str(path), str(exc)))
-    if spec.tasks is not None:
-        wanted = set(spec.tasks)
-        tasks = [t for t in tasks if t.name in wanted]
     names = [t.name for t in tasks]
     if len(set(names)) != len(names):
         duplicates = sorted({n for n in names if names.count(n) > 1})
@@ -194,10 +195,9 @@ def run_grid(spec: RunSpec) -> GridResult:
     base_features = spec.feature_config()
     methods = [method for method, enabled in zip(BASELINES, (spec.hac, spec.kmeans)) if enabled]
     # Report (model, noise) -> fingerprint; a baseline's noise column is empty.
-    fingerprints = {cell: spec.fingerprint(model=cell[0], noise=cell[1]) for cell in spec.cells}
+    fingerprints = {cell: spec.fingerprint(*cell) for cell in spec.cells}
     for method in methods:
-        extra = {"reps": spec.reps} if method == "kmeans" else {}
-        fingerprints[(method, "")] = spec.fingerprint(model=method, noise=None, **extra)
+        fingerprints[(method, "")] = spec.fingerprint(method)
     per_task: dict[tuple[str, str], dict[str, TaskMetrics]] = {key: {} for key in fingerprints}
     result.clusterings = {method: {} for method in methods}
     for task in tasks:
@@ -213,10 +213,9 @@ def run_grid(spec: RunSpec) -> GridResult:
                 per_task[(method, "")][task.name] = TaskMetrics()
                 continue
             # K-Means metrics are means over its seeded repetitions.
-            gold = {doc_id: task.gold.labels[doc_id] for doc_id in clustering_eval_filter(task)}
             per_task[(method, "")][task.name] = TaskMetrics(
-                purity=sum(purity(c, gold) for c in runs) / len(runs),
-                nmi=sum(nmi(c, gold) for c in runs) / len(runs),
+                purity=sum(purity(c, task.gold) for c in runs) / len(runs),
+                nmi=sum(nmi(c, task.gold) for c in runs) / len(runs),
             )
             result.clusterings[method][task.name] = runs
         del resources  # released before the next task's are built

@@ -30,6 +30,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -488,37 +489,13 @@ def build_context(task: Task, config: ModelConfig, resources: TaskResources | No
     )
 
 
-class _ScoreRows(Mapping):
-    """``doc_id -> {class_id: score}`` over a documents x classes score matrix.
-
-    A document's dict is built from its matrix row each time it is read.
-    """
-
-    def __init__(self, doc_ids: list[str], class_ids: list[str], matrix: np.ndarray) -> None:
-        self.doc_ids = doc_ids
-        self.class_ids = class_ids
-        self.matrix = matrix
-        self._positions: dict[str, int] | None = None
-
-    def __getitem__(self, doc_id: str) -> dict[str, float]:
-        if self._positions is None:
-            self._positions = {d: i for i, d in enumerate(self.doc_ids)}
-        return dict(zip(self.class_ids, self.matrix[self._positions[doc_id]].tolist()))
-
-    def __iter__(self):
-        return iter(self.doc_ids)
-
-    def __len__(self) -> int:
-        return len(self.doc_ids)
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Assignment:
-    """Mapping of every document to a class, with the full score matrix.
+    """Every document's class, with the full score matrix.
 
-    ``scores`` maps a document to its class scores.  `assign_from_context`
-    keeps the score matrix and builds a document's dict only when it is
-    read; any mapping of the same shape serves as well.
+    Row i of ``matrix`` holds the scores of ``doc_ids[i]``, one column per
+    class in ``class_ids``, and ``labels[i]`` is the column it is assigned
+    to.  Two assignments are equal when these and ``floored`` are.
 
     ``floored`` counts probabilities clamped to ``PROB_FLOOR`` before their
     log was taken; only the Naive Bayes models can clamp.  Both count the
@@ -529,30 +506,44 @@ class Assignment:
     of each document and class.
     """
 
-    mapping: dict[str, str]
-    scores: Mapping[str, Mapping[str, float]]
+    doc_ids: list[str]
+    class_ids: list[str]
+    labels: np.ndarray
+    matrix: np.ndarray
     floored: int = 0
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Assignment):
+            return NotImplemented
+        same = (self.doc_ids, self.class_ids, self.floored) == (other.doc_ids, other.class_ids, other.floored)
+        return same and np.array_equal(self.labels, other.labels) and np.array_equal(self.matrix, other.matrix)
+
+    @cached_property
+    def mapping(self) -> Mapping[str, str]:
+        """Read-only ``doc_id -> class_id``, built on first read."""
+        return MappingProxyType(dict(zip(self.doc_ids, [self.class_ids[i] for i in self.labels.tolist()])))
+
+    @cached_property
+    def scores(self) -> Mapping[str, Mapping[str, float]]:
+        """Read-only ``doc_id -> {class_id: score}``, built on first read."""
+        return MappingProxyType({doc_id: MappingProxyType(row) for doc_id, row in self.scores_dict().items()})
 
     def to_tsv(self) -> str:
         """doc_id, assigned class, winning score; one row per document."""
         lines = ["doc_id\tassigned\tscore"]
-        for doc_id, assigned in self.mapping.items():
-            lines.append(f"{tsv_cell(doc_id)}\t{tsv_cell(assigned)}\t{self.scores[doc_id][assigned]:.10g}")
+        best = self.matrix[np.arange(len(self.labels)), self.labels].tolist()
+        for doc_id, label, score in zip(self.doc_ids, self.labels.tolist(), best):
+            lines.append(f"{tsv_cell(doc_id)}\t{tsv_cell(self.class_ids[label])}\t{score:.10g}")
         return "\n".join(lines) + "\n"
 
     def scores_dict(self) -> dict[str, dict[str, float]]:
-        return {doc_id: dict(row) for doc_id, row in self.scores.items()}
+        return {doc_id: dict(zip(self.class_ids, row)) for doc_id, row in zip(self.doc_ids, self.matrix.tolist())}
 
 
 def assign_from_context(ctx: ScoringContext) -> Assignment:
     """Score every document and map it to its first highest-scoring class."""
     scores = ctx.product + ctx.b
-    best = scores.argmax(axis=1).tolist()
-    return Assignment(
-        mapping={doc_id: ctx.class_ids[i] for doc_id, i in zip(ctx.doc_ids, best)},
-        scores=_ScoreRows(ctx.doc_ids, ctx.class_ids, scores),
-        floored=ctx.floored,
-    )
+    return Assignment(ctx.doc_ids, ctx.class_ids, scores.argmax(axis=1), scores, ctx.floored)
 
 
 def map_documents(task: Task, config: ModelConfig, resources: TaskResources | None = None) -> Assignment:

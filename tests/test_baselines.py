@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from namesift.baselines import (
     Clustering,
-    _lloyd,
     assignment_to_clusters,
     gram,
     hac_complete,
@@ -214,10 +213,14 @@ def test_kmeans_objective_history_never_increases():
     for _ in range(20):
         n = int(rng.integers(3, 10))
         vectors = _random_vectors(rng, n)
-        matrix = gram(vectors).matrix
+        shared = gram(vectors)
         k = int(rng.integers(1, n + 1))
         for seed in (1, 2, 3):
-            _, _, history = _lloyd(matrix, k, seed, max_iterations=100)
+            # The objective after each iteration t of the full run.
+            iterations = kmeans(shared, k, seed).n_iterations
+            history = [
+                kmeans_objective(kmeans(shared, k, seed, max_iterations=t), shared) for t in range(1, iterations + 1)
+            ]
             for earlier, later in zip(history, history[1:]):
                 assert later <= earlier + 1e-12
 

@@ -29,6 +29,7 @@ from namesift.corpus import NOISE_LABEL, load_corpus, write_task
 from namesift.experiments import RunSpec, task_clusterings, validate_corpus
 from namesift.features import IDF_NUMERATORS, INTERSECTION_SEMANTICS, LOG_BASES, NOISE_MODES, FeatureConfig
 from namesift.models import LAPLACE_DENOMINATORS, MODELS
+from namesift.synthetic import write_benchmark
 
 from conftest import build_task, write_broken_task
 
@@ -342,6 +343,22 @@ def test_classify_task_filter(mini_corpus, clean_env, capsys):
     assert main(["classify", str(mini_corpus), "--model", "score", "--tasks", "mason"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [row.split("\t")[0] for row in lines[1:]] == ["mason", "aggregate"]
+
+
+def test_task_filter_drops_other_tasks_before_reading_their_bodies(tmp_path, clean_env, capsys):
+    corpus = tmp_path / "corpus"
+    write_benchmark(corpus)
+    other = write_task(build_task({"e1": "x"}, {"d1": "y"}, name="Someone Else"), corpus / "someone")
+    (other / "documents" / "d000.txt").unlink()
+    args = ["classify", str(corpus), "--model", "cosine", "--tasks", "John Porter"]
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    assert "warning" not in captured.err
+    assert [row.split("\t")[0] for row in captured.out.splitlines()[1:]] == ["John Porter", "aggregate"]
+    # A manifest that cannot be parsed names no task, so it is still reported.
+    (other / "task.json").write_text("{", encoding="utf-8")
+    assert main(args) == 3
+    assert "warning: skipped" in capsys.readouterr().err
 
 
 def test_classify_empty_root_exits_two(tmp_path, clean_env, capsys):

@@ -7,7 +7,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from namesift.baselines import assignment_to_clusters
 from namesift.corpus import NOISE_LABEL, CorpusIntegrityError
 from namesift.evaluation import (
     METRIC_COLUMNS,
@@ -21,11 +24,11 @@ from namesift.evaluation import (
     nmi,
     purity,
 )
-from namesift.features import FeatureConfig
-from namesift.models import Assignment, ModelConfig, map_documents
+from namesift.features import NOISE_MODES, FeatureConfig
+from namesift.models import MODELS, Assignment, ModelConfig, map_documents
 
 import oracles
-from conftest import build_task
+from conftest import build_task, random_micro_task
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +246,23 @@ def test_evaluate_assignment_applies_clustering_protocol():
     assert metrics.f1_bar == pytest.approx((micro + macro) / 2)
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), model=st.sampled_from(MODELS), noise=st.sampled_from(NOISE_MODES))
+def test_evaluate_assignment_equals_the_metrics_over_grouped_documents(seed, model, noise):
+    # Equal, not approximately equal: the per-task metrics sum in the same order.
+    task = random_micro_task(np.random.default_rng(seed))
+    assignment = map_documents(task, ModelConfig(model=model, features=FeatureConfig(noise=noise)))
+    metrics = evaluate_assignment(task, assignment)
+    assert (metrics.micro_f1, metrics.macro_f1) == micro_macro_f1(assignment.mapping, task.gold.labels)
+    kept = clustering_eval_filter(task)
+    if not kept:
+        assert metrics.purity is None and metrics.nmi is None
+        return
+    clusters = assignment_to_clusters(assignment.mapping, kept)
+    assert metrics.purity == purity(clusters, task.gold)
+    assert metrics.nmi == nmi(clusters, task.gold)
+
+
 def test_evaluate_assignment_all_noise_gold_leaves_clustering_metrics_unset():
     task = build_task({"e1": "x"}, {"d1": "q"}, gold={"d1": NOISE_LABEL})
     assignment = map_documents(task, ModelConfig(model="cosine"))
@@ -254,7 +274,7 @@ def test_evaluate_assignment_all_noise_gold_leaves_clustering_metrics_unset():
 
 def test_evaluate_assignment_empty_task_leaves_everything_unset():
     task = build_task({"e1": "x"}, {})
-    metrics = evaluate_assignment(task, Assignment(mapping={}, scores={}))
+    metrics = evaluate_assignment(task, Assignment([], [], np.zeros(0, dtype=int), np.zeros((0, 0))))
     assert all(getattr(metrics, column) is None for column in METRIC_COLUMNS)
 
 

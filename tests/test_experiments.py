@@ -163,8 +163,10 @@ def test_grid_cell_equals_single_run(mini_corpus):
             assert report.per_task[task.name].nmi == sum(nmi(c, gold) for c in runs) / len(runs)
             clusterings[task.name] = [c.to_dict() for c in runs]
         assert {name: [c.to_dict() for c in runs] for name, runs in result.clusterings[method].items()} == clusterings
+        # A baseline's config records the settings it reads, and no model setting.
         extra = {"reps": spec.reps} if method == "kmeans" else {}
-        assert report.config == spec.fingerprint(model=method, noise=None, **extra)
+        weighting = {"idf_numerator": spec.idf_numerator, "log_base": spec.log_base}
+        assert report.config == {**weighting, "model": method, "noise": None, **extra}
 
 
 @pytest.mark.parametrize("baselines", [False, True])
