@@ -10,12 +10,10 @@ Run:  python3 demos/01_features.py
 from namesift import (
     EntityProfile,
     FeatureConfig,
-    GoldAlignment,
     NOISE_LABEL,
     ResultDocument,
     Task,
     build_index,
-    l1_normalize,
     tokenize,
     vectorize,
 )
@@ -38,12 +36,12 @@ def main() -> None:
             ResultDocument(id="d2", url="http://x/2", rank=2, text="protein cell enzyme"),
             ResultDocument(id="d3", url="http://x/3", rank=3, text="weather lottery"),
         ],
-        gold=GoldAlignment({"d1": "e1", "d2": "e2", "d3": NOISE_LABEL}),
+        gold={"d1": "e1", "d2": "e2", "d3": NOISE_LABEL},
     )
 
     index = build_index(task)
     print("\n== feature index ==")
-    print(f"  elements: {index.elements}")
+    print(f"  elements of C: {index.document_ids + index.entity_ids} (the noise entity has no statistics)")
     print(f"  vocabulary size: {index.feature_count} features")
     for token in ("guitar", "protein", "weather"):
         fid = index.feature_id(token)
@@ -66,7 +64,8 @@ def main() -> None:
 
     print("\n== L1 normalization (used by the smoothed scorer) ==")
     vec = vectorize("d1", index, config)
-    unit = l1_normalize(vec)
+    total = sum(abs(w) for w in vec.values())
+    unit = {fid: w / total for fid, w in vec.items()}
     print(f"  weight sum before: {sum(vec.values()):.4f}  after: {sum(unit.values()):.4f}")
 
 

@@ -9,7 +9,6 @@ Run:  python3 demos/02_scoring_models.py
 from namesift import (
     EntityProfile,
     FeatureConfig,
-    GoldAlignment,
     MODELS,
     ModelConfig,
     NOISE_LABEL,
@@ -42,7 +41,7 @@ def demo_task() -> Task:
             ResultDocument(id="d2", url="http://x/2", rank=2, text="protein cell enzyme assay"),
             ResultDocument(id="d3", url="http://x/3", rank=3, text="born career photo contact"),
         ],
-        gold=GoldAlignment({"d1": "e1", "d2": "e2", "d3": NOISE_LABEL}),
+        gold={"d1": "e1", "d2": "e2", "d3": NOISE_LABEL},
     )
 
 
@@ -53,9 +52,8 @@ def main() -> None:
     print("== noise profiles ==")
     for kind in ("union", "intersection"):
         profile = build_noise_profile(index, FeatureConfig(noise=kind))
-        tokens = sorted(index.tokens[fid] for fid in profile.vector)
-        weight = next(iter(profile.vector.values()), 0.0)
-        print(f"  {kind:12} {len(tokens):2} features, uniform weight {weight:.4f}")
+        tokens = sorted(index.tokens[fid] for fid in profile.features)
+        print(f"  {kind:12} {len(tokens):2} features, uniform weight {profile.weight:.4f}")
         print(f"               {tokens}")
 
     print("\n== who gets d3 (about neither person) ==")

@@ -27,7 +27,7 @@ def main() -> None:
     tasks = synthetic_benchmark(seed=7)
     print("== corpus shape ==")
     for task in tasks:
-        noise_docs = sum(1 for d in task.documents if task.gold.labels[d.id] == "__NOISE__")
+        noise_docs = sum(1 for d in task.documents if task.gold[d.id] == "__NOISE__")
         print(
             f"  {task.name:18} {len(task.entities)} entities, "
             f"{len(task.documents)} documents ({noise_docs} about nobody in the KB)"

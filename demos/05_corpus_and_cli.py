@@ -11,7 +11,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from namesift import EntityProfile, GoldAlignment, NOISE_LABEL, ResultDocument, Task, write_task
+from namesift import EntityProfile, NOISE_LABEL, ResultDocument, Task, write_task
 from namesift.cli import main as cli
 
 
@@ -30,7 +30,7 @@ def build_corpus(root: Path) -> None:
             ResultDocument(id="d2", url="http://a/2", rank=2, text="catalyst reaction polymer paper"),
             ResultDocument(id="d3", url="http://a/3", rank=3, text="born career photo directory"),
         ],
-        gold=GoldAlignment({"d1": "e1", "d2": "e2", "d3": NOISE_LABEL}),
+        gold={"d1": "e1", "d2": "e2", "d3": NOISE_LABEL},
     )
     mason = Task(
         name="mason",
@@ -42,7 +42,7 @@ def build_corpus(root: Path) -> None:
             ResultDocument(id="d1", url="http://b/1", rank=1, text="flight cockpit runway log"),
             ResultDocument(id="d2", url="http://b/2", rank=2, text="novel publisher chapter deal"),
         ],
-        gold=GoldAlignment({"d1": "e1", "d2": "e2"}),
+        gold={"d1": "e1", "d2": "e2"},
     )
     for task in (baker, mason):
         write_task(task, root / task.name)

@@ -14,7 +14,6 @@ from .corpus import (
     CorpusFormatError,
     CorpusIntegrityError,
     EntityProfile,
-    GoldAlignment,
     ResultDocument,
     Task,
     discover_tasks,
@@ -45,7 +44,6 @@ from .features import (
     build_index,
     build_noise_profile,
     intersection_noise,
-    l1_normalize,
     tfidf,
     union_noise,
     vectorize,
@@ -74,7 +72,6 @@ __all__ = [
     "FeatureConfig",
     "FeatureIndex",
     "FeatureVector",
-    "GoldAlignment",
     "Gram",
     "ModelConfig",
     "NoiseProfile",
@@ -93,7 +90,6 @@ __all__ = [
     "hac_complete",
     "intersection_noise",
     "kmeans",
-    "l1_normalize",
     "load_corpus",
     "load_task",
     "map_documents",

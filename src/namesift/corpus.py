@@ -38,7 +38,6 @@ __all__ = [
     "CorpusIntegrityError",
     "EntityProfile",
     "ResultDocument",
-    "GoldAlignment",
     "Task",
     "tokenize",
     "term_frequencies",
@@ -146,23 +145,16 @@ class ResultDocument:
 
 
 @dataclass
-class GoldAlignment:
-    """Gold mapping from document id to entity id or ``__NOISE__``."""
-
-    labels: dict[str, str]
-
-    def label(self, doc_id: str) -> str:
-        return self.labels[doc_id]
-
-
-@dataclass
 class Task:
-    """One ambiguous name with its entities, documents, and gold labels."""
+    """One ambiguous name with its entities, documents, and gold labels.
+
+    ``gold`` maps every document id to an entity id or ``__NOISE__``.
+    """
 
     name: str
     entities: list[EntityProfile]
     documents: list[ResultDocument]
-    gold: GoldAlignment
+    gold: dict[str, str]
 
     def __post_init__(self) -> None:
         self.validate()
@@ -194,7 +186,7 @@ class Task:
         if NOISE_LABEL in seen:
             raise CorpusIntegrityError(f"task {self.name!r}: id {NOISE_LABEL!r} is reserved")
         doc_ids = set(self.document_ids)
-        gold_ids = set(self.gold.labels)
+        gold_ids = set(self.gold)
         if gold_ids != doc_ids:
             missing = sorted(doc_ids - gold_ids)
             extra = sorted(gold_ids - doc_ids)
@@ -203,14 +195,14 @@ class Task:
                 f" (missing {missing!r}, unknown {extra!r})"
             )
         valid = set(self.entity_ids) | {NOISE_LABEL}
-        for did, label in self.gold.labels.items():
+        for did, label in self.gold.items():
             if label not in valid:
                 raise CorpusIntegrityError(f"task {self.name!r}: gold label {label!r} for {did!r} is not an entity id")
 
 
 def clustering_eval_filter(task: Task) -> list[str]:
     """Documents whose gold label is a real entity, in task order."""
-    return [d.id for d in task.documents if task.gold.labels[d.id] != NOISE_LABEL]
+    return [d.id for d in task.documents if task.gold[d.id] != NOISE_LABEL]
 
 
 def _require(mapping: object, key: str, where: str):
@@ -375,7 +367,7 @@ def load_task(
             )
         )
 
-    gold = GoldAlignment(_parse_gold(path / "gold.tsv"))
+    gold = _parse_gold(path / "gold.tsv")
     return Task(name=manifest["name"], entities=entities, documents=documents, gold=gold)
 
 
@@ -390,7 +382,7 @@ def write_task(task: Task, path: str | Path) -> Path:
     """
     if not task.name:
         raise CorpusFormatError("task name must be a non-empty string")
-    gold_lines = [_gold_line(doc.id, task.gold.labels[doc.id]) for doc in task.documents]
+    gold_lines = [_gold_line(doc.id, task.gold[doc.id]) for doc in task.documents]
     manifest: dict = {"name": task.name, "entities": [], "documents": []}
     files: dict[str, str] = {}
     for i, entity in enumerate(task.entities):

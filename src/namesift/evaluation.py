@@ -1,20 +1,22 @@
 """Clustering and classification quality metrics, per-task and aggregated.
 
-Every metric reads one contingency table of (predicted, gold) pairs.
+Every metric reads one contingency table of (predicted, gold) pairs, so
+`evaluate_assignment` builds two tables per classification run (F1; purity
+and NMI) and `evaluate_clusterings` one per baseline clustering.  Gold
+labels are a plain ``doc_id -> label`` mapping such as `Task.gold`.
 Metric functions accept either the library's dataclasses (Clustering,
-Assignment, GoldAlignment) or plain lists and mappings, so they are easy
-to call from scripts and tests.
+Assignment) or plain lists and mappings, so they are easy to call from
+scripts and tests.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .baselines import Clustering
-from .corpus import NOISE_LABEL, CorpusIntegrityError, GoldAlignment, Task, clustering_eval_filter, tsv_cell
+from .corpus import NOISE_LABEL, CorpusIntegrityError, Task, clustering_eval_filter, tsv_cell
 from .models import Assignment
 
 __all__ = [
@@ -26,6 +28,7 @@ __all__ = [
     "f1_bar",
     "clustering_eval_filter",
     "evaluate_assignment",
+    "evaluate_clusterings",
     "aggregate_metrics",
 ]
 
@@ -41,29 +44,27 @@ def _contingency(pairs: Iterable[tuple[object, str]]) -> dict[object, dict[str, 
     return table
 
 
-def _cluster_pairs(clusters, gold) -> Iterable[tuple[int, str]]:
+def _cluster_pairs(clusters, gold: Mapping[str, str]) -> Iterable[tuple[int, str]]:
     """(cluster index, gold label) per member; raises on unlabeled documents."""
-    labels = gold.labels if isinstance(gold, GoldAlignment) else gold
     for i, cluster in enumerate(clusters.clusters if isinstance(clusters, Clustering) else clusters):
         for doc_id in cluster:
-            if doc_id not in labels:
+            if doc_id not in gold:
                 raise CorpusIntegrityError(f"document {doc_id!r} has no gold label")
-            yield i, labels[doc_id]
+            yield i, gold[doc_id]
 
 
-def _assigned_pairs(assignment, gold) -> list[tuple[str, str]]:
+def _assigned_pairs(assignment, gold: Mapping[str, str]) -> list[tuple[str, str]]:
     """(assigned class, gold label) per document, in assignment order; coverage must be exact."""
-    labels = gold.labels if isinstance(gold, GoldAlignment) else gold
     if isinstance(assignment, Assignment):
         doc_ids, assigned = assignment.doc_ids, [assignment.class_ids[i] for i in assignment.labels.tolist()]
     else:
         doc_ids, assigned = list(assignment), list(assignment.values())
     covered = set(doc_ids)
-    if labels.keys() - covered:
-        raise CorpusIntegrityError(f"assignment does not cover documents {sorted(labels.keys() - covered)!r}")
-    if covered - labels.keys():
-        raise CorpusIntegrityError(f"assignment covers unlabeled documents {sorted(covered - labels.keys())!r}")
-    return [(predicted, labels[doc_id]) for doc_id, predicted in zip(doc_ids, assigned)]
+    if gold.keys() - covered:
+        raise CorpusIntegrityError(f"assignment does not cover documents {sorted(gold.keys() - covered)!r}")
+    if covered - gold.keys():
+        raise CorpusIntegrityError(f"assignment covers unlabeled documents {sorted(covered - gold.keys())!r}")
+    return [(predicted, gold[doc_id]) for doc_id, predicted in zip(doc_ids, assigned)]
 
 
 def _purity(table: Mapping[object, dict[str, int]]) -> float:
@@ -193,6 +194,19 @@ def evaluate_assignment(task: Task, assignment: Assignment) -> TaskMetrics:
     return metrics
 
 
+def evaluate_clusterings(task: Task, runs: Sequence[Clustering]) -> TaskMetrics:
+    """Purity and NMI of a baseline on one task: means over ``runs``, in run order.
+
+    Each run's one contingency table gives both metrics; the runs cluster
+    the documents `clustering_eval_filter` keeps.
+    """
+    tables = [_contingency(_cluster_pairs(run, task.gold)) for run in runs]
+    return TaskMetrics(
+        purity=sum(_purity(table) for table in tables) / len(tables),
+        nmi=sum(_nmi(table) for table in tables) / len(tables),
+    )
+
+
 def aggregate_metrics(per_task: Mapping[str, TaskMetrics]) -> TaskMetrics:
     """Unweighted means over tasks, skipping None values per column."""
     out = TaskMetrics()
@@ -247,6 +261,3 @@ class EvalReport:
             "per_task": {name: metrics.as_dict() for name, metrics in self.per_task.items()},
             "aggregate": self.aggregate.as_dict(),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=False) + "\n"

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .baselines import BASELINES, Clustering, hac_complete, run_repetitions
 from .corpus import (
@@ -28,7 +28,7 @@ from .corpus import (
     read_manifest,
     tsv_cell,
 )
-from .evaluation import EvalReport, TaskMetrics, clustering_eval_filter, evaluate_assignment, nmi, purity
+from .evaluation import EvalReport, TaskMetrics, clustering_eval_filter, evaluate_assignment, evaluate_clusterings
 from .features import NOISE_MODES, ConfigError, FeatureConfig
 from .features import build_index, vectorize  # noqa: F401  (kept importable here: perfbench's tracer wraps them in this module)
 from .models import MODELS, Assignment, ModelConfig, TaskResources, map_documents
@@ -50,16 +50,18 @@ class RunSpec:
     """Everything one experiment run depends on.
 
     Feature and model settings default to the `FeatureConfig` and
-    `ModelConfig` defaults.  Construction builds ``cells``, the
+    `ModelConfig` defaults.  ``tasks`` (None: every task), ``models`` and
+    ``noise_modes`` are stored as tuples of names; a bare string raises
+    `ConfigError`.  Construction builds ``cells``, the
     `ModelConfig` of each (model, noise) pair in grid order, so a value
     either config class refuses raises `ConfigError` here, before any
     task loads; the spec is frozen, so its cells stay its own.
     """
 
     corpus_root: Path
-    tasks: Sequence[str] | None = None
-    models: Sequence[str] = MODELS
-    noise_modes: Sequence[str] = NOISE_MODES
+    tasks: tuple[str, ...] | None = None
+    models: tuple[str, ...] = MODELS
+    noise_modes: tuple[str, ...] = NOISE_MODES
     hac: bool = False
     kmeans: bool = False
     reps: int = 10
@@ -75,6 +77,12 @@ class RunSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "corpus_root", Path(self.corpus_root))
+        for name in ("tasks", "models", "noise_modes"):
+            names = getattr(self, name)
+            if isinstance(names, str):
+                raise ConfigError(f"{name} must be a sequence of names, got the string {names!r}")
+            if names is not None:
+                object.__setattr__(self, name, tuple(names))
         if self.reps < 1:
             raise ConfigError(f"reps must be >= 1, got {self.reps}")
         self.feature_config()  # checks the feature settings, which the baselines read too
@@ -213,10 +221,7 @@ def run_grid(spec: RunSpec) -> GridResult:
                 per_task[(method, "")][task.name] = TaskMetrics()
                 continue
             # K-Means metrics are means over its seeded repetitions.
-            per_task[(method, "")][task.name] = TaskMetrics(
-                purity=sum(purity(c, task.gold) for c in runs) / len(runs),
-                nmi=sum(nmi(c, task.gold) for c in runs) / len(runs),
-            )
+            per_task[(method, "")][task.name] = evaluate_clusterings(task, runs)
             result.clusterings[method][task.name] = runs
         del resources  # released before the next task's are built
     result.reports = [

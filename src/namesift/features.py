@@ -13,7 +13,7 @@ from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain, count
-from typing import Callable, Iterator, TypeVar
+from typing import Iterator
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "build_index",
     "tfidf",
     "vectorize",
-    "l1_normalize",
     "union_noise",
     "intersection_noise",
     "build_noise_profile",
@@ -44,8 +43,6 @@ INTERSECTION_SEMANTICS = ("exists", "forall")
 
 # Divisor applied to natural logs to change base.
 _LOG_DIVISOR = {"e": 1.0, "2": math.log(2.0), "10": math.log(10.0)}
-
-_V = TypeVar("_V")
 
 
 class ConfigError(ValueError):
@@ -84,15 +81,14 @@ class FeatureConfig:
         _check(self.intersection_semantics, INTERSECTION_SEMANTICS, "intersection_semantics")
 
 
-class _ElementView(Mapping[str, _V]):
-    """Read-only element id -> value mapping, computed from the index on access."""
+class _TermCounts(Mapping[str, dict[int, int]]):
+    """Read-only element id -> feature id -> count mapping, computed from the index on access."""
 
-    def __init__(self, index: "FeatureIndex", value_of: Callable[[str], _V]) -> None:
+    def __init__(self, index: "FeatureIndex") -> None:
         self._index = index
-        self._value_of = value_of
 
-    def __getitem__(self, element_id: str) -> _V:
-        return self._value_of(element_id)
+    def __getitem__(self, element_id: str) -> dict[int, int]:
+        return self._index.counts_of(element_id)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._index.document_ids + self._index.entity_ids)
@@ -111,10 +107,8 @@ class FeatureIndex:
     uses them, with their occurrence counts at the same positions of
     ``counts`` (whole numbers held as floats, so scoring uses them as is).
     ``df`` counts, per feature, the elements of C containing it at least
-    once.  The noise placeholder closes the element list and carries no
-    term statistics.  ``term_counts`` (element id -> feature id -> count),
-    ``max_counts`` and ``token_totals`` are read-only views computed on
-    access.  The arrays are read-only.
+    once.  ``term_counts`` (element id -> feature id -> count) is a
+    read-only view computed on access.  The arrays are read-only.
     """
 
     tokens: list[str]
@@ -132,10 +126,6 @@ class FeatureIndex:
         self._rows = {element_id: r for r, element_id in enumerate(self.document_ids + self.entity_ids)}
         for array in (self.features, self.counts, self.offsets, self.df):
             array.flags.writeable = False
-
-    @property
-    def elements(self) -> list[str]:
-        return self.document_ids + self.entity_ids + [NOISE_LABEL]
 
     @property
     def corpus_size(self) -> int:
@@ -168,15 +158,7 @@ class FeatureIndex:
 
     @property
     def term_counts(self) -> Mapping[str, dict[int, int]]:
-        return _ElementView(self, self.counts_of)
-
-    @property
-    def max_counts(self) -> Mapping[str, int]:
-        return _ElementView(self, lambda element_id: int(self.counts[self.span(element_id)].max(initial=0)))
-
-    @property
-    def token_totals(self) -> Mapping[str, int]:
-        return _ElementView(self, lambda element_id: int(self.counts[self.span(element_id)].sum()))
+        return _TermCounts(self)
 
     def weights(self, config: FeatureConfig) -> np.ndarray:
         """The tf-idf weight at every stored position, computed once per weighting."""
@@ -283,38 +265,33 @@ def vectorize(
     return dict(zip(index.features[span][nonzero].tolist(), weights[nonzero].tolist()))
 
 
-def l1_normalize(vector: FeatureVector) -> FeatureVector:
-    """Scale so absolute values sum to 1; empty or all-zero input gives {}."""
-    total = sum(abs(w) for w in vector.values())
-    if total == 0.0:
-        return {}
-    return {f: w / total for f, w in vector.items() if w != 0.0}
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseProfile:
     """Artificial entity absorbing documents that match nobody.
 
-    ``vector`` spreads weight uniformly over the selected feature set, so
-    non-empty profiles sum to 1.  An empty feature set gives an empty
-    vector, which is legal: the noise class then scores 0 everywhere.
+    ``features`` holds the selected feature ids, each once in ascending
+    order, as a read-only int64 array, whatever ids construction was given.
+    The profile spreads ``weight`` uniformly over them, so a non-empty
+    profile sums to 1.  An empty feature set (weight 0) is legal: the noise
+    class then scores 0 everywhere.
     """
 
     kind: str
-    vector: FeatureVector
+    features: np.ndarray
+
+    def __post_init__(self) -> None:
+        # A sort and a neighbour mask, not np.unique, which is several times
+        # slower on these arrays with numpy 2.4.
+        ordered = np.sort(np.asarray(self.features, dtype=np.int64))
+        distinct = np.ones(len(ordered), dtype=bool)
+        distinct[1:] = ordered[1:] != ordered[:-1]
+        ordered = ordered[distinct]
+        ordered.flags.writeable = False
+        object.__setattr__(self, "features", ordered)
 
     @property
-    def features(self) -> set[int]:
-        return set(self.vector)
-
-
-def _uniform(feature_ids: np.ndarray, kind: str) -> NoiseProfile:
-    """Uniform weight over the distinct ``feature_ids``, in ascending order."""
-    ordered = np.sort(feature_ids)
-    distinct = np.ones(len(ordered), dtype=bool)
-    distinct[1:] = ordered[1:] != ordered[:-1]
-    ordered = ordered[distinct].tolist()
-    return NoiseProfile(kind, dict.fromkeys(ordered, 1.0 / len(ordered) if ordered else 0.0))
+    def weight(self) -> float:
+        return 1.0 / len(self.features) if len(self.features) else 0.0
 
 
 def _entity_features(index: FeatureIndex) -> np.ndarray:
@@ -324,7 +301,7 @@ def _entity_features(index: FeatureIndex) -> np.ndarray:
 
 def union_noise(index: FeatureIndex) -> NoiseProfile:
     """Noise profile over the union of all entity-profile features."""
-    return _uniform(_entity_features(index), "union")
+    return NoiseProfile("union", _entity_features(index))
 
 
 def intersection_noise(index: FeatureIndex, semantics: str = "exists") -> NoiseProfile:
@@ -341,10 +318,10 @@ def intersection_noise(index: FeatureIndex, semantics: str = "exists") -> NoiseP
     _check(semantics, INTERSECTION_SEMANTICS, "intersection_semantics")
     if semantics == "exists":
         feats = _entity_features(index)
-        return _uniform(feats[index.df[feats] >= 2], "intersection")
+        return NoiseProfile("intersection", feats[index.df[feats] >= 2])
     if not index.entity_ids or index.corpus_size < 2:
-        return _uniform(np.empty(0, dtype=np.int64), "intersection")
-    return _uniform(np.flatnonzero(index.df == index.corpus_size), "intersection")
+        return NoiseProfile("intersection", ())
+    return NoiseProfile("intersection", np.flatnonzero(index.df == index.corpus_size))
 
 
 def build_noise_profile(index: FeatureIndex, config: FeatureConfig) -> NoiseProfile | None:

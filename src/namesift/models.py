@@ -398,8 +398,7 @@ class TaskResources:
             profile = build_noise_profile(self.index, config)
             row = np.zeros((int(profile is not None), self.index.feature_count))
             if profile is not None:
-                ids = np.fromiter(profile.vector, dtype=np.int64, count=len(profile.vector))
-                row[0, ids] = np.fromiter(profile.vector.values(), dtype=float, count=len(ids))
+                row[0, profile.features] = profile.weight
             row.flags.writeable = False
             self._noise[key] = row
         return self._noise[key]

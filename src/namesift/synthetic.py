@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import NOISE_LABEL, EntityProfile, GoldAlignment, ResultDocument, Task, write_task
+from .corpus import NOISE_LABEL, EntityProfile, ResultDocument, Task, write_task
 
 __all__ = ["synthetic_benchmark", "generate_task", "write_benchmark"]
 
@@ -129,7 +129,7 @@ def generate_task(
         )
         gold[doc_id] = NOISE_LABEL
 
-    return Task(name=name, entities=entities, documents=documents, gold=GoldAlignment(gold))
+    return Task(name=name, entities=entities, documents=documents, gold=gold)
 
 
 def synthetic_benchmark(

@@ -11,7 +11,6 @@ import pytest
 from namesift.corpus import (
     NOISE_LABEL,
     EntityProfile,
-    GoldAlignment,
     ResultDocument,
     Task,
     write_task,
@@ -34,7 +33,7 @@ def build_task(entities, documents, gold=None, name="sample") -> Task:
         for i, (did, text) in enumerate(documents.items(), start=1)
     ]
     labels = dict(gold) if gold is not None else {did: NOISE_LABEL for did in documents}
-    return Task(name=name, entities=ents, documents=docs, gold=GoldAlignment(labels))
+    return Task(name=name, entities=ents, documents=docs, gold=labels)
 
 
 def random_micro_task(rng: np.random.Generator, max_elements: int = 5, max_tokens: int = 20) -> Task:

@@ -19,7 +19,6 @@ from namesift.corpus import (
     CorpusFormatError,
     CorpusIntegrityError,
     EntityProfile,
-    GoldAlignment,
     ResultDocument,
     Task,
     discover_tasks,
@@ -193,7 +192,7 @@ def test_task_rejects_duplicate_entity_ids():
                 EntityProfile(id="e1", title="b", text="y"),
             ],
             documents=[],
-            gold=GoldAlignment({}),
+            gold={},
         )
 
 
@@ -207,7 +206,7 @@ def test_task_rejects_duplicate_document_ids(make_task):
             name="t",
             entities=[EntityProfile(id="e1", title="a", text="x")],
             documents=docs,
-            gold=GoldAlignment({"d1": "e1"}),
+            gold={"d1": "e1"},
         )
 
 
@@ -217,7 +216,7 @@ def test_task_rejects_id_shared_between_entity_and_document():
             name="t",
             entities=[EntityProfile(id="n1", title="a", text="x")],
             documents=[ResultDocument(id="n1", url="u", rank=1, text="y")],
-            gold=GoldAlignment({"n1": "n1"}),
+            gold={"n1": "n1"},
         )
 
 
@@ -227,7 +226,7 @@ def test_task_rejects_reserved_noise_label_as_entity_id():
             name="t",
             entities=[EntityProfile(id=NOISE_LABEL, title="a", text="x")],
             documents=[],
-            gold=GoldAlignment({}),
+            gold={},
         )
 
 
@@ -242,7 +241,7 @@ def test_gold_labels_must_name_entities_or_noise(make_task):
     with pytest.raises(CorpusIntegrityError):
         build_task({"e1": "x"}, {"d1": "y"}, gold={"d1": "e9"})
     task = build_task({"e1": "x"}, {"d1": "y"}, gold={"d1": NOISE_LABEL})
-    assert task.gold.label("d1") == NOISE_LABEL
+    assert task.gold["d1"] == NOISE_LABEL
 
 
 def test_task_with_no_documents_is_valid(make_task):
@@ -273,7 +272,7 @@ def test_write_then_load_round_trips_exactly(tmp_path, make_task):
     assert [d.rank for d in loaded.documents] == [d.rank for d in task.documents]
     assert [d.text for d in loaded.documents] == [d.text for d in task.documents]
     assert [d.tokens for d in loaded.documents] == [d.tokens for d in task.documents]
-    assert loaded.gold.labels == task.gold.labels
+    assert loaded.gold == task.gold
 
 
 def test_round_trip_keeps_carriage_returns(tmp_path, make_task):
@@ -331,7 +330,7 @@ def test_write_load_round_trips_arbitrary_unicode(name, ids, n_entities, texts, 
     ]
     options = entity_ids + [NOISE_LABEL]
     gold = {did: options[labels[i] % len(options)] for i, did in enumerate(doc_ids)}
-    task = Task(name=name, entities=entities, documents=documents, gold=GoldAlignment(gold))
+    task = Task(name=name, entities=entities, documents=documents, gold=gold)
     with tempfile.TemporaryDirectory() as tmp:
         try:
             path = write_task(task, Path(tmp) / "rt")
@@ -420,7 +419,7 @@ def test_load_task_malformed_gold_row(tmp_path):
 def test_gold_comments_and_blank_lines_ignored(tmp_path):
     _write_minimal(tmp_path / "t", gold="# header comment\n\nd1\te1\n")
     task = load_task(tmp_path / "t")
-    assert task.gold.labels == {"d1": "e1"}
+    assert task.gold == {"d1": "e1"}
 
 
 def test_load_task_dangling_file_reference(tmp_path):
@@ -560,4 +559,4 @@ def test_load_corpus(tmp_path):
     root = write_mini_corpus(tmp_path / "corpus")
     tasks = load_corpus(root)
     assert [t.name for t in tasks] == ["baker", "mason"]
-    assert all(t.gold.labels for t in tasks)
+    assert all(t.gold for t in tasks)

@@ -19,11 +19,13 @@ from namesift.evaluation import (
     aggregate_metrics,
     clustering_eval_filter,
     evaluate_assignment,
+    evaluate_clusterings,
     f1_bar,
     micro_macro_f1,
     nmi,
     purity,
 )
+from namesift.experiments import task_clusterings
 from namesift.features import NOISE_MODES, FeatureConfig
 from namesift.models import MODELS, Assignment, ModelConfig, map_documents
 
@@ -240,7 +242,7 @@ def test_evaluate_assignment_applies_clustering_protocol():
     # d3 is dropped for purity/NMI, so both are computed on {d1, d2}.
     subset_gold = {"d1": "e1", "d2": "e2"}
     assert metrics.purity == pytest.approx(oracles.purity_ref([["d1"], ["d2"]], subset_gold))
-    micro, macro = micro_macro_f1(assignment.mapping, task.gold.labels)
+    micro, macro = micro_macro_f1(assignment.mapping, task.gold)
     assert metrics.micro_f1 == pytest.approx(micro)
     assert metrics.macro_f1 == pytest.approx(macro)
     assert metrics.f1_bar == pytest.approx((micro + macro) / 2)
@@ -253,7 +255,7 @@ def test_evaluate_assignment_equals_the_metrics_over_grouped_documents(seed, mod
     task = random_micro_task(np.random.default_rng(seed))
     assignment = map_documents(task, ModelConfig(model=model, features=FeatureConfig(noise=noise)))
     metrics = evaluate_assignment(task, assignment)
-    assert (metrics.micro_f1, metrics.macro_f1) == micro_macro_f1(assignment.mapping, task.gold.labels)
+    assert (metrics.micro_f1, metrics.macro_f1) == micro_macro_f1(assignment.mapping, task.gold)
     kept = clustering_eval_filter(task)
     if not kept:
         assert metrics.purity is None and metrics.nmi is None
@@ -276,6 +278,20 @@ def test_evaluate_assignment_empty_task_leaves_everything_unset():
     task = build_task({"e1": "x"}, {})
     metrics = evaluate_assignment(task, Assignment([], [], np.zeros(0, dtype=int), np.zeros((0, 0))))
     assert all(getattr(metrics, column) is None for column in METRIC_COLUMNS)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), method=st.sampled_from(("hac_complete", "kmeans")))
+def test_evaluate_clusterings_equals_the_mean_metrics_over_runs(seed, method):
+    # Equal, not approximately equal: the means sum the runs in run order.
+    task = random_micro_task(np.random.default_rng(seed))
+    runs = task_clusterings(task, method, FeatureConfig(), reps=3)
+    if runs is None:
+        return
+    metrics = evaluate_clusterings(task, runs)
+    assert metrics.purity == sum(purity(c, task.gold) for c in runs) / len(runs)
+    assert metrics.nmi == sum(nmi(c, task.gold) for c in runs) / len(runs)
+    assert (metrics.micro_f1, metrics.macro_f1, metrics.f1_bar) == (None, None, None)
 
 
 def test_aggregate_metrics_skips_unset_values():
@@ -301,7 +317,7 @@ def test_eval_report_tsv_layout():
     assert lines[1].startswith("alpha\tcosine\tunion\t1.000000\t1.000000")
     assert lines[2].split("\t")[3] == ""  # unset purity prints empty
     assert lines[3].startswith("aggregate\tcosine\tunion")
-    payload = json.loads(report.to_json())
+    payload = json.loads(json.dumps(report.to_dict()))
     assert payload["model"] == "cosine"
     assert payload["per_task"]["beta"]["macro_f1"] == 0.25
     assert payload["aggregate"]["f1_bar"] == pytest.approx((1.0 + 0.375) / 2)

@@ -7,6 +7,7 @@ import weakref
 
 import pytest
 
+import namesift.evaluation
 import namesift.models
 from namesift.baselines import BASELINES
 from namesift.corpus import NOISE_LABEL, CorpusIntegrityError, write_task
@@ -49,6 +50,24 @@ def test_run_spec_needs_some_work(tmp_path):
 def test_run_spec_checks_its_settings_at_construction(tmp_path, setting):
     with pytest.raises(ConfigError):
         RunSpec(corpus_root=tmp_path, **setting)
+
+
+def test_run_spec_keeps_name_lists_as_tuples(tmp_path):
+    spec = RunSpec(corpus_root=tmp_path, tasks=["baker"], models=["score"], noise_modes=["none", "union"])
+    assert (spec.tasks, spec.models, spec.noise_modes) == (("baker",), ("score",), ("none", "union"))
+    assert list(spec.cells) == [("score", "none"), ("score", "union")]
+    same = RunSpec(corpus_root=tmp_path, tasks=("baker",), models=("score",), noise_modes=("none", "union"))
+    assert spec == same
+    assert hash(spec) == hash(same)
+    assert RunSpec(corpus_root=tmp_path).tasks is None
+
+
+@pytest.mark.parametrize("name", ["tasks", "models", "noise_modes"])
+def test_run_spec_refuses_a_bare_string(tmp_path, name):
+    # A string is a sequence of characters: "mason" would filter by
+    # substring, and "score" would name the models s, c, o, r, e.
+    with pytest.raises(ConfigError, match=name):
+        RunSpec(corpus_root=tmp_path, **{name: "score"})
 
 
 def test_run_spec_config_builders(tmp_path):
@@ -158,7 +177,7 @@ def test_grid_cell_equals_single_run(mini_corpus):
         clusterings = {}
         for task in tasks:
             runs = task_clusterings(task, method, spec.feature_config(), reps=spec.reps)
-            gold = {doc_id: task.gold.labels[doc_id] for doc_id in clustering_eval_filter(task)}
+            gold = {doc_id: task.gold[doc_id] for doc_id in clustering_eval_filter(task)}
             assert report.per_task[task.name].purity == sum(purity(c, gold) for c in runs) / len(runs)
             assert report.per_task[task.name].nmi == sum(nmi(c, gold) for c in runs) / len(runs)
             clusterings[task.name] = [c.to_dict() for c in runs]
@@ -185,6 +204,24 @@ def test_grid_releases_each_task_resources_before_the_next(mini_corpus, monkeypa
     run_grid(RunSpec(corpus_root=mini_corpus, models=MODELS, hac=baselines, kmeans=baselines, reps=2))
     # A task's cells and baselines all run before the next task's resources are built.
     assert alive == [1, 1]
+
+
+def test_grid_builds_one_contingency_table_per_baseline_run(mini_corpus, monkeypatch):
+    calls = []
+    contingency = namesift.evaluation._contingency
+
+    def counting(pairs):
+        calls.append(1)
+        return contingency(pairs)
+
+    monkeypatch.setattr(namesift.evaluation, "_contingency", counting)
+    spec = RunSpec(corpus_root=mini_corpus, models=("score",), noise_modes=("none", "union"), hac=True, kmeans=True, reps=3)
+    result = run_grid(spec)
+    assert {method: len(runs) for method, runs in result.clusterings.items()} == {"hac_complete": 2, "kmeans": 2}
+    runs = sum(len(clusterings) for by_task in result.clusterings.values() for clusterings in by_task.values())
+    assert runs == 2 * (1 + spec.reps)
+    # Two tables per cell (F1; purity and NMI), one per clustering.
+    assert len(calls) == 2 * len(spec.cells) * len(result.task_names) + runs
 
 
 def test_grid_is_deterministic(mini_corpus):

@@ -16,13 +16,12 @@ from namesift.features import (
     LOG_BASES,
     ConfigError,
     FeatureConfig,
+    NoiseProfile,
     build_index,
     build_noise_profile,
     intersection_noise,
-    l1_normalize,
     tfidf,
     union_noise,
-    _uniform,
     vectorize,
 )
 from namesift.models import TaskResources
@@ -33,6 +32,10 @@ from conftest import build_task, random_micro_task
 
 def _tokens_of(index, vector):
     return {index.tokens[fid]: w for fid, w in vector.items()}
+
+
+def _profile_tokens(index, profile):
+    return {index.tokens[fid]: profile.weight for fid in profile.features.tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +72,7 @@ def test_index_orders_documents_before_entities():
     index = build_index(task)
     assert index.document_ids == ["d1", "d2"]
     assert index.entity_ids == ["e1"]
-    assert index.elements == ["d1", "d2", "e1", NOISE_LABEL]
+    assert list(index.term_counts) == ["d1", "d2", "e1"]
     assert index.corpus_size == 3
     # Feature ids follow first occurrence, documents first.
     assert index.tokens[: index.feature_count] == ["ant", "bee", "cat", "dog"]
@@ -87,8 +90,8 @@ def test_index_term_lookups():
     index = build_index(task)
     counts = index.counts_of("e1")
     assert counts[index.feature_id("cat")] == 2
-    assert index.max_counts["e1"] == 2
-    assert index.token_totals["e1"] == 3
+    assert max(counts.values()) == 2
+    assert sum(counts.values()) == 3
     with pytest.raises(KeyError):
         index.feature_id("zebra")
     with pytest.raises(KeyError):
@@ -205,8 +208,8 @@ def test_index_matches_scalar_reference_bit_for_bit(documents, entities, numerat
         assert vectorize(element, index, config) == ref["weights"][element]
 
     entity_features = {fid for eid in index.entity_ids for fid, _ in ref["counts"][eid]}
-    assert union_noise(index).features == entity_features
-    assert intersection_noise(index).features == {fid for fid in entity_features if ref["df"][fid] >= 2}
+    assert union_noise(index).features.tolist() == sorted(entity_features)
+    assert intersection_noise(index).features.tolist() == sorted(fid for fid in entity_features if ref["df"][fid] >= 2)
 
     # The scoring arrays hold the same weights: document rows in
     # first-occurrence order (zeros kept), entity rows dense.
@@ -253,31 +256,6 @@ def test_weights_take_the_scalar_log():
 
 
 # ---------------------------------------------------------------------------
-# L1 normalization
-
-
-def test_l1_normalize_worked_example():
-    assert l1_normalize({1: 1.0, 2: 3.0}) == {1: 0.25, 2: 0.75}
-
-
-def test_l1_normalize_degenerate_inputs():
-    assert l1_normalize({}) == {}
-    assert l1_normalize({1: 0.0, 2: 0.0}) == {}
-
-
-def test_l1_normalize_properties():
-    rng = np.random.default_rng(17)
-    for _ in range(50):
-        size = int(rng.integers(1, 8))
-        vec = {int(f): float(w) for f, w in enumerate(rng.uniform(0.01, 5.0, size=size))}
-        unit = l1_normalize(vec)
-        assert sum(abs(w) for w in unit.values()) == pytest.approx(1.0, abs=1e-12)
-        scaled = l1_normalize({f: 7.5 * w for f, w in vec.items()})
-        for f in vec:
-            assert scaled[f] == pytest.approx(unit[f], abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
 # noise profiles
 
 
@@ -285,7 +263,7 @@ def test_union_noise_worked_example():
     task = build_task({"e1": "a b", "e2": "b c"}, {"d1": "q"})
     index = build_index(task)
     profile = union_noise(index)
-    weights = _tokens_of(index, profile.vector)
+    weights = _profile_tokens(index, profile)
     assert weights == {"a": pytest.approx(1 / 3), "b": pytest.approx(1 / 3), "c": pytest.approx(1 / 3)}
     assert profile.kind == "union"
 
@@ -293,7 +271,9 @@ def test_union_noise_worked_example():
 def test_union_noise_without_entities_is_empty():
     task = build_task({}, {"d1": "a b"})
     index = build_index(task)
-    assert union_noise(index).vector == {}
+    profile = union_noise(index)
+    assert profile.features.size == 0
+    assert profile.weight == 0.0
 
 
 def test_intersection_noise_exists_worked_example():
@@ -302,28 +282,28 @@ def test_intersection_noise_exists_worked_example():
     task = build_task({"e1": "a b", "e2": "c"}, {"d1": "b c"})
     index = build_index(task)
     profile = intersection_noise(index, "exists")
-    assert _tokens_of(index, profile.vector) == {"b": pytest.approx(0.5), "c": pytest.approx(0.5)}
+    assert _profile_tokens(index, profile) == {"b": pytest.approx(0.5), "c": pytest.approx(0.5)}
 
 
 def test_intersection_noise_forall_is_usually_empty():
     task = build_task({"e1": "a b", "e2": "c"}, {"d1": "b c"})
     index = build_index(task)
-    assert intersection_noise(index, "forall").vector == {}
+    assert intersection_noise(index, "forall").features.size == 0
 
 
 def test_intersection_noise_forall_vacuous_case():
     # One entity and no documents: no (entity, other element) pair exists.
     task = build_task({"e1": "a b"}, {})
     index = build_index(task)
-    assert intersection_noise(index, "forall").vector == {}
-    assert intersection_noise(index, "exists").vector == {}
+    assert intersection_noise(index, "forall").features.size == 0
+    assert intersection_noise(index, "exists").features.size == 0
 
 
 def test_intersection_noise_forall_nonempty_when_all_pairs_share():
     task = build_task({"e1": "a b", "e2": "a c"}, {"d1": "a d"})
     index = build_index(task)
     profile = intersection_noise(index, "forall")
-    assert _tokens_of(index, profile.vector) == {"a": pytest.approx(1.0)}
+    assert _profile_tokens(index, profile) == {"a": pytest.approx(1.0)}
 
 
 @settings(max_examples=300, deadline=None)
@@ -337,7 +317,7 @@ def test_intersection_noise_forall_matches_pair_loop(documents, entities):
         {f"d{i}": " ".join(tokens) for i, tokens in enumerate(documents)},
     )
     index = build_index(task)
-    assert intersection_noise(index, "forall").features == oracles.forall_pairs_ref(index)
+    assert intersection_noise(index, "forall").features.tolist() == sorted(oracles.forall_pairs_ref(index))
 
 
 def test_intersection_noise_rejects_unknown_semantics():
@@ -365,12 +345,10 @@ def test_noise_vectors_are_uniform_and_sum_to_one():
         task = random_micro_task(rng)
         index = build_index(task)
         for profile in (union_noise(index), intersection_noise(index, "exists")):
-            if not profile.vector:
+            if not profile.features.size:
                 continue
-            values = set(profile.vector.values())
-            assert len(values) == 1
-            assert sum(profile.vector.values()) == pytest.approx(1.0, abs=1e-12)
-            assert list(profile.vector) == sorted(profile.vector)
+            assert profile.weight * profile.features.size == pytest.approx(1.0, abs=1e-12)
+            assert profile.features.tolist() == sorted(set(profile.features.tolist()))
 
 
 @settings(max_examples=200, deadline=None)
@@ -378,12 +356,16 @@ def test_noise_vectors_are_uniform_and_sum_to_one():
 @example(ids=[])
 @example(ids=[7, 3, 7, 0, 3, 3])
 def test_uniform_profile_keeps_each_feature_once_in_ascending_order(ids):
-    profile = _uniform(np.array(ids, dtype=np.int64), "union")
+    id_array = np.array(ids, dtype=np.int64)
+    profile = NoiseProfile("union", id_array)
     expected = sorted(set(ids))
-    assert list(profile.vector) == expected
-    assert all(type(fid) is int for fid in profile.vector)
-    assert all(weight == 1.0 / len(expected) for weight in profile.vector.values())
+    assert profile.features.tolist() == expected
+    assert profile.features.dtype == np.int64
+    assert not profile.features.flags.writeable
+    assert id_array.flags.writeable  # the caller's array is left as it was
+    assert profile.weight == (1.0 / len(expected) if expected else 0.0)
     assert profile.kind == "union"
+    assert NoiseProfile("union", ids).features.tolist() == expected
 
 
 def test_build_noise_profile_dispatch():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from namesift.corpus import NOISE_LABEL, GoldAlignment, ResultDocument, Task
+from namesift.corpus import NOISE_LABEL, ResultDocument, Task
 from namesift import models
 from namesift.features import (
     INTERSECTION_SEMANTICS,
@@ -20,7 +20,6 @@ from namesift.features import (
     FeatureConfig,
     build_index,
     build_noise_profile,
-    l1_normalize,
 )
 from namesift.models import (
     LAPLACE_DENOMINATORS,
@@ -222,12 +221,12 @@ def test_smoothed_profile_allocates_less_than_one_classes_by_positions_array():
 
 def test_smoothed_profile_with_no_documents_is_l1_of_entity():
     entity = {1: 2.0, 2: 6.0}
-    assert np.array_equal(_smoothed(_dense(entity), _rows()), _dense(l1_normalize(entity)))
+    assert np.array_equal(_smoothed(_dense(entity), _rows()), _dense(oracles.l1(entity)))
 
 
 def test_smoothed_profile_ignores_orthogonal_documents():
     entity = {1: 1.0}
-    assert np.array_equal(_smoothed(_dense(entity), _rows({2: 4.0})), _dense(l1_normalize(entity)))
+    assert np.array_equal(_smoothed(_dense(entity), _rows({2: 4.0})), _dense(oracles.l1(entity)))
 
 
 def test_smoothed_profile_works_on_all_entity_rows_at_once():
@@ -267,15 +266,15 @@ def test_smoothed_score_with_empty_corpus_equals_plain_score_on_l1():
         query = {int(f): float(w) for f, w in enumerate(rng.uniform(0.0, 2.0, size=6))}
         smoothed = dict(enumerate(_smoothed(_dense(entity), _rows())[0]))
         assert dot_score(query, smoothed) == pytest.approx(
-            dot_score(query, l1_normalize(entity)), abs=1e-12
+            dot_score(query, oracles.l1(entity)), abs=1e-12
         )
 
 
 def _with_empty_document(task):
     """``task`` plus one empty result document labeled noise."""
     empty = ResultDocument(id="d_empty", url="http://corpus.test/d_empty", rank=len(task.documents) + 1, text="")
-    labels = {**task.gold.labels, empty.id: NOISE_LABEL}
-    return Task(name=task.name, entities=task.entities, documents=task.documents + [empty], gold=GoldAlignment(labels))
+    labels = {**task.gold, empty.id: NOISE_LABEL}
+    return Task(name=task.name, entities=task.entities, documents=task.documents + [empty], gold=labels)
 
 
 @pytest.mark.parametrize("noise", NOISE_MODES)
@@ -541,7 +540,7 @@ def test_every_document_scored_against_every_class():
                 config = ModelConfig(model=model, features=FeatureConfig(noise=noise))
                 ctx = build_context(task, config)
                 assignment = assign_from_context(ctx)
-                assert set(assignment.mapping) == set(task.gold.labels)
+                assert set(assignment.mapping) == set(task.gold)
                 for row in assignment.scores.values():
                     assert set(row) == set(ctx.class_ids)
                 _assert_tie_rule(ctx, assignment)
@@ -785,8 +784,9 @@ def test_noise_rows_are_cached_per_semantics():
             config = FeatureConfig(noise=noise, intersection_semantics=semantics)
             row = resources.noise_rows(config)
             assert row is resources.noise_rows(config)
-            vector = build_noise_profile(resources.index, config).vector
-            assert {int(f): row[0, f] for f in np.flatnonzero(row[0])} == vector
+            profile = build_noise_profile(resources.index, config)
+            assert np.flatnonzero(row[0]).tolist() == profile.features.tolist()
+            assert (row[0, profile.features] == profile.weight).all()
     exists, forall = (FeatureConfig(noise="intersection", intersection_semantics=s) for s in ("exists", "forall"))
     assert resources.noise_rows(exists) is not resources.noise_rows(forall)
     assert resources.noise_rows(FeatureConfig(noise="none")).shape == (0, resources.index.feature_count)
@@ -804,7 +804,8 @@ def test_noise_rows_and_gram_are_cached_read_only():
     assert row is resources.noise_rows(union)
     profile = build_noise_profile(resources.index, union)
     assert row.shape == (1, resources.index.feature_count)
-    assert {int(f): row[0, f] for f in np.flatnonzero(row[0])} == profile.vector
+    assert np.flatnonzero(row[0]).tolist() == profile.features.tolist()
+    assert (row[0, profile.features] == profile.weight).all()
     assert resources.noise_rows(FeatureConfig(noise="none")).shape == (0, resources.index.feature_count)
     gram = resources.kept_gram
     assert gram is resources.kept_gram

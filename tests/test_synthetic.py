@@ -14,7 +14,7 @@ def _task_signature(task):
         task.name,
         tuple((e.id, e.title, e.text) for e in task.entities),
         tuple((d.id, d.url, d.rank, d.text) for d in task.documents),
-        tuple(sorted(task.gold.labels.items())),
+        tuple(sorted(task.gold.items())),
     )
 
 
@@ -37,7 +37,7 @@ def test_benchmark_shape():
     for task in tasks:
         assert len(task.entities) == 3
         assert len(task.documents) == 30
-        labels = list(task.gold.labels.values())
+        labels = list(task.gold.values())
         assert labels.count(NOISE_LABEL) == 10
         for entity in task.entities:
             assert labels.count(entity.id) > 0
@@ -48,7 +48,7 @@ def test_entity_documents_draw_from_their_entity_vocabulary():
     task = generate_task("Probe Person", rng)
     profile_tokens = {e.id: set(e.tokens) for e in task.entities}
     for doc in task.documents:
-        label = task.gold.labels[doc.id]
+        label = task.gold[doc.id]
         if label == NOISE_LABEL:
             continue
         assert set(doc.tokens) <= profile_tokens[label]
@@ -61,7 +61,7 @@ def test_noise_documents_share_no_tokens_with_any_single_entity_topic():
     filler = set(task.entities[0].tokens) & set(task.entities[1].tokens)
     topic = {t for e in task.entities for t in e.tokens} - filler
     for doc in task.documents:
-        if task.gold.labels[doc.id] == NOISE_LABEL:
+        if task.gold[doc.id] == NOISE_LABEL:
             assert not (set(doc.tokens) & topic)
             assert set(doc.tokens) & filler  # anchored to the shared vocabulary
 
