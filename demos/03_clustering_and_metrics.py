@@ -7,6 +7,8 @@ and micro/macro F1 to show what each metric rewards and punishes.
 Run:  python3 demos/03_clustering_and_metrics.py
 """
 
+import numpy as np
+
 from namesift import (
     NOISE_LABEL,
     assignment_to_clusters,
@@ -32,6 +34,14 @@ VECTORS = {
 GOLD = {"a1": "A", "a2": "A", "b1": "B", "b2": "B", "c1": "C", "c2": "C"}
 
 
+def csr_rows(vectors: dict[str, dict[int, float]]):
+    """The ids, feature ids, offsets and weights that `gram` reads, one row per vector."""
+    features = np.array([f for vector in vectors.values() for f in vector], dtype=np.int64)
+    weights = np.array([w for vector in vectors.values() for w in vector.values()], dtype=float)
+    offsets = np.cumsum([0] + [len(vector) for vector in vectors.values()])
+    return list(vectors), features, offsets, weights
+
+
 def show(title: str, clusters) -> None:
     groups = [sorted(c) for c in (clusters.clusters if hasattr(clusters, "clusters") else clusters)]
     groups.sort()
@@ -41,15 +51,16 @@ def show(title: str, clusters) -> None:
 
 
 def main() -> None:
+    shared = gram(*csr_rows(VECTORS))
     print("== complete-link agglomeration ==")
     for k in (3, 2, 1):
-        show(f"hac_complete, k={k}", hac_complete(gram(VECTORS), k))
+        show(f"hac_complete, k={k}", hac_complete(shared, k))
 
     print("\n== seeded K-Means ==")
     for seed in (1, 2, 3):
-        result = kmeans(gram(VECTORS), 3, seed)
+        result = kmeans(shared, 3, seed)
         show(f"kmeans, k=3, seed={seed}", result)
-    runs = run_repetitions(gram(VECTORS), 3, reps=10)
+    runs = run_repetitions(shared, 3, reps=10)
     mean_nmi = sum(nmi(r, GOLD) for r in runs) / len(runs)
     print(f"  mean NMI over seeds 1..10: {mean_nmi:.3f}")
 

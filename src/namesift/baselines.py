@@ -10,11 +10,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
-
-from .features import FeatureVector
 
 __all__ = [
     "BASELINES",
@@ -73,46 +70,104 @@ class Gram:
     matrix: np.ndarray
 
 
-def gram(doc_vectors: Mapping[str, FeatureVector]) -> Gram:
+# Document pairs summed per `np.bincount` call in `gram`.  It bounds the
+# temporaries to a few arrays of this length; no sum depends on it.
+_PAIR_CHUNK = 1 << 12
+
+
+def gram(ids: Sequence[str], features: np.ndarray, offsets: np.ndarray, weights: np.ndarray) -> Gram:
     """Document ids and the Gram matrix ``G = U @ U.T`` of their unit rows.
 
-    ``U`` holds the vectors scaled to unit L2 length; all-zero vectors stay
-    zero.  A feature found in one document only adds to that document's
-    diagonal entry, so the product runs over the shared features alone.
-    Equal unit rows share one row and column of G, diagonal included, so
-    a point sits at distance exactly 0 from its duplicates, as it does
-    under direct subtraction.
+    The documents come as CSR rows: ``ids[i]`` holds the features
+    ``features[offsets[i]:offsets[i + 1]]``, each at most once, with the
+    tf-idf ``weights`` at the same positions; stored zero weights are
+    skipped.  A unit row is ``weights / norm``, its norm summed over its
+    positions in stored order; an all-zero row stays zero.  The diagonal
+    sums each unit row's squares in stored order.  An off-diagonal entry
+    sums two rows' products over the features both hold, left to right
+    in ascending feature id, whatever the chunking (`_pair_sums`); no BLAS
+    routine runs, so no bit depends on the CPU.  Equal unit rows that hold
+    no feature of their own share one row and column of G, diagonal
+    included, so a point sits at distance exactly 0 from its duplicates,
+    as it does under direct subtraction.
     """
-    ids = tuple(doc_vectors)
-    vectors = [doc_vectors[doc_id] for doc_id in ids]
-    lengths = [len(vector) for vector in vectors]
-    total = sum(lengths)
-    features = np.fromiter(chain.from_iterable(vectors), dtype=np.int64, count=total)
-    weights = np.fromiter(chain.from_iterable(v.values() for v in vectors), dtype=float, count=total)
-    rows = np.repeat(np.arange(len(ids)), lengths)
-    norms = np.sqrt(np.bincount(rows, weights * weights, minlength=len(ids)))
+    ids = tuple(ids)
+    n = len(ids)
+    rows = np.repeat(np.arange(n), np.diff(offsets))
+    stored = weights != 0.0
+    rows, features, weights = rows[stored], features[stored], weights[stored]
+    norms = np.sqrt(np.bincount(rows, weights * weights, minlength=n))
     unit = weights / np.where(norms == 0.0, 1.0, norms)[rows]
+    diagonal = np.bincount(rows, unit * unit, minlength=n)
 
-    _, column, document_frequency = np.unique(features, return_inverse=True, return_counts=True)
-    shared = document_frequency > 1
-    kept = shared[column]
-    matrix = np.zeros((len(ids), int(shared.sum())))
-    matrix[rows[kept], (np.cumsum(shared) - 1)[column[kept]]] = unit[kept]
+    # Positions by feature id; the stable sort keeps each feature's rows ascending.
+    order = np.argsort(features, kind="stable")
+    by_feature = rows[order], features[order], unit[order]
+    holders = _runs(by_feature[1])[1]
+    has_own = np.bincount(by_feature[0][holders == 1], minlength=n) > 0
 
-    # Only a row without features of its own can equal another row.
-    has_own = np.bincount(rows[~kept], minlength=len(ids)) > 0
+    # Only a row without features of its own can equal another row.  Its
+    # key is its (feature, unit) pairs in ascending feature order.
+    stops = np.cumsum(np.bincount(rows, minlength=n)).tolist()
     slot_of: dict[object, int] = {}
     first: list[int] = []
     slot = []
-    for i, (own, row) in enumerate(zip(has_own, matrix)):
-        key = i if own else row.tobytes()
+    for i, (own, start, stop) in enumerate(zip(has_own.tolist(), [0] + stops, stops)):
+        if own:
+            key: object = i
+        else:
+            ascending = start + np.argsort(features[start:stop])
+            key = (features[ascending].tobytes(), unit[ascending].tobytes())
         if key not in slot_of:
             slot_of[key] = len(first)
             first.append(i)
         slot.append(slot_of[key])
-    inner = matrix[first] @ matrix[first].T
-    np.fill_diagonal(inner, np.bincount(rows, unit * unit, minlength=len(ids))[first])
-    return Gram(ids, inner[np.ix_(slot, slot)])
+    inner = _pair_sums(*by_feature, first, n)
+    inner[np.diag_indices(len(first))] = diagonal[first]
+    return Gram(ids, inner if len(first) == n else inner[np.ix_(slot, slot)])
+
+
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each entry of sorted ``values``: one past the last entry equal to it, and how many are equal to it."""
+    bounds = np.append(np.flatnonzero(values[1:] != values[:-1]) + 1, len(values))
+    sizes = np.diff(bounds, prepend=0)
+    return np.repeat(bounds, sizes), np.repeat(sizes, sizes)
+
+
+def _pair_sums(rows: np.ndarray, features: np.ndarray, unit: np.ndarray, first: list[int], n: int) -> np.ndarray:
+    """The symmetric sums of unit products over shared features, among the rows ``first``; zero diagonal.
+
+    The positions come sorted by feature, then row.  Every pair a < b of
+    rows holding one feature gives one product, in ascending feature
+    order, and each `np.bincount` call takes the running sums as its
+    first weights, so each entry adds its products left to right in that
+    order, whether a chunk of `_PAIR_CHUNK` pairs ends inside a feature
+    or not.
+    """
+    m = len(first)
+    slots = np.full(n, -1)
+    slots[first] = np.arange(m)
+    kept = slots[rows] >= 0
+    rows, unit = slots[rows[kept]], unit[kept]
+    # Position p pairs with the later[p] positions after it that hold its
+    # feature: pairs reach[p] - later[p] to reach[p] - 1 of the stream.
+    later = _runs(features[kept])[0] - np.arange(len(rows)) - 1
+    reach = np.cumsum(later)
+    total = int(reach[-1]) if len(reach) else 0
+    cells = np.arange(m * m)
+    sums = np.zeros(m * m)
+    for start in range(0, total, _PAIR_CHUNK):
+        stop = min(start + _PAIR_CHUNK, total)
+        lo, hi = np.searchsorted(reach, [start, stop - 1], "right").tolist()
+        taken = np.minimum(reach[lo : hi + 1], stop) - np.maximum(reach[lo : hi + 1] - later[lo : hi + 1], start)
+        left = np.repeat(np.arange(lo, hi + 1), taken)
+        right = left + 1 + np.arange(start, stop) - (reach[left] - later[left])
+        sums = np.bincount(
+            np.concatenate((cells, rows[left] * m + rows[right])),
+            np.concatenate((sums, unit[left] * unit[right])),
+        )
+    upper = sums.reshape(m, m)
+    return upper + upper.T
 
 
 def _check_k(k: int, n: int) -> int:

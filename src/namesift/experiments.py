@@ -51,11 +51,12 @@ class RunSpec:
 
     Feature and model settings default to the `FeatureConfig` and
     `ModelConfig` defaults.  ``tasks`` (None: every task), ``models`` and
-    ``noise_modes`` are stored as tuples of names; a bare string raises
-    `ConfigError`.  Construction builds ``cells``, the
-    `ModelConfig` of each (model, noise) pair in grid order, so a value
-    either config class refuses raises `ConfigError` here, before any
-    task loads; the spec is frozen, so its cells stay its own.
+    ``noise_modes`` are stored as tuples of names and ``stopwords`` as a
+    frozenset; a bare string raises `ConfigError`.  Construction builds
+    ``cells``, the `ModelConfig` of each (model, noise) pair in grid
+    order, so a value either config class refuses raises `ConfigError`
+    here, before any task loads; the spec is frozen, so its cells stay
+    its own.
     """
 
     corpus_root: Path
@@ -77,12 +78,12 @@ class RunSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "corpus_root", Path(self.corpus_root))
-        for name in ("tasks", "models", "noise_modes"):
+        for name in ("tasks", "models", "noise_modes", "stopwords"):
             names = getattr(self, name)
             if isinstance(names, str):
-                raise ConfigError(f"{name} must be a sequence of names, got the string {names!r}")
+                raise ConfigError(f"{name} must be a collection of names, got the string {names!r}")
             if names is not None:
-                object.__setattr__(self, name, tuple(names))
+                object.__setattr__(self, name, frozenset(names) if name == "stopwords" else tuple(names))
         if self.reps < 1:
             raise ConfigError(f"reps must be >= 1, got {self.reps}")
         self.feature_config()  # checks the feature settings, which the baselines read too

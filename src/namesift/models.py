@@ -430,9 +430,13 @@ class TaskResources:
 
     @cached_property
     def kept_gram(self) -> Gram:
-        """The `gram` of the documents `clustering_eval_filter` keeps."""
+        """The `gram` of the documents `clustering_eval_filter` keeps, from their rows of the index."""
         kept = clustering_eval_filter(self.task)
-        shared = gram({doc_id: self.doc_vectors[doc_id] for doc_id in kept})
+        spans = [self.index.span(doc_id) for doc_id in kept]
+        positions = np.concatenate([np.arange(0)] + [np.arange(span.start, span.stop) for span in spans])
+        offsets = np.cumsum([0] + [span.stop - span.start for span in spans])
+        weights = self.index.weights(FeatureConfig(idf_numerator=self.idf_numerator, log_base=self.log_base))
+        shared = gram(kept, self.index.features[positions], offsets, weights[positions])
         shared.matrix.flags.writeable = False
         return shared
 

@@ -385,6 +385,46 @@ def _cosine(u: dict, v: dict) -> float:
     return sum(w * v[f] for f, w in u.items() if f in v) / (nu * nv)
 
 
+def gram_ref(vectors: dict[str, dict]) -> np.ndarray:
+    """The library's Gram matrix of the unit rows, by its summation rule.
+
+    Zero weights are skipped.  A unit row is ``w / norm``, the norm and
+    the diagonal entry each summed left to right in the vector's order.
+    Two rows' entry sums their products left to right over the features
+    both hold, in ascending feature id.  A row none of whose features is
+    its own (held by no other row) takes the row and column of the first
+    row with the same features and bit-equal unit values.
+    """
+    units = []
+    for vector in vectors.values():
+        stored = [(f, w) for f, w in vector.items() if w != 0.0]
+        total = 0.0
+        for _, w in stored:
+            total += w * w
+        norm = math.sqrt(total) or 1.0
+        units.append({f: w / norm for f, w in stored})
+    holders = Counter(f for unit in units for f in unit)
+    first: dict[object, int] = {}
+    slot = []
+    for i, unit in enumerate(units):
+        own = any(holders[f] == 1 for f in unit)
+        key = i if own else tuple(sorted((f, u.hex()) for f, u in unit.items()))
+        slot.append(first.setdefault(key, i))
+
+    def entry(a: int, b: int) -> float:
+        total = 0.0
+        if a == b:
+            for u in units[a].values():
+                total += u * u
+        else:
+            for f in sorted(set(units[a]) & set(units[b])):
+                total += units[a][f] * units[b][f]
+        return total
+
+    n = len(units)
+    return np.array([[entry(slot[i], slot[j]) for j in range(n)] for i in range(n)]).reshape(n, n)
+
+
 def hac_ref(vectors: dict[str, dict], k: int) -> set[frozenset]:
     """Brute-force complete linkage; same distance and tie conventions."""
     clusters: list[set[str]] = [{doc_id} for doc_id in vectors]

@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import namesift
+from namesift import baselines, write_benchmark
 from namesift.baselines import (
     Clustering,
+    Gram,
     assignment_to_clusters,
     gram,
     hac_complete,
@@ -24,6 +32,14 @@ import oracles
 
 def _sets(clustering: Clustering) -> set[frozenset]:
     return {frozenset(c) for c in clustering.clusters}
+
+
+def _gram(vectors: dict[str, dict[int, float]]) -> Gram:
+    """`gram` of dict vectors, each passed as a CSR row in its own order."""
+    features = np.array([f for vector in vectors.values() for f in vector], dtype=np.int64)
+    weights = np.array([w for vector in vectors.values() for w in vector.values()], dtype=float)
+    offsets = np.cumsum([0] + [len(vector) for vector in vectors.values()])
+    return gram(list(vectors), features, offsets, weights)
 
 
 def _unit_matrix(vectors: dict[str, dict[int, float]]) -> tuple[list[str], np.ndarray]:
@@ -70,48 +86,120 @@ def test_clustering_to_dict_is_canonical():
 
 
 # ---------------------------------------------------------------------------
+# the Gram matrix
+
+_WEIGHTS = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 3.0, -2.0]), st.floats(-4.0, 4.0, allow_nan=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.dictionaries(st.integers(0, 6), _WEIGHTS, max_size=5), max_size=6),
+    copies=st.lists(st.tuples(st.integers(0, 5), st.booleans()), max_size=3),
+    common=st.one_of(st.none(), _WEIGHTS),
+)
+@example(rows=[], copies=[], common=None)
+@example(rows=[{0: 2.0, 3: 1.0}], copies=[], common=None)
+@example(rows=[{}, {1: 0.0, 2: 0.0}, {1: 1.0}], copies=[], common=None)
+@example(rows=[{0: 1.0, 1: 2.0}, {0: 3.0}], copies=[(0, False), (0, True), (1, False)], common=1.5)
+# A stored zero is no feature of its own, so these rows share one slot,
+# and a diagonal summed in stored order differs from one in feature order.
+@example(rows=[{3: 1.7, 1: 2.6, 2: 0.8, 6: 0.0}, {3: 1.7, 1: 2.6, 2: 0.8}], copies=[], common=None)
+def test_gram_equals_the_reference_sums_bit_for_bit_in_any_chunking(rows, copies, common):
+    # ``common`` gives every document one more feature; a copy repeats an
+    # earlier row exactly, in its own stored order or reversed.
+    if common is not None:
+        rows = [{**row, 7: common} for row in rows]
+    for source, reverse in copies:
+        if source < len(rows):
+            items = list(rows[source].items())
+            rows.append(dict(reversed(items) if reverse else items))
+    vectors = {f"d{i}": row for i, row in enumerate(rows)}
+    expected = oracles.gram_ref(vectors)
+    built = _gram(vectors)
+    assert built.ids == tuple(vectors)
+    assert built.matrix.shape == expected.shape and (built.matrix == expected).all()
+    for chunk in (1, 2, 2**30):
+        with mock.patch.object(baselines, "_PAIR_CHUNK", chunk):
+            assert _gram(vectors).matrix.tobytes() == built.matrix.tobytes()
+
+
+def _openblas_configuration() -> str:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return f"{blas.get('name')}: {blas.get('openblas configuration', 'no OpenBLAS configuration')}"
+
+
+_KEPT_GRAM_DIGEST = """
+import hashlib, sys
+from namesift import load_corpus
+from namesift.features import FeatureConfig
+from namesift.models import TaskResources
+digest = hashlib.sha256()
+for task in load_corpus(sys.argv[1]):
+    digest.update(TaskResources.from_task(task, FeatureConfig()).kept_gram.matrix.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_kept_gram_bits_do_not_depend_on_the_blas_kernel_or_threads(tmp_path):
+    configuration = _openblas_configuration()
+    if "DYNAMIC_ARCH" not in configuration:
+        pytest.skip(f"numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so no kernel can be chosen ({configuration})")
+    write_benchmark(tmp_path / "corpus")
+    path = os.pathsep.join(filter(None, [str(Path(namesift.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    runs = {}
+    for kernel in ("Haswell", "Prescott", "Sandybridge"):
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS=threads)
+            command = [sys.executable, "-c", _KEPT_GRAM_DIGEST, str(tmp_path / "corpus")]
+            runs[kernel, threads] = subprocess.Popen(command, env=env, stdout=subprocess.PIPE, text=True)
+    digests = {setting: process.communicate(timeout=120)[0].strip() for setting, process in runs.items()}
+    assert all(process.returncode == 0 for process in runs.values()), digests
+    assert len(set(digests.values())) == 1, digests
+
+
+# ---------------------------------------------------------------------------
 # HAC
 
 
 def test_hac_boundary_cluster_counts():
     vectors = {"d1": {0: 1.0}, "d2": {1: 1.0}, "d3": {0: 1.0, 1: 1.0}}
-    assert _sets(hac_complete(gram(vectors), 3)) == {frozenset({"d1"}), frozenset({"d2"}), frozenset({"d3"})}
-    assert _sets(hac_complete(gram(vectors), 1)) == {frozenset({"d1", "d2", "d3"})}
+    assert _sets(hac_complete(_gram(vectors), 3)) == {frozenset({"d1"}), frozenset({"d2"}), frozenset({"d3"})}
+    assert _sets(hac_complete(_gram(vectors), 1)) == {frozenset({"d1", "d2", "d3"})}
 
 
 def test_hac_k_validation_and_clamping():
     vectors = {"d1": {0: 1.0}, "d2": {1: 1.0}}
     with pytest.raises(ValueError):
-        hac_complete(gram(vectors), 0)
+        hac_complete(_gram(vectors), 0)
     with pytest.raises(ValueError):
-        hac_complete(gram({}), 1)
-    assert len(hac_complete(gram(vectors), 10).clusters) == 2  # clamped to |docs|
+        hac_complete(_gram({}), 1)
+    assert len(hac_complete(_gram(vectors), 10).clusters) == 2  # clamped to |docs|
 
 
 def test_hac_two_separated_pairs():
     vectors = {"d1": {0: 1.0}, "d2": {0: 2.0}, "d3": {1: 1.0}, "d4": {1: 3.0}}
-    clustering = hac_complete(gram(vectors), 2)
+    clustering = hac_complete(_gram(vectors), 2)
     assert _sets(clustering) == {frozenset({"d1", "d2"}), frozenset({"d3", "d4"})}
 
 
 def test_hac_distance_tie_resolved_by_smallest_doc_ids():
     # dist(d1,d2) = dist(d2,d3) = 1 - 1/sqrt(2); the (d1,d2) pair wins.
     vectors = {"d1": {0: 1.0}, "d2": {0: 1.0, 1: 1.0}, "d3": {1: 1.0}}
-    clustering = hac_complete(gram(vectors), 2)
+    clustering = hac_complete(_gram(vectors), 2)
     assert _sets(clustering) == {frozenset({"d1", "d2"}), frozenset({"d3"})}
 
 
 def test_hac_all_zero_vector_sits_at_distance_one():
     vectors = {"d1": {}, "d2": {0: 1.0}, "d3": {0: 2.0}}
-    clustering = hac_complete(gram(vectors), 2)
+    clustering = hac_complete(_gram(vectors), 2)
     assert _sets(clustering) == {frozenset({"d2", "d3"}), frozenset({"d1"})}
 
 
 def test_hac_is_deterministic():
     rng = np.random.default_rng(71)
     vectors = _random_vectors(rng, 6)
-    first = hac_complete(gram(vectors), 3)
-    second = hac_complete(gram(vectors), 3)
+    first = hac_complete(_gram(vectors), 3)
+    second = hac_complete(_gram(vectors), 3)
     assert first.clusters == second.clusters
 
 
@@ -121,7 +209,7 @@ def test_hac_matches_brute_force_linkage_oracle():
         n = int(rng.integers(2, 8))
         vectors = _random_vectors(rng, n)
         for k in (1, 2, max(1, n - 1), n):
-            assert _sets(hac_complete(gram(vectors), k)) == oracles.hac_ref(vectors, k)
+            assert _sets(hac_complete(_gram(vectors), k)) == oracles.hac_ref(vectors, k)
 
 
 # Supports of one or four features with one integer weight: every unit row
@@ -137,13 +225,13 @@ _EXACT_SUPPORTS = [()] + [(f,) for f in range(6)] + list(combinations(range(6), 
 )
 def test_hac_matches_oracle_on_exact_distance_ties(docs, k):
     vectors = {f"d{i}": {f: float(weight) for f in support} for i, (support, weight) in enumerate(docs)}
-    assert _sets(hac_complete(gram(vectors), k)) == oracles.hac_ref(vectors, k)
+    assert _sets(hac_complete(_gram(vectors), k)) == oracles.hac_ref(vectors, k)
 
 
 def test_hac_partitions_exactly():
     rng = np.random.default_rng(79)
     vectors = _random_vectors(rng, 7)
-    clustering = hac_complete(gram(vectors), 3)
+    clustering = hac_complete(_gram(vectors), 3)
     members = [d for c in clustering.clusters for d in c]
     assert sorted(members) == sorted(vectors)
     assert len(clustering.clusters) == 3
@@ -155,14 +243,14 @@ def test_hac_partitions_exactly():
 
 def test_kmeans_single_cluster():
     vectors = {"d1": {0: 1.0}, "d2": {1: 1.0}, "d3": {0: 1.0, 1: 1.0}}
-    clustering = kmeans(gram(vectors), 1, seed=1)
+    clustering = kmeans(_gram(vectors), 1, seed=1)
     assert _sets(clustering) == {frozenset({"d1", "d2", "d3"})}
 
 
 def test_kmeans_objective_matches_independent_recomputation():
     rng = np.random.default_rng(83)
     vectors = _random_vectors(rng, 6)
-    clustering = kmeans(gram(vectors), 2, seed=3)
+    clustering = kmeans(_gram(vectors), 2, seed=3)
 
     ids, unit = _unit_matrix(vectors)
     row = {doc_id: i for i, doc_id in enumerate(ids)}
@@ -171,7 +259,7 @@ def test_kmeans_objective_matches_independent_recomputation():
         block = unit[[row[d] for d in cluster]]
         centroid = block.mean(axis=0)
         expected += float(np.sum((block - centroid) ** 2))
-    assert kmeans_objective(clustering, gram(vectors)) == pytest.approx(expected, rel=1e-9)
+    assert kmeans_objective(clustering, _gram(vectors)) == pytest.approx(expected, rel=1e-9)
 
 
 def test_kmeans_separates_orthogonal_directions_for_any_seed():
@@ -185,7 +273,7 @@ def test_kmeans_separates_orthogonal_directions_for_any_seed():
     }
     expected = {frozenset({"d1", "d2", "d3"}), frozenset({"d4", "d5", "d6"})}
     for seed in range(1, 11):
-        assert _sets(kmeans(gram(vectors), 2, seed=seed)) == expected
+        assert _sets(kmeans(_gram(vectors), 2, seed=seed)) == expected
 
 
 def test_kmeans_duplicates_co_cluster():
@@ -197,7 +285,7 @@ def test_kmeans_duplicates_co_cluster():
         "d5": {0: 1.0, 1: 1.0},
     }
     for seed in range(1, 11):
-        clusters = _sets(kmeans(gram(vectors), 2, seed=seed))
+        clusters = _sets(kmeans(_gram(vectors), 2, seed=seed))
         for pair in (("d1", "d2"), ("d3", "d4")):
             assert any(set(pair) <= c for c in clusters)
 
@@ -205,7 +293,7 @@ def test_kmeans_duplicates_co_cluster():
 def test_kmeans_is_deterministic_per_seed():
     rng = np.random.default_rng(89)
     vectors = _random_vectors(rng, 8)
-    assert kmeans(gram(vectors), 3, seed=7).clusters == kmeans(gram(vectors), 3, seed=7).clusters
+    assert kmeans(_gram(vectors), 3, seed=7).clusters == kmeans(_gram(vectors), 3, seed=7).clusters
 
 
 def test_kmeans_objective_history_never_increases():
@@ -213,7 +301,7 @@ def test_kmeans_objective_history_never_increases():
     for _ in range(20):
         n = int(rng.integers(3, 10))
         vectors = _random_vectors(rng, n)
-        shared = gram(vectors)
+        shared = _gram(vectors)
         k = int(rng.integers(1, n + 1))
         for seed in (1, 2, 3):
             # The objective after each iteration t of the full run.
@@ -230,7 +318,7 @@ def test_kmeans_reseeds_empty_clusters_and_keeps_k_nonempty():
     vectors = {f"d{i}": {0: 1.0} for i in range(5)}
     vectors["d5"] = {1: 1.0}
     for seed in range(1, 11):
-        clustering = kmeans(gram(vectors), 3, seed=seed)
+        clustering = kmeans(_gram(vectors), 3, seed=seed)
         assert len(clustering.clusters) == 3
         assert all(clustering.clusters)
         members = sorted(d for c in clustering.clusters for d in c)
@@ -257,7 +345,7 @@ def _one_hot_vectors(rng: np.random.Generator, n: int, dims: int = 3, empty_shar
 
 def _assert_matches_kmeans_ref(vectors: dict[str, dict[int, float]], k: int) -> None:
     for seed in (1, 2, 3):
-        clustering = kmeans(gram(vectors), k, seed=seed)
+        clustering = kmeans(_gram(vectors), k, seed=seed)
         partition, n_iterations = oracles.kmeans_ref(vectors, k, seed)
         assert _sets(clustering) == partition
         assert clustering.n_iterations == n_iterations
@@ -308,7 +396,7 @@ def test_kmeans_stops_when_the_reseed_cycles_between_labelings():
     # k exceeds the one distinct point, so the farthest-point reseed hands
     # a copy back and forth and the labels never settle on a fixed point.
     copies = {f"d{i}": {0: 1.01, 3: 0.61} for i in range(4)}
-    clustering = kmeans(gram(copies), 2, seed=1)
+    clustering = kmeans(_gram(copies), 2, seed=1)
     partition, n_iterations = oracles.kmeans_ref(copies, 2, 1)
     assert clustering.n_iterations == n_iterations < 10
     assert _sets(clustering) == partition
@@ -317,13 +405,13 @@ def test_kmeans_stops_when_the_reseed_cycles_between_labelings():
 def test_run_repetitions_uses_seeds_one_through_reps():
     rng = np.random.default_rng(103)
     vectors = _random_vectors(rng, 7)
-    runs = run_repetitions(gram(vectors), 3, reps=5)
+    runs = run_repetitions(_gram(vectors), 3, reps=5)
     assert len(runs) == 5
     for i, clustering in enumerate(runs, start=1):
         assert clustering.seed == i
-        assert clustering.clusters == kmeans(gram(vectors), 3, seed=i).clusters
+        assert clustering.clusters == kmeans(_gram(vectors), 3, seed=i).clusters
     with pytest.raises(ValueError):
-        run_repetitions(gram(vectors), 3, reps=0)
+        run_repetitions(_gram(vectors), 3, reps=0)
 
 
 # ---------------------------------------------------------------------------

@@ -62,10 +62,18 @@ def test_run_spec_keeps_name_lists_as_tuples(tmp_path):
     assert RunSpec(corpus_root=tmp_path).tasks is None
 
 
-@pytest.mark.parametrize("name", ["tasks", "models", "noise_modes"])
+def test_run_spec_keeps_stopwords_as_a_frozenset(tmp_path):
+    spec = RunSpec(corpus_root=tmp_path, stopwords={"the", "a"})
+    assert spec.stopwords == frozenset({"the", "a"}) and isinstance(spec.stopwords, frozenset)
+    assert hash(spec) == hash(RunSpec(corpus_root=tmp_path, stopwords=["a", "the"]))
+    assert RunSpec(corpus_root=tmp_path).stopwords is None
+
+
+@pytest.mark.parametrize("name", ["tasks", "models", "noise_modes", "stopwords"])
 def test_run_spec_refuses_a_bare_string(tmp_path, name):
     # A string is a sequence of characters: "mason" would filter by
-    # substring, and "score" would name the models s, c, o, r, e.
+    # substring, "score" would name the models s, c, o, r, e, and the
+    # stopwords "score" would drop those five one-letter tokens.
     with pytest.raises(ConfigError, match=name):
         RunSpec(corpus_root=tmp_path, **{name: "score"})
 
@@ -281,9 +289,9 @@ def test_baseline_grid_builds_one_gram_per_task(mini_corpus, monkeypatch):
     calls = []
     build = namesift.models.gram
 
-    def counting(doc_vectors):
-        calls.append(tuple(doc_vectors))
-        return build(doc_vectors)
+    def counting(ids, *rows):
+        calls.append(tuple(ids))
+        return build(ids, *rows)
 
     monkeypatch.setattr(namesift.models, "gram", counting)
     result = run_grid(RunSpec(corpus_root=mini_corpus, models=(), hac=True, kmeans=True, reps=3))
