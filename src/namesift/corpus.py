@@ -27,6 +27,7 @@ import html
 import json
 import os
 import re
+import stat
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -220,10 +221,19 @@ def _require_list(mapping: dict, key: str, where: str) -> list:
     return value
 
 
+def _open_nonblocking(path: str, flags: int) -> int:
+    """``os.open`` that returns at once on a FIFO instead of waiting for a writer."""
+    return os.open(path, flags | os.O_NONBLOCK)
+
+
 def _read_text(path: Path, where: str) -> str:
     try:
         # newline="" keeps every line ending as written, so bodies round-trip.
-        with path.open(encoding="utf-8", newline="") as f:
+        with open(path, encoding="utf-8", newline="", opener=_open_nonblocking) as f:
+            # A FIFO or a device could block or never end; open itself has
+            # already refused a directory.
+            if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                raise OSError("not a regular file")
             return f.read()
     except FileNotFoundError:
         raise CorpusFormatError(f"{where}: referenced file {path} does not exist") from None

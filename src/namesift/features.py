@@ -12,6 +12,7 @@ import math
 from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, count
 from typing import Iterator
 
@@ -32,9 +33,6 @@ __all__ = [
     "intersection_noise",
     "build_noise_profile",
 ]
-
-# Sparse vector over integer feature ids; exact zeros are never stored.
-FeatureVector = dict[int, float]
 
 IDF_NUMERATORS = ("corpus", "paper")
 LOG_BASES = ("e", "2", "10")
@@ -253,16 +251,46 @@ def tfidf(
     return float(index.weights(config)[span][hit[0]]) if hit.size else 0.0
 
 
+class FeatureVector(Mapping[int, float]):
+    """Read-only sparse vector, feature id -> weight, over one element's slice of the index's arrays.
+
+    Keys keep the element's stored order and exact zeros are omitted, as
+    in a dict built from the slice; ``len`` counts the nonzero weights
+    without building one.  That dict of Python ints and floats is built on
+    the first key lookup or iteration and then cached.  The view keeps the
+    index's arrays alive; ``dict(vector)`` is a detached copy.
+    """
+
+    def __init__(self, features: np.ndarray, weights: np.ndarray) -> None:
+        self._features = features
+        self._weights = weights
+
+    @cached_property
+    def _dict(self) -> dict[int, float]:
+        nonzero = self._weights != 0.0
+        return dict(zip(self._features[nonzero].tolist(), self._weights[nonzero].tolist()))
+
+    def __getitem__(self, feature: int) -> float:
+        return self._dict[feature]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._dict)
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._weights))
+
+    def __repr__(self) -> str:
+        return f"FeatureVector({self._dict!r})"
+
+
 def vectorize(
     element_id: str,
     index: FeatureIndex,
     config: FeatureConfig = FeatureConfig(),
 ) -> FeatureVector:
-    """Sparse tf-idf vector of one element; exact zeros are omitted."""
+    """Sparse tf-idf vector of one element, a view of the index's arrays; exact zeros are omitted."""
     span = index.span(element_id)
-    weights = index.weights(config)[span]
-    nonzero = weights != 0.0
-    return dict(zip(index.features[span][nonzero].tolist(), weights[nonzero].tolist()))
+    return FeatureVector(index.features[span], index.weights(config)[span])
 
 
 @dataclass(frozen=True, eq=False)

@@ -381,6 +381,9 @@ class TaskResources:
             index=index,
             idf_numerator=config.idf_numerator,
             log_base=config.log_base,
+            # Nothing in the package reads these views.  perfbench's
+            # `features.vectorize` span and its `doc_vector_nonzeros` size
+            # figure do, so the loop stays until tracing moves into namesift.
             doc_vectors={d.id: vectorize(d.id, index, config) for d in task.documents},
         )
 

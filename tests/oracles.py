@@ -91,6 +91,19 @@ def index_ref(task, idf_numerator: str = "corpus", log_base: str = "e") -> dict:
     return {"tokens": list(ids), "df": df, "counts": counts, "weights": weights}
 
 
+def vector_ref(element_id: str, index, config) -> dict[int, float]:
+    """One element's tf-idf vector as a dict copied from the index's arrays.
+
+    Keys are Python ints in the element's stored order and values Python
+    floats; exact zeros are dropped.  The view ``vectorize`` returns must
+    equal it item by item.
+    """
+    span = index.span(element_id)
+    weights = index.weights(config)[span]
+    nonzero = weights != 0.0
+    return dict(zip(index.features[span][nonzero].tolist(), weights[nonzero].tolist()))
+
+
 def l1(vector: dict) -> dict:
     total = sum(abs(w) for w in vector.values())
     if total == 0.0:

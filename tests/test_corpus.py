@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -513,6 +515,34 @@ def test_load_task_rejects_unreadable_file_entries(tmp_path, file):
     _write_manifest(d, entities=[{"id": "e1", "title": "E One", "file": file}])
     with pytest.raises(CorpusFormatError):
         load_task(d)
+
+
+@pytest.mark.parametrize(("name", "where"), [("d1.txt", "task.json"), ("gold.tsv", "gold.tsv")])
+def test_a_fifo_in_a_task_is_refused_without_waiting_for_a_writer(tmp_path, name, where):
+    # A blocking open waits for a writer that never comes, so the commands
+    # run in subprocesses that the test can time out.
+    _write_minimal(tmp_path / "corpus" / "good")
+    bad = tmp_path / "corpus" / "bad"
+    _write_minimal(bad)
+    (bad / name).unlink()
+    os.mkfifo(bad / name)
+    env = {k: v for k, v in os.environ.items() if not k.startswith("NAMESIFT_")}
+    runs = {
+        command: subprocess.run(
+            [sys.executable, "-m", "namesift.cli", command, str(tmp_path / "corpus")],
+            capture_output=True,
+            text=True,
+            encoding="utf-8",
+            timeout=30,
+            env=env,
+        )
+        for command in ("validate", "grid")
+    }
+    problem = f"{where}: cannot read {bad / name} (not a regular file)"
+    assert runs["validate"].returncode == 2
+    assert f"{bad}\t\tfail\t{problem}\n" in runs["validate"].stdout
+    assert runs["grid"].returncode == 3
+    assert f"warning: skipped {bad}: {problem}" in runs["grid"].stderr
 
 
 def test_load_task_strip_markup_flag(tmp_path):

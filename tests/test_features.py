@@ -193,6 +193,40 @@ _ENTITY_TOKENS = ("zeta", "ünïcode", "東京")
     numerator=st.sampled_from(IDF_NUMERATORS),
     log_base=st.sampled_from(LOG_BASES),
 )
+# "ant" is in every element, so its corpus-mode weight is exactly 0.
+@example(documents=[["ant", "bee"], ["ant"]], entities=[["ant", "zeta"]], numerator="corpus", log_base="e")
+def test_vector_view_keeps_the_dict_contract(documents, entities, numerator, log_base):
+    task = build_task(
+        {f"e{i}": " ".join(tokens) for i, tokens in enumerate(entities)},
+        {f"d{i}": " ".join(tokens) for i, tokens in enumerate(documents)},
+    )
+    config = FeatureConfig(idf_numerator=numerator, log_base=log_base)
+    index = build_index(task)
+    for element in index.document_ids + index.entity_ids:
+        vector = vectorize(element, index, config)
+        ref = oracles.vector_ref(element, index, config)
+        assert len(vector) == len(ref)
+        items = list(vector.items())
+        assert items == list(ref.items())
+        assert all(type(fid) is int and type(w) is float for fid, w in items)
+        assert vector == ref and ref == vector
+        for fid in index.features[index.span(element)].tolist():
+            assert (fid in vector) == (fid in ref)
+            assert vector.get(fid) == ref.get(fid)
+            if fid not in ref:  # stored, with a weight of exactly 0
+                with pytest.raises(KeyError):
+                    vector[fid]
+        with pytest.raises(TypeError):
+            vector[0] = 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    documents=st.lists(st.lists(st.sampled_from(_SHARED_TOKENS), max_size=12), max_size=5),
+    entities=st.lists(st.lists(st.sampled_from(_SHARED_TOKENS + _ENTITY_TOKENS), max_size=12), max_size=3),
+    numerator=st.sampled_from(IDF_NUMERATORS),
+    log_base=st.sampled_from(LOG_BASES),
+)
 def test_index_matches_scalar_reference_bit_for_bit(documents, entities, numerator, log_base):
     task = build_task(
         {f"e{i}": " ".join(tokens) for i, tokens in enumerate(entities)},
@@ -245,6 +279,28 @@ def test_build_index_holds_one_element_of_tokens_at_a_time():
     # Every element's counts held at once, as when all are counted before
     # any is numbered, would take about 80 elements' worth.
     assert peak - current <= 2 * one_element + index.features.nbytes, (peak - current, one_element)
+
+
+def test_vectors_do_not_copy_the_index():
+    """A vector is a view of the index's arrays: a few hundred bytes, whatever its length."""
+    rng = np.random.default_rng(5)
+    vocabulary = [f"w{i}" for i in range(5000)]
+    documents = {f"d{i}": " ".join(rng.choice(vocabulary, size=400)) for i in range(80)}
+    index = build_index(build_task({"e1": " ".join(vocabulary[:300])}, documents))
+    config = FeatureConfig()
+    index.weights(config)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        vectors = [vectorize(did, index, config) for did in index.document_ids]
+        nonzeros = sum(map(len, vectors))
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # A dict per document would cost tens of bytes per stored feature: about
+    # 380 of them here.
+    assert nonzeros > 300 * len(vectors)
+    assert current - start < 2048 * len(vectors), (current - start) / len(vectors)
 
 
 def test_weights_take_the_scalar_log():
