@@ -17,10 +17,8 @@ from .corpus import (
     ResultDocument,
     Task,
     discover_tasks,
-    load_corpus,
     load_task,
     strip_html,
-    term_frequencies,
     tokenize,
     write_task,
 )
@@ -29,7 +27,6 @@ from .evaluation import (
     TaskMetrics,
     clustering_eval_filter,
     evaluate_assignment,
-    f1_bar,
     micro_macro_f1,
     nmi,
     purity,
@@ -44,7 +41,6 @@ from .features import (
     build_index,
     build_noise_profile,
     intersection_noise,
-    tfidf,
     union_noise,
     vectorize,
 )
@@ -85,12 +81,10 @@ __all__ = [
     "clustering_eval_filter",
     "discover_tasks",
     "evaluate_assignment",
-    "f1_bar",
     "gram",
     "hac_complete",
     "intersection_noise",
     "kmeans",
-    "load_corpus",
     "load_task",
     "map_documents",
     "micro_macro_f1",
@@ -101,8 +95,6 @@ __all__ = [
     "smoothed_profile",
     "strip_html",
     "synthetic_benchmark",
-    "term_frequencies",
-    "tfidf",
     "tokenize",
     "union_noise",
     "validate_corpus",

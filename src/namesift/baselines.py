@@ -20,7 +20,6 @@ __all__ = [
     "gram",
     "hac_complete",
     "kmeans",
-    "kmeans_objective",
     "run_repetitions",
     "assignment_to_clusters",
 ]
@@ -262,7 +261,11 @@ def _reseed_empty(labels: np.ndarray, gram: np.ndarray, members: np.ndarray, dis
         distances[:, cluster] = np.diagonal(gram) - 2.0 * gram[:, farthest] + gram[farthest, farthest]
 
 
-def _lloyd(gram: np.ndarray, k: int, seed: int, max_iterations: int) -> tuple[np.ndarray, int]:
+# Lloyd iterations after which `kmeans` stops even without a repeat.
+_MAX_ITERATIONS = 100
+
+
+def _lloyd(gram: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, int]:
     """Run Lloyd iterations on a Gram matrix; returns labels and iteration count.
 
     Every centroid is the mean of a set of rows, held as a row of the
@@ -279,7 +282,7 @@ def _lloyd(gram: np.ndarray, k: int, seed: int, max_iterations: int) -> tuple[np
     labels = np.full(n, -1)
     seen: set[bytes] = set()
     n_iterations = 0
-    for _ in range(max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         n_iterations += 1
         labels = np.argmin(distances, axis=1)
         _reseed_empty(labels, gram, members, distances)
@@ -292,7 +295,7 @@ def _lloyd(gram: np.ndarray, k: int, seed: int, max_iterations: int) -> tuple[np
     return labels, n_iterations
 
 
-def kmeans(gram: Gram, k: int, seed: int, max_iterations: int = 100) -> Clustering:
+def kmeans(gram: Gram, k: int, seed: int) -> Clustering:
     """Lloyd iterations on L2-normalized vectors with seeded init.
 
     Initial centroids are ``k`` distinct documents drawn without
@@ -304,27 +307,16 @@ def kmeans(gram: Gram, k: int, seed: int, max_iterations: int = 100) -> Clusteri
     norm decides the cluster.  A cluster left empty after assignment
     is reseeded with the farthest point.  Stops when the assignments
     repeat those of any earlier iteration (a fixed point or a cycle) or
-    after ``max_iterations``.  All distances come from ``gram``.
+    after ``_MAX_ITERATIONS`` (100).  All distances come from ``gram``.
     """
     k = _check_k(k, len(gram.ids))
-    labels, n_iterations = _lloyd(gram.matrix, k, seed, max_iterations)
+    labels, n_iterations = _lloyd(gram.matrix, k, seed)
     clusters = [[doc_id for doc_id, label in zip(gram.ids, labels) if label == cluster] for cluster in range(k)]
     clusters = [c for c in clusters if c]
     return Clustering(clusters=clusters, method="kmeans", k=k, seed=seed, n_iterations=n_iterations)
 
 
-def kmeans_objective(clustering: Clustering, gram: Gram) -> float:
-    """Sum of squared distances to cluster means over normalized vectors."""
-    row = {doc_id: i for i, doc_id in enumerate(gram.ids)}
-    total = 0.0
-    for cluster in clustering.clusters:
-        members = [row[doc_id] for doc_id in cluster]
-        block = gram.matrix[np.ix_(members, members)]
-        total += float(np.trace(block) - block.sum() / len(members))
-    return total
-
-
-def run_repetitions(gram: Gram, k: int, reps: int = 10) -> list[Clustering]:
+def run_repetitions(gram: Gram, k: int, reps: int) -> list[Clustering]:
     """K-Means runs with seeds 1..reps, for averaging metric estimates."""
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")

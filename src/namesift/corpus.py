@@ -28,10 +28,9 @@ import json
 import os
 import re
 import stat
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Collection, Iterable
+from typing import Collection
 
 __all__ = [
     "NOISE_LABEL",
@@ -41,13 +40,11 @@ __all__ = [
     "ResultDocument",
     "Task",
     "tokenize",
-    "term_frequencies",
     "strip_html",
     "load_task",
     "read_manifest",
     "write_task",
     "discover_tasks",
-    "load_corpus",
     "tsv_cell",
     "clustering_eval_filter",
 ]
@@ -74,26 +71,34 @@ class CorpusIntegrityError(ValueError):
     """Files parse but the task violates a consistency rule."""
 
 
+def _frozen_stopwords(stopwords: Collection[str] | None) -> frozenset[str] | None:
+    """``stopwords`` as a frozenset, None when empty; a frozenset is returned as is.
+
+    A bare string raises TypeError: it is a collection of its letters,
+    which no caller means.
+    """
+    if isinstance(stopwords, str):
+        raise TypeError(f"stopwords must be a collection of words, not the string {stopwords!r}")
+    return frozenset(stopwords) if stopwords else None
+
+
 def tokenize(text: str, stopwords: Collection[str] | None = None) -> list[str]:
     """Lowercase ``text`` and split it into unigram tokens.
 
     Tokens are maximal runs of alphanumeric characters; everything else,
     including underscores, separates tokens.  Digits are kept, empty tokens
     are dropped, and no stemming is applied.  When ``stopwords`` is given,
-    tokens contained in it are removed after splitting.  Lowercased ASCII
-    text skips the regular expression: below code point 128 the letters
-    and digits are exactly ``[a-z0-9]``, so both paths give the same tokens.
+    tokens contained in it are removed after splitting; a bare string
+    raises TypeError.  Lowercased ASCII text skips the regular expression:
+    below code point 128 the letters and digits are exactly ``[a-z0-9]``,
+    so both paths give the same tokens.
     """
+    stopwords = _frozen_stopwords(stopwords)
     text = text.lower()
     tokens = text.translate(_ASCII_SEPARATORS).split() if text.isascii() else _TOKEN_RE.findall(text)
     if stopwords:
         tokens = [t for t in tokens if t not in stopwords]
     return tokens
-
-
-def term_frequencies(tokens: Iterable[str]) -> Counter[str]:
-    """Count occurrences per distinct token."""
-    return Counter(tokens)
 
 
 def strip_html(text: str) -> str:
@@ -104,21 +109,15 @@ def strip_html(text: str) -> str:
     return html.unescape(text)
 
 
-@dataclass
-class EntityProfile:
-    """Knowledge-base description of one candidate person.
+class _Element:
+    """A profile's or document's ``tokens``: ``tokenize(text, stopwords)``, derived on each access.
 
-    ``tokens`` is ``tokenize(text, stopwords)``, derived on each access from
-    the text and a frozen copy of the stopwords given at construction.
+    The dataclass's ``stopwords`` field is replaced by a frozen copy at
+    construction; a bare string raises TypeError.
     """
 
-    id: str
-    title: str
-    text: str
-    stopwords: Collection[str] | None = field(default=None, repr=False)
-
     def __post_init__(self) -> None:
-        self.stopwords = frozenset(self.stopwords) if self.stopwords else None
+        self.stopwords = _frozen_stopwords(self.stopwords)
 
     @property
     def tokens(self) -> tuple[str, ...]:
@@ -126,8 +125,18 @@ class EntityProfile:
 
 
 @dataclass
-class ResultDocument:
-    """One web search result retrieved for the ambiguous name; its ``tokens`` are derived as a profile's are."""
+class EntityProfile(_Element):
+    """Knowledge-base description of one candidate person."""
+
+    id: str
+    title: str
+    text: str
+    stopwords: Collection[str] | None = field(default=None, repr=False)
+
+
+@dataclass
+class ResultDocument(_Element):
+    """One web search result retrieved for the ambiguous name."""
 
     id: str
     url: str
@@ -138,11 +147,7 @@ class ResultDocument:
     def __post_init__(self) -> None:
         if not isinstance(self.rank, int) or isinstance(self.rank, bool) or self.rank < 1:
             raise CorpusIntegrityError(f"document {self.id!r}: rank must be a positive integer, got {self.rank!r}")
-        self.stopwords = frozenset(self.stopwords) if self.stopwords else None
-
-    @property
-    def tokens(self) -> tuple[str, ...]:
-        return tuple(tokenize(self.text, self.stopwords))
+        super().__post_init__()
 
 
 @dataclass
@@ -328,14 +333,15 @@ def load_task(
         strip_markup: apply :func:`strip_html` to every body as it is read
             (for corpora stored as raw HTML).
         stopwords: optional token blacklist; every element keeps one shared
-            frozen copy and applies it when its ``tokens`` are derived.
+            frozen copy and applies it when its ``tokens`` are derived.  A
+            bare string raises TypeError.
 
     Raises:
         CorpusFormatError: missing or malformed files.
         CorpusIntegrityError: parseable but inconsistent task.
     """
     path = Path(path)
-    stopwords = frozenset(stopwords) if stopwords else None
+    stopwords = _frozen_stopwords(stopwords)
     inside = os.path.join(os.path.realpath(path), "")
     manifest = read_manifest(path)
 
@@ -423,16 +429,3 @@ def discover_tasks(root: str | Path) -> list[Path]:
     if not root.is_dir():
         raise CorpusFormatError(f"corpus root {root} is not a directory")
     return sorted(p for p in root.iterdir() if p.is_dir() and (p / "task.json").is_file())
-
-
-def load_corpus(
-    root: str | Path,
-    *,
-    strip_markup: bool = False,
-    stopwords: Collection[str] | None = None,
-) -> list[Task]:
-    """Load every task under ``root``; raises on the first broken task."""
-    return [
-        load_task(p, strip_markup=strip_markup, stopwords=stopwords)
-        for p in discover_tasks(root)
-    ]

@@ -25,7 +25,6 @@ __all__ = [
     "purity",
     "nmi",
     "micro_macro_f1",
-    "f1_bar",
     "clustering_eval_filter",
     "evaluate_assignment",
     "evaluate_clusterings",
@@ -147,14 +146,6 @@ def micro_macro_f1(assignment, gold) -> tuple[float, float]:
     universe.
     """
     return _micro_macro_f1(_contingency(_assigned_pairs(assignment, gold)))
-
-
-def f1_bar(micro_macro_pairs: Iterable[tuple[float, float]]) -> float:
-    """Mean over tasks of (micro + macro) / 2."""
-    pairs = list(micro_macro_pairs)
-    if not pairs:
-        raise ValueError("f1_bar needs at least one task")
-    return sum((micro + macro) / 2.0 for micro, macro in pairs) / len(pairs)
 
 
 @dataclass

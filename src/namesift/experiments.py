@@ -52,7 +52,8 @@ class RunSpec:
     Feature and model settings default to the `FeatureConfig` and
     `ModelConfig` defaults.  ``tasks`` (None: every task), ``models`` and
     ``noise_modes`` are stored as tuples of names and ``stopwords`` as a
-    frozenset; a bare string raises `ConfigError`.  Construction builds
+    frozenset; a bare string raises `ConfigError`, as does a ``reps`` that
+    is not an integer >= 1 (a bool is not one).  Construction builds
     ``cells``, the `ModelConfig` of each (model, noise) pair in grid
     order, so a value either config class refuses raises `ConfigError`
     here, before any task loads; the spec is frozen, so its cells stay
@@ -84,8 +85,8 @@ class RunSpec:
                 raise ConfigError(f"{name} must be a collection of names, got the string {names!r}")
             if names is not None:
                 object.__setattr__(self, name, frozenset(names) if name == "stopwords" else tuple(names))
-        if self.reps < 1:
-            raise ConfigError(f"reps must be >= 1, got {self.reps}")
+        if not isinstance(self.reps, int) or isinstance(self.reps, bool) or self.reps < 1:
+            raise ConfigError(f"reps must be an integer >= 1, got {self.reps!r}")
         self.feature_config()  # checks the feature settings, which the baselines read too
         object.__setattr__(self, "cells", {(m, n): self.model_config(m, n) for m in self.models for n in self.noise_modes})
         if not (self.cells or self.hac or self.kmeans):
@@ -165,7 +166,7 @@ def task_clusterings(
     method: str,
     feature_config: FeatureConfig,
     *,
-    reps: int = 10,
+    reps: int = RunSpec.reps,
     resources: TaskResources | None = None,
 ):
     """Baseline clusterings of one task's entity-labeled documents.

@@ -9,7 +9,7 @@ frequencies.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .corpus import NOISE_LABEL, Task, term_frequencies
+from .corpus import NOISE_LABEL, Task
 
 __all__ = [
     "FeatureVector",
@@ -27,7 +27,6 @@ __all__ = [
     "FeatureIndex",
     "NoiseProfile",
     "build_index",
-    "tfidf",
     "vectorize",
     "union_noise",
     "intersection_noise",
@@ -86,7 +85,9 @@ class _TermCounts(Mapping[str, dict[int, int]]):
         self._index = index
 
     def __getitem__(self, element_id: str) -> dict[int, int]:
-        return self._index.counts_of(element_id)
+        index = self._index
+        span = index.span(element_id)
+        return dict(zip(index.features[span].tolist(), map(int, index.counts[span].tolist())))
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._index.document_ids + self._index.entity_ids)
@@ -150,10 +151,6 @@ class FeatureIndex:
             raise KeyError(f"unknown element {element_id!r}") from None
         return slice(int(self.offsets[r]), int(self.offsets[r + 1]))
 
-    def counts_of(self, element_id: str) -> dict[int, int]:
-        span = self.span(element_id)
-        return dict(zip(self.features[span].tolist(), map(int, self.counts[span].tolist())))
-
     @property
     def term_counts(self) -> Mapping[str, dict[int, int]]:
         return _TermCounts(self)
@@ -182,7 +179,7 @@ def build_index(task: Task) -> FeatureIndex:
     ids: defaultdict[str, int] = defaultdict(count().__next__)
     features, counts, sizes = [np.empty(0, dtype=np.int64)], [np.empty(0)], [0]
     for element in chain(task.documents, task.entities):
-        frequencies = term_frequencies(element.tokens)
+        frequencies = Counter(element.tokens)
         sizes.append(len(frequencies))
         features.append(np.fromiter(map(ids.__getitem__, frequencies), dtype=np.int64, count=sizes[-1]))
         counts.append(np.fromiter(frequencies.values(), dtype=float, count=sizes[-1]))
@@ -228,27 +225,6 @@ def _tfidf_weights(index: FeatureIndex, idf_numerator: str, log_base: str) -> np
     else:
         idf = _logs(index.corpus_size / index.df, divisor)[index.features]
     return (index.counts / np.repeat(peaks, sizes)) * idf
-
-
-def tfidf(
-    feature: int | str,
-    element_id: str,
-    index: FeatureIndex,
-    config: FeatureConfig = FeatureConfig(),
-) -> float:
-    """Augmented-tf times idf for one feature of one element.
-
-    The term factor divides the feature's count by the element's maximum
-    count; the idf factor is ``log(numerator / df)`` per the config.  A
-    feature absent from the element scores 0.  Unknown features or elements
-    raise ``KeyError``.
-    """
-    fid = index.feature_id(feature) if isinstance(feature, str) else feature
-    if not 0 <= fid < index.feature_count:
-        raise KeyError(f"feature id {fid} out of range")
-    span = index.span(element_id)
-    hit = np.flatnonzero(index.features[span] == fid)
-    return float(index.weights(config)[span][hit[0]]) if hit.size else 0.0
 
 
 class FeatureVector(Mapping[int, float]):
@@ -332,7 +308,7 @@ def union_noise(index: FeatureIndex) -> NoiseProfile:
     return NoiseProfile("union", _entity_features(index))
 
 
-def intersection_noise(index: FeatureIndex, semantics: str = "exists") -> NoiseProfile:
+def intersection_noise(index: FeatureIndex, semantics: str = FeatureConfig.intersection_semantics) -> NoiseProfile:
     """Noise profile over pairwise entity/element feature intersections.
 
     ``exists`` collects every feature shared by at least one pair (e, c)

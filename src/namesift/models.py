@@ -210,9 +210,7 @@ def floored_log(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.log(p, out=p), clamped
 
 
-def laplace_log_priors(
-    masses: np.ndarray, alpha: float, *, denominator: str = "paper"
-) -> tuple[np.ndarray, np.ndarray]:
+def laplace_log_priors(masses: np.ndarray, alpha: float, *, denominator: str) -> tuple[np.ndarray, np.ndarray]:
     """Additively smoothed log priors from per-class weight masses.
 
     The denominator pools the weight mass of every class being scored and
@@ -223,7 +221,7 @@ def laplace_log_priors(
     return floored_log((masses + alpha) / (masses.sum() + extra))
 
 
-def bernoulli_log_probs(profiles: np.ndarray, alpha: float, *, denominator: str = "paper") -> tuple[np.ndarray, int]:
+def bernoulli_log_probs(profiles: np.ndarray, alpha: float, *, denominator: str) -> tuple[np.ndarray, int]:
     """Per-class feature log probabilities of the Bernoulli model.
 
     For class e with weight mass M(e), a feature with weight w gets

@@ -153,16 +153,16 @@ def forall_pairs_ref(index) -> set[int]:
     """Feature ids shared by every (entity, other element) pair of an index.
 
     The pairs are enumerated over the index's own per-element counts
-    (``counts_of``); empty if no pair exists.
+    (``term_counts``); empty if no pair exists.
     """
     element_ids = index.document_ids + index.entity_ids
     common: set[int] | None = None
     for eid in index.entity_ids:
-        entity_feats = set(index.counts_of(eid))
+        entity_feats = set(index.term_counts[eid])
         for cid in element_ids:
             if cid == eid:
                 continue
-            shared = entity_feats & set(index.counts_of(cid))
+            shared = entity_feats & set(index.term_counts[cid])
             common = shared if common is None else common & shared
     return common or set()
 
@@ -516,3 +516,17 @@ def kmeans_ref(vectors: dict[str, dict], k: int, seed: int, max_iterations: int 
             break
     partition = {frozenset(ids[i] for i in range(n) if labels[i] == cluster) for cluster in range(k)}
     return partition, iteration
+
+
+def kmeans_objective(clustering, gram) -> float:
+    """Sum of squared distances to cluster means over the unit rows of a `Gram`.
+
+    A cluster of m rows with Gram block B contributes ``trace(B) - sum(B) / m``.
+    """
+    row = {doc_id: i for i, doc_id in enumerate(gram.ids)}
+    total = 0.0
+    for cluster in clustering.clusters:
+        members = [row[doc_id] for doc_id in cluster]
+        block = gram.matrix[np.ix_(members, members)]
+        total += float(np.trace(block) - block.sum() / len(members))
+    return total

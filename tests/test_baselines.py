@@ -23,7 +23,6 @@ from namesift.baselines import (
     gram,
     hac_complete,
     kmeans,
-    kmeans_objective,
     run_repetitions,
 )
 
@@ -130,11 +129,11 @@ def _openblas_configuration() -> str:
 
 _KEPT_GRAM_DIGEST = """
 import hashlib, sys
-from namesift import load_corpus
+from namesift import discover_tasks, load_task
 from namesift.features import FeatureConfig
 from namesift.models import TaskResources
 digest = hashlib.sha256()
-for task in load_corpus(sys.argv[1]):
+for task in map(load_task, discover_tasks(sys.argv[1])):
     digest.update(TaskResources.from_task(task, FeatureConfig()).kept_gram.matrix.tobytes())
 print(digest.hexdigest())
 """
@@ -259,7 +258,7 @@ def test_kmeans_objective_matches_independent_recomputation():
         block = unit[[row[d] for d in cluster]]
         centroid = block.mean(axis=0)
         expected += float(np.sum((block - centroid) ** 2))
-    assert kmeans_objective(clustering, _gram(vectors)) == pytest.approx(expected, rel=1e-9)
+    assert oracles.kmeans_objective(clustering, _gram(vectors)) == pytest.approx(expected, rel=1e-9)
 
 
 def test_kmeans_separates_orthogonal_directions_for_any_seed():
@@ -306,9 +305,10 @@ def test_kmeans_objective_history_never_increases():
         for seed in (1, 2, 3):
             # The objective after each iteration t of the full run.
             iterations = kmeans(shared, k, seed).n_iterations
-            history = [
-                kmeans_objective(kmeans(shared, k, seed, max_iterations=t), shared) for t in range(1, iterations + 1)
-            ]
+            history = []
+            for t in range(1, iterations + 1):
+                with mock.patch.object(baselines, "_MAX_ITERATIONS", t):
+                    history.append(oracles.kmeans_objective(kmeans(shared, k, seed), shared))
             for earlier, later in zip(history, history[1:]):
                 assert later <= earlier + 1e-12
 

@@ -25,7 +25,7 @@ import namesift.cli
 import namesift.experiments
 from namesift.baselines import BASELINES
 from namesift.cli import build_parser, main
-from namesift.corpus import NOISE_LABEL, load_corpus, write_task
+from namesift.corpus import NOISE_LABEL, discover_tasks, load_task, write_task
 from namesift.experiments import RunSpec, task_clusterings, validate_corpus
 from namesift.features import IDF_NUMERATORS, INTERSECTION_SEMANTICS, LOG_BASES, NOISE_MODES, FeatureConfig
 from namesift.models import LAPLACE_DENOMINATORS, MODELS
@@ -395,7 +395,7 @@ def test_cluster_writes_files(mini_corpus, clean_env, tmp_path, capsys):
 
 
 def test_cluster_output_computes_each_clustering_once(mini_corpus, clean_env, tmp_path, capsys):
-    tasks = load_corpus(mini_corpus)
+    tasks = [load_task(p) for p in discover_tasks(mini_corpus)]
     expected = {
         (task.name, method): [c.to_dict() for c in task_clusterings(task, method, FeatureConfig(), reps=3)]
         for task in tasks

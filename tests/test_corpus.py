@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -24,19 +25,18 @@ from namesift.corpus import (
     ResultDocument,
     Task,
     discover_tasks,
-    load_corpus,
     load_task,
     strip_html,
-    term_frequencies,
     tokenize,
     write_task,
 )
+from namesift.experiments import validate_corpus
 
 from conftest import build_task, write_mini_corpus
 
 
 # ---------------------------------------------------------------------------
-# tokenize / term_frequencies
+# tokenize
 
 
 def test_tokenize_splits_on_nonalphanumeric_runs():
@@ -63,19 +63,13 @@ def test_tokenize_stopword_filter():
     assert tokenize("the cat and the hat", stopwords={"the", "and"}) == ["cat", "hat"]
 
 
-def test_term_frequencies_counts():
-    assert term_frequencies(["a", "b", "a"]) == {"a": 2, "b": 1}
-    assert term_frequencies([]) == {}
-    assert term_frequencies(["x"]) == {"x": 1}
-
-
 def test_token_count_and_idempotence_properties():
     rng = np.random.default_rng(11)
     pool = list("abcXYZ0129 ..,;'!-_\tü(")
     for _ in range(200):
         text = "".join(rng.choice(pool, size=int(rng.integers(0, 60))))
         tokens = tokenize(text)
-        counts = term_frequencies(tokens)
+        counts = Counter(tokens)
         assert sum(counts.values()) == len(tokens)
         assert tokenize(" ".join(tokens)) == tokens
 
@@ -155,6 +149,46 @@ def test_tokens_are_the_text_tokenized_with_the_stopwords_given(text, words, col
     assert entity.tokens == document.tokens == expected
     assert entity.stopwords == document.stopwords == (frozenset(words) if stopwords is not None and words else None)
     assert repr(entity) == f"EntityProfile(id='e', title='t', text={text!r})"
+
+
+_STOPWORD_TEXT = "the t hat The body"
+
+
+@pytest.fixture(scope="module")
+def stopword_task(tmp_path_factory) -> Path:
+    task = build_task({"e1": _STOPWORD_TEXT}, {"d1": _STOPWORD_TEXT}, name="hat")
+    return write_task(task, tmp_path_factory.mktemp("corpus") / "hat")
+
+
+@settings(max_examples=40, deadline=None)
+@given(words=st.lists(st.sampled_from(["the", "t", "h", "hat", "body", "x"]), max_size=4), string=st.text(max_size=4))
+@example(words=["the"], string="the")
+def test_stopwords_are_a_collection_of_words_at_every_entry_point(stopword_task, words, string):
+    """A bare string is refused everywhere; a list, a set and a frozenset of the same words give the same tokens."""
+
+    def tokens(stopwords) -> tuple:
+        task = load_task(stopword_task, stopwords=stopwords)
+        return (
+            tuple(tokenize(_STOPWORD_TEXT, stopwords)),
+            EntityProfile("e", "t", _STOPWORD_TEXT, stopwords).tokens,
+            ResultDocument("d", "u", 1, _STOPWORD_TEXT, stopwords).tokens,
+            task.entities[0].tokens,
+            task.documents[0].tokens,
+        )
+
+    expected = tuple(t for t in tokenize(_STOPWORD_TEXT) if t not in words)
+    assert tokens(list(words)) == tokens(set(words)) == tokens(frozenset(words)) == (expected,) * 5
+    assert [r.ok for r in validate_corpus(stopword_task.parent, stopwords=list(words))] == [True]
+    entry_points = (
+        lambda s: tokenize(_STOPWORD_TEXT, s),
+        lambda s: EntityProfile("e", "t", _STOPWORD_TEXT, s),
+        lambda s: ResultDocument("d", "u", 1, _STOPWORD_TEXT, s),
+        lambda s: load_task(stopword_task, stopwords=s),
+        lambda s: validate_corpus(stopword_task.parent, stopwords=s),
+    )
+    for call in entry_points:
+        with pytest.raises(TypeError, match="stopwords"):
+            call(string)
 
 
 def test_a_loaded_task_retains_about_its_text_not_its_tokens(tmp_path, make_task):
@@ -583,10 +617,3 @@ def test_discover_tasks_sorted_and_filtered(tmp_path):
     (root / "stray.txt").write_text("x", encoding="utf-8")
     found = discover_tasks(root)
     assert [p.name for p in found] == ["baker", "mason"]
-
-
-def test_load_corpus(tmp_path):
-    root = write_mini_corpus(tmp_path / "corpus")
-    tasks = load_corpus(root)
-    assert [t.name for t in tasks] == ["baker", "mason"]
-    assert all(t.gold for t in tasks)

@@ -20,7 +20,6 @@ from namesift.evaluation import (
     clustering_eval_filter,
     evaluate_assignment,
     evaluate_clusterings,
-    f1_bar,
     micro_macro_f1,
     nmi,
     purity,
@@ -167,13 +166,6 @@ def test_f1_invariant_under_consistent_renaming():
     gold2 = {d: renamed[c] for d, c in gold.items()}
     pred2 = {d: renamed[c] for d, c in pred.items()}
     assert micro_macro_f1(pred, gold) == micro_macro_f1(pred2, gold2)
-
-
-def test_f1_bar_examples():
-    assert f1_bar([(1.0, 1.0)]) == 1.0
-    assert f1_bar([(0.3, 0.5), (0.5, 0.7)]) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        f1_bar([])
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import json
 import weakref
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import namesift.evaluation
 import namesift.models
@@ -39,6 +41,18 @@ def test_run_spec_needs_some_work(tmp_path):
         RunSpec(corpus_root=tmp_path, noise_modes=())  # models, but no cell to run them in
     with pytest.raises(ValueError):
         RunSpec(corpus_root=tmp_path, reps=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(reps=st.floats() | st.text(max_size=3) | st.booleans() | st.none() | st.integers(max_value=0))
+@example(reps=2.5)
+@example(reps=2.0)
+@example(reps="3")
+@example(reps=True)
+def test_run_spec_takes_reps_only_as_an_integer_of_at_least_one(reps):
+    with pytest.raises(ConfigError, match="reps"):
+        RunSpec(corpus_root="corpus", kmeans=True, reps=reps)
+    assert RunSpec(corpus_root="corpus", kmeans=True, reps=3).reps == 3
 
 
 @pytest.mark.parametrize(

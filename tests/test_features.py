@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from namesift.corpus import NOISE_LABEL, term_frequencies, tokenize
+from namesift.corpus import NOISE_LABEL, tokenize
 from namesift.features import (
     IDF_NUMERATORS,
     LOG_BASES,
@@ -20,7 +21,6 @@ from namesift.features import (
     build_index,
     build_noise_profile,
     intersection_noise,
-    tfidf,
     union_noise,
     vectorize,
 )
@@ -32,6 +32,11 @@ from conftest import build_task, random_micro_task
 
 def _tokens_of(index, vector):
     return {index.tokens[fid]: w for fid, w in vector.items()}
+
+
+def _weight(token, element_id, index, config=FeatureConfig()):
+    """One token's tf-idf weight in one element, 0 where the element lacks it."""
+    return vectorize(element_id, index, config).get(index.feature_id(token), 0.0)
 
 
 def _profile_tokens(index, profile):
@@ -88,16 +93,16 @@ def test_index_document_frequencies():
 def test_index_term_lookups():
     task = build_task({"e1": "cat cat dog"}, {"d1": "ant"})
     index = build_index(task)
-    counts = index.counts_of("e1")
+    counts = index.term_counts["e1"]
     assert counts[index.feature_id("cat")] == 2
     assert max(counts.values()) == 2
     assert sum(counts.values()) == 3
     with pytest.raises(KeyError):
         index.feature_id("zebra")
     with pytest.raises(KeyError):
-        index.counts_of("missing")
+        index.term_counts["missing"]
     with pytest.raises(KeyError):
-        index.counts_of(NOISE_LABEL)  # the noise entity has no term statistics
+        index.term_counts[NOISE_LABEL]  # the noise entity has no term statistics
 
 
 # ---------------------------------------------------------------------------
@@ -111,34 +116,38 @@ def test_tfidf_worked_example_both_numerators():
     paper = FeatureConfig(idf_numerator="paper")
     corpus = FeatureConfig(idf_numerator="corpus")
     # |F_c| = 2 equals |C| = 2 here, so both modes agree.
-    assert tfidf("a", "c", index, paper) == pytest.approx(0.0, abs=1e-15)
-    assert tfidf("b", "c", index, paper) == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
-    assert tfidf("b", "c", index, corpus) == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
-    assert tfidf("b", "c", index, corpus) == pytest.approx(0.3466, abs=5e-5)
+    assert _weight("a", "c", index, paper) == pytest.approx(0.0, abs=1e-15)
+    assert _weight("b", "c", index, paper) == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
+    assert _weight("b", "c", index, corpus) == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
+    assert _weight("b", "c", index, corpus) == pytest.approx(0.3466, abs=5e-5)
 
 
 def test_tfidf_absent_feature_scores_zero():
     task = build_task({"e1": "a"}, {"c": "a a b"})
     index = build_index(task)
-    assert tfidf("b", "e1", index) == 0.0
+    assert _weight("b", "e1", index) == 0.0
 
 
 def test_tfidf_accepts_feature_id_or_token():
+    # A token's weight is read under its feature id: the vector's key and
+    # the index's stored weights agree on it.
     task = build_task({"e1": "a"}, {"c": "a a b"})
     index = build_index(task)
     fid = index.feature_id("b")
-    assert tfidf(fid, "c", index) == tfidf("b", "c", index)
+    span = index.span("c")
+    stored = index.weights(FeatureConfig())[span][index.features[span].tolist().index(fid)]
+    assert vectorize("c", index)[fid] == stored == _weight("b", "c", index)
     with pytest.raises(KeyError):
-        tfidf(99, "c", index)
+        vectorize("c", index)[99]
     with pytest.raises(KeyError):
-        tfidf("a", "nobody", index)
+        vectorize("nobody", index)
 
 
 def test_paper_numerator_can_go_negative_corpus_never_does():
     # Feature in every element: df = |C| = 3 but |F_e1| = 2 < df.
     task = build_task({"e1": "a b"}, {"d1": "a x", "d2": "a y"})
     index = build_index(task)
-    w = tfidf("a", "e1", index, FeatureConfig(idf_numerator="paper"))
+    w = _weight("a", "e1", index, FeatureConfig(idf_numerator="paper"))
     assert w < 0.0
     rng = np.random.default_rng(5)
     for _ in range(30):
@@ -238,7 +247,7 @@ def test_index_matches_scalar_reference_bit_for_bit(documents, entities, numerat
     assert index.tokens == ref["tokens"]
     assert list(index.df) == ref["df"]
     for element, pairs in ref["counts"].items():
-        assert list(index.counts_of(element).items()) == pairs
+        assert list(index.term_counts[element].items()) == pairs
         assert vectorize(element, index, config) == ref["weights"][element]
 
     entity_features = {fid for eid in index.entity_ids for fid, _ in ref["counts"][eid]}
@@ -268,7 +277,7 @@ def test_build_index_holds_one_element_of_tokens_at_a_time():
     try:
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        frequencies = term_frequencies(tuple(tokenize(largest.text)))
+        frequencies = Counter(tuple(tokenize(largest.text)))
         one_element = tracemalloc.get_traced_memory()[1] - start
         del frequencies
         tracemalloc.reset_peak()

@@ -326,8 +326,8 @@ def test_score_smoothed_reuses_the_cosine_entity_product(monkeypatch):
 def _bernoulli_scores(weights, *docs, alpha=0.01):
     """Documents x classes Bernoulli log scores of the given feature sets."""
     profiles = _dense(*weights)
-    log_priors, _ = laplace_log_priors(profiles.sum(axis=1), alpha)
-    log_probs, _ = bernoulli_log_probs(profiles, alpha)
+    log_priors, _ = laplace_log_priors(profiles.sum(axis=1), alpha, denominator="paper")
+    log_probs, _ = bernoulli_log_probs(profiles, alpha, denominator="paper")
     rows = _rows(*({f: 1.0 for f in doc} for doc in docs))
     return rows.dot(log_probs, rows.counts) + log_priors, log_priors
 

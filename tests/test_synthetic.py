@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from namesift.corpus import NOISE_LABEL, load_corpus
+from namesift.corpus import NOISE_LABEL, discover_tasks, load_task
 from namesift.synthetic import generate_task, synthetic_benchmark, write_benchmark
 
 
@@ -75,7 +75,7 @@ def test_generate_task_validates_noise_count():
 def test_write_benchmark_round_trips(tmp_path):
     paths = write_benchmark(tmp_path / "bench", n_tasks=2)
     assert [p.name for p in paths] == ["task00", "task01"]
-    loaded = load_corpus(tmp_path / "bench")
+    loaded = [load_task(p) for p in discover_tasks(tmp_path / "bench")]
     generated = synthetic_benchmark(n_tasks=2)
     assert [_task_signature(t) for t in sorted(loaded, key=lambda t: t.name)] == [
         _task_signature(t) for t in sorted(generated, key=lambda t: t.name)
