@@ -89,9 +89,9 @@ def main() -> None:
     # features matrix) against the task's sparse document rows, with the
     # documents x entities cosines that the cosine model scores.
     config = FeatureConfig()
-    arrays = TaskResources.from_task(task, config).arrays
-    sims = arrays.rows.dot(unit_rows(arrays.entities), arrays.rows.unit())
-    expanded = smoothed_profile(arrays.entities, arrays.rows, sims)
+    resources = TaskResources.from_task(task, config)
+    sims = resources.rows.dot(unit_rows(resources.entities), resources.rows.unit())
+    expanded = smoothed_profile(resources.entities, resources.rows, sims)
     for token in ("jazz", "live", "assay"):
         fid = index.feature_id(token)
         raw = vectorize("e1", index, config).get(fid, 0.0)

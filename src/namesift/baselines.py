@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .features import ConfigError
+
 __all__ = [
     "BASELINES",
     "Clustering",
@@ -316,10 +318,15 @@ def kmeans(gram: Gram, k: int, seed: int) -> Clustering:
     return Clustering(clusters=clusters, method="kmeans", k=k, seed=seed, n_iterations=n_iterations)
 
 
+def _check_reps(reps: object) -> None:
+    """Raise `ConfigError`, a ValueError, unless ``reps`` is an integer >= 1; a bool is not one."""
+    if not isinstance(reps, int) or isinstance(reps, bool) or reps < 1:
+        raise ConfigError(f"reps must be an integer >= 1, got {reps!r}")
+
+
 def run_repetitions(gram: Gram, k: int, reps: int) -> list[Clustering]:
-    """K-Means runs with seeds 1..reps, for averaging metric estimates."""
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+    """K-Means runs with seeds 1..reps, for averaging metric estimates; ``reps`` as `_check_reps` requires."""
+    _check_reps(reps)
     return [kmeans(gram, k, seed) for seed in range(1, reps + 1)]
 
 

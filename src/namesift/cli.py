@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .baselines import BASELINES
-from .corpus import CorpusFormatError, CorpusIntegrityError, tsv_cell
+from .corpus import CorpusFormatError, CorpusIntegrityError, _read_regular, tsv_cell
 from .evaluation import EvalReport, METRIC_COLUMNS, TaskMetrics
 from .experiments import (
     GridResult,
@@ -129,10 +129,10 @@ def _cast(raw, caster, key: str):
 
 def _read_text(path: str, what: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return _read_regular(path)
     except FileNotFoundError:
         raise _UsageError(f"{what} {path} does not exist") from None
-    except (OSError, ValueError) as exc:  # not UTF-8, a directory, no permission, a NUL byte
+    except (OSError, ValueError) as exc:  # not UTF-8, not a regular file, no permission, a NUL byte
         raise _UsageError(f"cannot read {what} {path} ({exc})") from None
 
 

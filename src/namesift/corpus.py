@@ -231,15 +231,20 @@ def _open_nonblocking(path: str, flags: int) -> int:
     return os.open(path, flags | os.O_NONBLOCK)
 
 
+def _read_regular(path: str | Path) -> str:
+    """The UTF-8 text of a regular file; anything else raises OSError at once."""
+    # newline="" keeps every line ending as written, so bodies round-trip.
+    with open(path, encoding="utf-8", newline="", opener=_open_nonblocking) as f:
+        # A FIFO or a device could block or never end; open itself has
+        # already refused a directory.
+        if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            raise OSError("not a regular file")
+        return f.read()
+
+
 def _read_text(path: Path, where: str) -> str:
     try:
-        # newline="" keeps every line ending as written, so bodies round-trip.
-        with open(path, encoding="utf-8", newline="", opener=_open_nonblocking) as f:
-            # A FIFO or a device could block or never end; open itself has
-            # already refused a directory.
-            if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
-                raise OSError("not a regular file")
-            return f.read()
+        return _read_regular(path)
     except FileNotFoundError:
         raise CorpusFormatError(f"{where}: referenced file {path} does not exist") from None
     except UnicodeDecodeError as exc:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .baselines import BASELINES, Clustering, hac_complete, run_repetitions
+from .baselines import BASELINES, Clustering, _check_reps, hac_complete, run_repetitions
 from .corpus import (
     CorpusFormatError,
     CorpusIntegrityError,
@@ -85,8 +85,7 @@ class RunSpec:
                 raise ConfigError(f"{name} must be a collection of names, got the string {names!r}")
             if names is not None:
                 object.__setattr__(self, name, frozenset(names) if name == "stopwords" else tuple(names))
-        if not isinstance(self.reps, int) or isinstance(self.reps, bool) or self.reps < 1:
-            raise ConfigError(f"reps must be an integer >= 1, got {self.reps!r}")
+        _check_reps(self.reps)
         self.feature_config()  # checks the feature settings, which the baselines read too
         object.__setattr__(self, "cells", {(m, n): self.model_config(m, n) for m in self.models for n in self.noise_modes})
         if not (self.cells or self.hac or self.kmeans):

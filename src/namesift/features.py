@@ -211,14 +211,21 @@ def _logs(ratios: np.ndarray, divisor: float) -> np.ndarray:
     return (logs / divisor)[where]
 
 
+def reduce_segments(ufunc: np.ufunc, values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """``ufunc`` over each segment ``offsets[i]:offsets[i + 1]`` of the last axis, which they cover; 0 if empty."""
+    # reduceat misreads empty segments, so only nonempty ones are reduced.
+    nonempty = offsets[1:] > offsets[:-1]
+    starts = offsets[:-1][nonempty]
+    out = np.zeros(values.shape[:-1] + (len(nonempty),))
+    if len(starts):
+        out[..., nonempty] = ufunc.reduceat(values, starts, axis=-1)
+    return out
+
+
 def _tfidf_weights(index: FeatureIndex, idf_numerator: str, log_base: str) -> np.ndarray:
     """``(count / element max count) * log(numerator / df) / divisor`` at every position."""
     sizes = np.diff(index.offsets)
-    nonempty = sizes > 0
-    peaks = np.zeros(len(sizes))
-    # reduceat misreads empty segments, so only nonempty ones are reduced.
-    if nonempty.any():
-        peaks[nonempty] = np.maximum.reduceat(index.counts, index.offsets[:-1][nonempty])
+    peaks = reduce_segments(np.maximum, index.counts, index.offsets)
     divisor = _LOG_DIVISOR[log_base]
     if idf_numerator == "paper":
         idf = _logs(np.repeat(sizes, sizes) / index.df[index.features], divisor)

@@ -43,6 +43,7 @@ from .features import (
     FeatureVector,
     build_index,
     build_noise_profile,
+    reduce_segments,
     vectorize,
 )
 
@@ -51,7 +52,6 @@ __all__ = [
     "ModelConfig",
     "Assignment",
     "DocumentRows",
-    "TaskArrays",
     "TaskResources",
     "ClassFit",
     "ScoringContext",
@@ -109,6 +109,12 @@ class ModelConfig:
             )
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array`` itself, marked read-only."""
+    array.flags.writeable = False
+    return array
+
+
 def _inverse(norms: np.ndarray) -> np.ndarray:
     """1 / norms, with 0 where a norm is 0."""
     return np.divide(1.0, norms, out=np.zeros_like(norms), where=norms != 0.0)
@@ -137,21 +143,9 @@ class DocumentRows:
     def sizes(self) -> np.ndarray:
         return np.diff(self.offsets)
 
-    @cached_property
-    def _segments(self) -> tuple[np.ndarray, np.ndarray]:
-        """The mask of nonempty documents and the first positions of their segments."""
-        nonempty = self.sizes > 0
-        return nonempty, self.offsets[:-1][nonempty]
-
     def per_document(self, values: np.ndarray) -> np.ndarray:
         """Sums over each document's positions along the last axis of ``values``."""
-        out = np.zeros(values.shape[:-1] + (len(self.offsets) - 1,))
-        nonempty, starts = self._segments
-        # reduceat misreads empty segments, so only nonempty ones are reduced;
-        # together they cover every stored position.
-        if len(starts):
-            out[..., nonempty] = np.add.reduceat(values, starts, axis=-1)
-        return out
+        return reduce_segments(np.add, values, self.offsets)
 
     def unit(self) -> np.ndarray:
         """tf-idf weights scaled to unit L2 length per document; all-zero rows stay zero."""
@@ -249,52 +243,6 @@ def jelinek_mercer_log_probs(ml: np.ndarray, background: np.ndarray, jm_lambda: 
 
 
 @dataclass(frozen=True)
-class TaskArrays:
-    """One task's scoring inputs as arrays over its F indexed features.
-
-    ``entities`` holds the tf-idf rows and ``ml`` the maximum-likelihood
-    token distributions of the k entities (k x F); ``background`` is the
-    corpus-wide relative token frequency over documents and entities.
-    Every array is read-only.
-    """
-
-    rows: DocumentRows
-    entities: np.ndarray
-    ml: np.ndarray
-    background: np.ndarray
-
-    @classmethod
-    def build(cls, resources: "TaskResources") -> "TaskArrays":
-        """Slices of the index arrays: document rows first, then the entity rows."""
-        index = resources.index
-        weights = index.weights(FeatureConfig(idf_numerator=resources.idf_numerator, log_base=resources.log_base))
-        n_docs, width = len(index.document_ids), index.feature_count
-        split = int(index.offsets[n_docs])
-        rows = DocumentRows(
-            indices=index.features[:split],
-            offsets=index.offsets[: n_docs + 1],
-            tfidf=weights[:split],
-            counts=index.counts[:split],
-        )
-        cells = (
-            np.repeat(np.arange(len(index.entity_ids)), np.diff(index.offsets[n_docs:])),
-            index.features[split:],
-        )
-        entities = np.zeros((len(index.entity_ids), width))
-        entities[cells] = weights[split:]
-        entity_counts = np.zeros_like(entities)
-        entity_counts[cells] = index.counts[split:]
-        ml = entity_counts * _inverse(entity_counts.sum(axis=1))[:, None]
-        # Counts are integers, so these sums are exact in any order.
-        feature_totals = np.bincount(index.features, weights=index.counts, minlength=width)
-        grand_total = int(index.counts.sum())
-        background = feature_totals / grand_total if grand_total else feature_totals
-        for array in (entities, ml, background):
-            array.flags.writeable = False
-        return cls(rows=rows, entities=entities, ml=ml, background=background)
-
-
-@dataclass(frozen=True)
 class ClassFit:
     """The product ``rows.dot(W, values)`` of one model setting's class rows ``W``.
 
@@ -321,38 +269,20 @@ def _document_values(model: str, rows: DocumentRows) -> np.ndarray:
     return rows.tfidf
 
 
-def _fit(config: ModelConfig, arrays: TaskArrays, profiles: np.ndarray, ml: np.ndarray, values: np.ndarray) -> ClassFit:
-    """``config``'s class rows for weight rows ``profiles`` with token distributions ``ml``.
-
-    Every model fits each class row on its own, so rows fitted apart equal
-    the rows of a fit over all classes at once.
-    """
-    floored = 0
-    if config.model == COSINE:
-        W = unit_rows(profiles)
-    elif config.model == NB_BERNOULLI:
-        W, floored = bernoulli_log_probs(profiles, config.alpha, denominator=config.laplace_denominator)
-    elif config.model == NB_MULTINOMIAL:
-        W, clamped = jelinek_mercer_log_probs(ml, arrays.background, config.jm_lambda)
-        floored = int(clamped.sum(axis=0)[arrays.rows.indices].sum())
-    else:
-        W = profiles
-    fit = ClassFit(values, arrays.rows.dot(W, values), profiles.sum(axis=1), floored)
-    for array in (fit.values, fit.product, fit.masses):
-        array.flags.writeable = False
-    return fit
-
-
 @dataclass
 class TaskResources:
     """Feature artifacts one task shares across model configurations.
 
     Everything here depends only on the weighting options (idf numerator
-    and log base), never on the model or noise choice, so a configuration
+    and log base) of ``weighting``, the `FeatureConfig` the resources were
+    built with, never on the model or noise choice, so a configuration
     grid can reuse one instance per task.  Built on first use and
     read-only once built:
 
-    * the scoring arrays;
+    * the scoring arrays: ``rows``, the documents' `DocumentRows`;
+      ``entities`` and ``ml``, the k entities' tf-idf rows and token
+      distributions over the F features (k x F); ``background``, the
+      token distribution of documents and entities together;
     * per (noise, intersection semantics): the dense noise row;
     * per model setting (model, ``alpha``, ``jm_lambda``,
       ``laplace_denominator``): the `ClassFit` of the entity rows, which
@@ -365,8 +295,7 @@ class TaskResources:
 
     task: Task
     index: FeatureIndex
-    idf_numerator: str
-    log_base: str
+    weighting: FeatureConfig
     doc_vectors: dict[str, FeatureVector]
     _noise: dict[tuple[str, str], np.ndarray] = field(init=False, default_factory=dict)
     _fits: dict[tuple, ClassFit] = field(init=False, default_factory=dict)
@@ -377,8 +306,7 @@ class TaskResources:
         return cls(
             task=task,
             index=index,
-            idf_numerator=config.idf_numerator,
-            log_base=config.log_base,
+            weighting=config,
             # Nothing in the package reads these views.  perfbench's
             # `features.vectorize` span and its `doc_vector_nonzeros` size
             # figure do, so the loop stays until tracing moves into namesift.
@@ -389,7 +317,7 @@ class TaskResources:
         """Raise ValueError unless these resources were built for ``task`` with ``config``'s weighting."""
         if self.task is not task:
             raise ValueError("resources were built for a different task")
-        if (config.idf_numerator, config.log_base) != (self.idf_numerator, self.log_base):
+        if (config.idf_numerator, config.log_base) != (self.weighting.idf_numerator, self.weighting.log_base):
             raise ValueError("resources were built with different weighting options")
 
     def noise_rows(self, config: FeatureConfig) -> np.ndarray:
@@ -400,33 +328,82 @@ class TaskResources:
             row = np.zeros((int(profile is not None), self.index.feature_count))
             if profile is not None:
                 row[0, profile.features] = profile.weight
-            row.flags.writeable = False
-            self._noise[key] = row
+            self._noise[key] = _read_only(row)
         return self._noise[key]
 
     @cached_property
-    def arrays(self) -> TaskArrays:
-        return TaskArrays.build(self)
+    def rows(self) -> DocumentRows:
+        index, n_docs = self.index, len(self.index.document_ids)
+        split = int(index.offsets[n_docs])
+        return DocumentRows(
+            indices=index.features[:split],
+            offsets=index.offsets[: n_docs + 1],
+            tfidf=index.weights(self.weighting)[:split],
+            counts=index.counts[:split],
+        )
+
+    def _entity_rows(self, values: np.ndarray) -> np.ndarray:
+        """k x F: ``values`` at the entity profiles' stored positions, 0 elsewhere."""
+        index, n_docs = self.index, len(self.index.document_ids)
+        split = int(index.offsets[n_docs])
+        rows = np.zeros((len(index.entity_ids), index.feature_count))
+        entity_of = np.repeat(np.arange(len(index.entity_ids)), np.diff(index.offsets[n_docs:]))
+        rows[entity_of, index.features[split:]] = values[split:]
+        return rows
+
+    @cached_property
+    def entities(self) -> np.ndarray:
+        return _read_only(self._entity_rows(self.index.weights(self.weighting)))
+
+    @cached_property
+    def ml(self) -> np.ndarray:
+        counts = self._entity_rows(self.index.counts)
+        return _read_only(counts * _inverse(counts.sum(axis=1))[:, None])
+
+    @cached_property
+    def background(self) -> np.ndarray:
+        # Counts are integers, so these sums are exact in any order.
+        totals = np.bincount(self.index.features, weights=self.index.counts, minlength=self.index.feature_count)
+        grand_total = int(self.index.counts.sum())
+        return _read_only(totals / grand_total if grand_total else totals)
+
+    def _fit(self, config: ModelConfig, profiles: np.ndarray, ml: np.ndarray, values: np.ndarray) -> ClassFit:
+        """``config``'s class rows for weight rows ``profiles`` with token distributions ``ml``.
+
+        Every model fits each class row on its own, so rows fitted apart equal
+        the rows of a fit over all classes at once.
+        """
+        floored = 0
+        if config.model == COSINE:
+            W = unit_rows(profiles)
+        elif config.model == NB_BERNOULLI:
+            W, floored = bernoulli_log_probs(profiles, config.alpha, denominator=config.laplace_denominator)
+        elif config.model == NB_MULTINOMIAL:
+            W, clamped = jelinek_mercer_log_probs(ml, self.background, config.jm_lambda)
+            floored = int(clamped.sum(axis=0)[self.rows.indices].sum())
+        else:
+            W = profiles
+        product = self.rows.dot(W, values)
+        return ClassFit(_read_only(values), _read_only(product), _read_only(profiles.sum(axis=1)), floored)
 
     def fits(self, config: ModelConfig) -> tuple[ClassFit, ClassFit]:
         """The entity-row and noise-row `ClassFit` of ``config``."""
         setting = (config.model, config.alpha, config.jm_lambda, config.laplace_denominator)
         noise_key = setting + (config.features.noise, config.features.intersection_semantics)
-        arrays = self.arrays
         if setting not in self._fits:
-            profiles = arrays.entities
+            profiles = self.entities
             if config.model == SCORE_SMOOTHED:
                 # The pulls are the cosine entity product; the noise row is never smoothed.
                 sims = self.fits(replace(config, model=COSINE))[0].product
-                profiles = smoothed_profile(profiles, arrays.rows, sims)
-            values = _document_values(config.model, arrays.rows)
-            self._fits[setting] = _fit(config, arrays, profiles, arrays.ml, values)
+                profiles = smoothed_profile(profiles, self.rows, sims)
+            values = _document_values(config.model, self.rows)
+            self._fits[setting] = self._fit(config, profiles, self.ml, values)
         entity = self._fits[setting]
         if noise_key not in self._fits:
             # The noise profile is uniform over its feature set, so it serves
             # both as the noise class's weight row and as its token distribution.
             noise_rows = self.noise_rows(config.features)
-            self._fits[noise_key] = _fit(config, arrays, noise_rows, noise_rows, entity.values)
+            self._fits[noise_key] = self._fit(config, noise_rows, noise_rows, entity.values)
         return entity, self._fits[noise_key]
 
     @cached_property
@@ -436,8 +413,7 @@ class TaskResources:
         spans = [self.index.span(doc_id) for doc_id in kept]
         positions = np.concatenate([np.arange(0)] + [np.arange(span.start, span.stop) for span in spans])
         offsets = np.cumsum([0] + [span.stop - span.start for span in spans])
-        weights = self.index.weights(FeatureConfig(idf_numerator=self.idf_numerator, log_base=self.log_base))
-        shared = gram(kept, self.index.features[positions], offsets, weights[positions])
+        shared = gram(kept, self.index.features[positions], offsets, self.index.weights(self.weighting)[positions])
         shared.matrix.flags.writeable = False
         return shared
 

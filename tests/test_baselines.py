@@ -25,6 +25,8 @@ from namesift.baselines import (
     kmeans,
     run_repetitions,
 )
+from namesift.experiments import RunSpec
+from namesift.features import ConfigError
 
 import oracles
 
@@ -412,6 +414,16 @@ def test_run_repetitions_uses_seeds_one_through_reps():
         assert clustering.clusters == kmeans(_gram(vectors), 3, seed=i).clusters
     with pytest.raises(ValueError):
         run_repetitions(_gram(vectors), 3, reps=0)
+
+
+@pytest.mark.parametrize("reps", [True, 2.5, "3", 0, None])
+def test_run_repetitions_and_run_spec_refuse_the_same_reps(reps):
+    # One rule for both callers: an int, not a bool, and >= 1.
+    shared = _gram({"d0": {0: 1.0}, "d1": {1: 1.0}, "d2": {0: 0.5, 1: 0.5}})
+    with pytest.raises(ValueError, match=f"reps must be an integer >= 1, got {reps!r}"):
+        run_repetitions(shared, 2, reps)
+    with pytest.raises(ConfigError, match=f"reps must be an integer >= 1, got {reps!r}"):
+        RunSpec(corpus_root="corpus", kmeans=True, reps=reps)
 
 
 # ---------------------------------------------------------------------------

@@ -965,6 +965,31 @@ def test_missing_stopword_file_is_usage_error(mini_corpus, clean_env, tmp_path, 
     assert "stopword" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("args", "what"),
+    [(["grid", "CORPUS", "--stopwords", "FIFO"], "stopword file"),
+     (["grid", "CORPUS", "--config", "FIFO"], "config file"),
+     (["report", "FIFO"], "grid file")],
+)
+def test_a_fifo_given_as_an_input_file_is_refused_without_waiting_for_a_writer(mini_corpus, tmp_path, args, what):
+    # A blocking open waits for a writer that never comes, so the command
+    # runs in a subprocess that the test can time out.
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    argv = [{"CORPUS": str(mini_corpus), "FIFO": str(fifo)}.get(arg, arg) for arg in args]
+    env = {k: v for k, v in os.environ.items() if not k.startswith("NAMESIFT_")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "namesift.cli", *argv],
+        capture_output=True,
+        text=True,
+        encoding="utf-8",
+        timeout=30,
+        env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"usage error: cannot read {what} {fifo} (not a regular file)\n"
+
+
 def test_jobs_flag_is_a_usage_error(mini_corpus, clean_env, capsys):
     assert main(["grid", str(mini_corpus), "--jobs", "2"]) == 1
     err = capsys.readouterr().err

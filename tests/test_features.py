@@ -256,13 +256,13 @@ def test_index_matches_scalar_reference_bit_for_bit(documents, entities, numerat
 
     # The scoring arrays hold the same weights: document rows in
     # first-occurrence order (zeros kept), entity rows dense.
-    arrays = TaskResources.from_task(task, config).arrays
+    resources = TaskResources.from_task(task, config)
     doc_pairs = [pair for did in index.document_ids for pair in ref["counts"][did]]
-    assert arrays.rows.indices.tolist() == [fid for fid, _ in doc_pairs]
-    assert arrays.rows.tfidf.tolist() == [
+    assert resources.rows.indices.tolist() == [fid for fid, _ in doc_pairs]
+    assert resources.rows.tfidf.tolist() == [
         ref["weights"][did].get(fid, 0.0) for did in index.document_ids for fid, _ in ref["counts"][did]
     ]
-    for row, eid in zip(arrays.entities, index.entity_ids):
+    for row, eid in zip(resources.entities, index.entity_ids):
         assert {int(fid): float(row[fid]) for fid in np.flatnonzero(row)} == ref["weights"][eid]
 
 

@@ -302,8 +302,8 @@ def test_context_smooths_entities_but_not_noise():
     # The noise profile is used as-is, never pulled toward documents.
     assert noise.product.tobytes() == raw_noise.product.tobytes()
     assert not np.array_equal(entity.product[:, 0], raw_entity.product[:, 0])
-    rows = resources.arrays.rows
-    assert entity.product.tobytes() == rows.dot(_smoothed(resources.arrays.entities, rows), rows.tfidf).tobytes()
+    rows = resources.rows
+    assert entity.product.tobytes() == rows.dot(_smoothed(resources.entities, rows), rows.tfidf).tobytes()
 
 
 def test_score_smoothed_reuses_the_cosine_entity_product(monkeypatch):
@@ -600,13 +600,13 @@ def test_scaling_document_vectors_preserves_vector_model_argmax(task, factor):
         resources = TaskResources.from_task(task, config.features)
         ctx = build_context(task, config, resources)
         baseline = assign_from_context(ctx)
-        arrays, (entity, _) = resources.arrays, resources.fits(config)
-        entities = _smoothed(arrays.entities, arrays.rows) if model == "score_smoothed" else arrays.entities
+        rows, (entity, _) = resources.rows, resources.fits(config)
+        entities = _smoothed(resources.entities, rows) if model == "score_smoothed" else resources.entities
         W = np.vstack([entities, resources.noise_rows(config.features)])
         if model == "cosine":
             W = unit_rows(W)
-        assert arrays.rows.dot(W, entity.values).tobytes() == ctx.product.tobytes()
-        product = arrays.rows.dot(W, factor * entity.values)
+        assert rows.dot(W, entity.values).tobytes() == ctx.product.tobytes()
+        product = rows.dot(W, factor * entity.values)
         rescored = assign_from_context(dataclasses.replace(ctx, product=product))
         for doc_id, row in baseline.scores.items():
             assert rescored.scores[doc_id] == pytest.approx({c: factor * s for c, s in row.items()}, rel=1e-12)
@@ -772,7 +772,7 @@ def test_resources_reject_another_task():
 
 def test_resources_are_built_from_their_inputs_alone():
     init = [f.name for f in dataclasses.fields(TaskResources) if f.init]
-    assert init == ["task", "index", "idf_numerator", "log_base", "doc_vectors"]
+    assert init == ["task", "index", "weighting", "doc_vectors"]
     assert [f.name for f in dataclasses.fields(ClassFit)] == ["values", "product", "masses", "floored"]
 
 
@@ -810,11 +810,11 @@ def test_noise_rows_and_gram_are_cached_read_only():
     gram = resources.kept_gram
     assert gram is resources.kept_gram
     assert gram.ids == ("d1", "d3")
-    arrays = resources.arrays
-    assert arrays is resources.arrays
+    for name in ("rows", "entities", "ml", "background"):
+        assert getattr(resources, name) is getattr(resources, name)
     smoothed = resources.fits(ModelConfig(model="score_smoothed"))[0].product
     assert smoothed is resources.fits(ModelConfig(model="score_smoothed"))[0].product
-    for array in (row, gram.matrix, arrays.entities, arrays.ml, arrays.background[None, :], smoothed):
+    for array in (row, gram.matrix, resources.entities, resources.ml, resources.background[None, :], smoothed):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0, 0] = 1.0
