@@ -3,11 +3,13 @@
 ``tests/golden.json`` maps each file that `write_outputs` writes, by its
 path under the output directory, to the SHA-256 of its bytes.  The corpus
 is the benchmark plus one task whose name and ids hold a tab, CR, LF or
-backslash.  The command set is the one CI runs under two hash seeds: the
-full grid with baselines, plain and with a stopword list taken from the
-corpus, both clustering baselines, ``classify --scores`` for every model
-and noise mode, and ``validate``.  A change to any output byte, or a file
-written or no longer written, fails the test with the file's name.
+backslash.  The commands: the full grid with baselines, plain, with a
+stopword list taken from the corpus, and with ``--reps 3`` and the paper
+idf numerator in base 10; both clustering baselines; ``classify
+--scores`` for every model and noise mode, and for every model once more
+with every weighting and model setting away from its default; and
+``validate``.  A change to any output byte, or a file written or no
+longer written, fails the test with the file's name.
 Running this module as a script (``PYTHONPATH=src python
 tests/test_golden.py``) rewrites the digests, which records an output
 change.
@@ -54,6 +56,17 @@ def _commands() -> list[list[str]]:
                 ["classify", "det-corpus", "--model", model, "--noise", noise, "--scores",
                  "--output", f"out/classify-{model}-{noise}"]
             )
+    # Every weighting and model setting away from its default.
+    for model in MODELS:
+        commands.append(
+            ["classify", "det-corpus", "--model", model, "--noise", "intersection", "--scores",
+             "--idf-numerator", "paper", "--log-base", "2", "--intersection-semantics", "forall",
+             "--alpha", "0.3", "--lambda", "0.2", "--laplace-denominator", "per_feature",
+             "--output", f"out/settings-{model}"]
+        )
+    commands.append(
+        [*grid, "--reps", "3", "--idf-numerator", "paper", "--log-base", "10", "--output", "out/settings-grid"]
+    )
     return commands
 
 
