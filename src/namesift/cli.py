@@ -188,7 +188,8 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
 def _load_stopwords(path: str) -> frozenset[str] | None:
     if not path:
         return None
-    lines = _read_text(path, "stopword file").splitlines()
+    # A leading byte-order mark is not part of the first word.
+    lines = _read_text(path, "stopword file").removeprefix("\ufeff").splitlines()
     words = {line.strip().lower() for line in lines if line.strip() and not line.startswith("#")}
     return frozenset(words)
 

@@ -14,6 +14,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, count
+from types import MappingProxyType
 from typing import Iterator
 
 import numpy as np
@@ -78,24 +79,6 @@ class FeatureConfig:
         _check(self.intersection_semantics, INTERSECTION_SEMANTICS, "intersection_semantics")
 
 
-class _TermCounts(Mapping[str, dict[int, int]]):
-    """Read-only element id -> feature id -> count mapping, computed from the index on access."""
-
-    def __init__(self, index: "FeatureIndex") -> None:
-        self._index = index
-
-    def __getitem__(self, element_id: str) -> dict[int, int]:
-        index = self._index
-        span = index.span(element_id)
-        return dict(zip(index.features[span].tolist(), map(int, index.counts[span].tolist())))
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._index.document_ids + self._index.entity_ids)
-
-    def __len__(self) -> int:
-        return self._index.corpus_size
-
-
 @dataclass(eq=False)
 class FeatureIndex:
     """Term statistics for one task's corpus C = documents + entities.
@@ -106,8 +89,8 @@ class FeatureIndex:
     uses them, with their occurrence counts at the same positions of
     ``counts`` (whole numbers held as floats, so scoring uses them as is).
     ``df`` counts, per feature, the elements of C containing it at least
-    once.  ``term_counts`` (element id -> feature id -> count) is a
-    read-only view computed on access.  The arrays are read-only.
+    once.  ``term_counts`` maps each element id to its row of ``counts``,
+    a ``FeatureVector``.  The arrays and the mapping are read-only.
     """
 
     tokens: list[str]
@@ -151,9 +134,15 @@ class FeatureIndex:
             raise KeyError(f"unknown element {element_id!r}") from None
         return slice(int(self.offsets[r]), int(self.offsets[r + 1]))
 
-    @property
-    def term_counts(self) -> Mapping[str, dict[int, int]]:
-        return _TermCounts(self)
+    @cached_property
+    def term_counts(self) -> Mapping[str, FeatureVector]:
+        bounds = self.offsets.tolist()
+        return MappingProxyType(
+            {
+                element_id: FeatureVector(self.features[start:stop], self.counts[start:stop])
+                for element_id, start, stop in zip(self._rows, bounds, bounds[1:])
+            }
+        )
 
     def weights(self, config: FeatureConfig) -> np.ndarray:
         """The tf-idf weight at every stored position, computed once per weighting."""
@@ -235,13 +224,15 @@ def _tfidf_weights(index: FeatureIndex, idf_numerator: str, log_base: str) -> np
 
 
 class FeatureVector(Mapping[int, float]):
-    """Read-only sparse vector, feature id -> weight, over one element's slice of the index's arrays.
+    """Read-only sparse vector, feature id -> value, over one element's slice of the index's arrays.
 
-    Keys keep the element's stored order and exact zeros are omitted, as
-    in a dict built from the slice; ``len`` counts the nonzero weights
-    without building one.  That dict of Python ints and floats is built on
-    the first key lookup or iteration and then cached.  The view keeps the
-    index's arrays alive; ``dict(vector)`` is a detached copy.
+    The values are tf-idf weights from ``vectorize``, or counts in
+    ``FeatureIndex.term_counts``.  Keys keep the element's stored order
+    and exact zeros are omitted, as in a dict built from the slice;
+    ``len`` counts the nonzero values without building one.  That dict of
+    Python ints and floats is built on the first key lookup or iteration
+    and then cached.  The view keeps the index's arrays alive;
+    ``dict(vector)`` is a detached copy.
     """
 
     def __init__(self, features: np.ndarray, weights: np.ndarray) -> None:

@@ -32,6 +32,8 @@ __all__ = ["synthetic_benchmark", "generate_task", "write_benchmark"]
 
 _NAMES = ("John Porter", "Mary Reilly", "David Lang", "Anna Bell", "James Cole")
 _FIELDS = ("astronomer", "sculptor", "alpinist", "biologist", "organist", "architect")
+# Each task's shape: entities, documents, and how many of the documents are noise.
+_ENTITIES, _DOCUMENTS, _NOISE_DOCUMENTS = 3, 30, 10
 
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
@@ -61,100 +63,53 @@ def _text(rng: np.random.Generator, counts: dict[str, int]) -> str:
     return " ".join(tokens)
 
 
-def generate_task(
-    name: str,
-    rng: np.random.Generator,
-    *,
-    n_entities: int = 3,
-    n_documents: int = 30,
-    n_noise_docs: int = 10,
-) -> Task:
+def _document(name: str, i: int, rng: np.random.Generator, counts: dict[str, int]) -> ResultDocument:
+    return ResultDocument(
+        id=f"d{i:02d}",
+        url=f"http://results.invalid/{name.replace(' ', '-').lower()}/{i}",
+        rank=i + 1,
+        text=_text(rng, counts),
+    )
+
+
+def generate_task(name: str, rng: np.random.Generator) -> Task:
     """Build one synthetic task; see the module docstring for the shape."""
-    if not 0 <= n_noise_docs <= n_documents:
-        raise ValueError("n_noise_docs must lie between 0 and n_documents")
     used: set[str] = set()
-    topic = [_words(rng, 8, used) for _ in range(n_entities)]
+    topic = [_words(rng, 8, used) for _ in range(_ENTITIES)]
     filler = _words(rng, 8, used)
     off_topic = _words(rng, 12, used)
 
     entities = []
-    for j in range(n_entities):
+    for j in range(_ENTITIES):
         counts = {word: int(rng.integers(55, 66)) for word in topic[j]}
         counts.update({word: 1 for word in filler})
-        entities.append(
-            EntityProfile(
-                id=f"e{j}",
-                title=f"{name} ({_FIELDS[j % len(_FIELDS)]})",
-                text=_text(rng, counts),
-            )
-        )
+        entities.append(EntityProfile(id=f"e{j}", title=f"{name} ({_FIELDS[j]})", text=_text(rng, counts)))
 
     documents = []
-    gold: dict[str, str] = {}
-    n_entity_docs = n_documents - n_noise_docs
-    per_entity_seen = [0] * n_entities
+    n_entity_docs = _DOCUMENTS - _NOISE_DOCUMENTS
     for i in range(n_entity_docs):
-        entity = i % n_entities
         # Alternate between the two halves of the entity's vocabulary so
         # each entity contributes two orthogonal document blobs.
-        half = per_entity_seen[entity] % 2
-        per_entity_seen[entity] += 1
-        pool = topic[entity][4 * half : 4 * half + 4]
+        half = (i // _ENTITIES) % 2
+        pool = topic[i % _ENTITIES][4 * half : 4 * half + 4]
         chosen = rng.choice(4, size=int(rng.integers(3, 5)), replace=False)
-        counts = {pool[w]: int(rng.integers(2, 6)) for w in sorted(chosen)}
-        doc_id = f"d{i:02d}"
-        documents.append(
-            ResultDocument(
-                id=doc_id,
-                url=f"http://results.invalid/{name.replace(' ', '-').lower()}/{i}",
-                rank=i + 1,
-                text=_text(rng, counts),
-            )
-        )
-        gold[doc_id] = f"e{entity}"
-
-    for i in range(n_entity_docs, n_documents):
+        documents.append(_document(name, i, rng, {pool[w]: int(rng.integers(2, 6)) for w in sorted(chosen)}))
+    for i in range(n_entity_docs, _DOCUMENTS):
         chosen = rng.choice(len(off_topic), size=int(rng.integers(4, 6)), replace=False)
         counts = {off_topic[w]: int(rng.integers(2, 6)) for w in sorted(chosen)}
         picked = rng.choice(len(filler), size=int(rng.integers(6, 8)), replace=False)
         counts.update({filler[w]: 1 for w in sorted(picked)})
-        doc_id = f"d{i:02d}"
-        documents.append(
-            ResultDocument(
-                id=doc_id,
-                url=f"http://results.invalid/{name.replace(' ', '-').lower()}/{i}",
-                rank=i + 1,
-                text=_text(rng, counts),
-            )
-        )
-        gold[doc_id] = NOISE_LABEL
+        documents.append(_document(name, i, rng, counts))
 
+    gold = {d.id: f"e{i % _ENTITIES}" if i < n_entity_docs else NOISE_LABEL for i, d in enumerate(documents)}
     return Task(name=name, entities=entities, documents=documents, gold=gold)
 
 
-def synthetic_benchmark(
-    n_tasks: int = 5,
-    *,
-    n_entities: int = 3,
-    n_documents: int = 30,
-    n_noise_docs: int = 10,
-    seed: int = 7,
-) -> list[Task]:
+def synthetic_benchmark(n_tasks: int = 5, *, seed: int = 7) -> list[Task]:
     """The benchmark corpus: deterministic for a given seed."""
     rng = np.random.default_rng(seed)
-    tasks = []
-    for i in range(n_tasks):
-        name = _NAMES[i] if i < len(_NAMES) else f"{_NAMES[i % len(_NAMES)]} {i}"
-        tasks.append(
-            generate_task(
-                name,
-                rng,
-                n_entities=n_entities,
-                n_documents=n_documents,
-                n_noise_docs=n_noise_docs,
-            )
-        )
-    return tasks
+    names = (_NAMES[i] if i < len(_NAMES) else f"{_NAMES[i % len(_NAMES)]} {i}" for i in range(n_tasks))
+    return [generate_task(name, rng) for name in names]
 
 
 def write_benchmark(root: str | Path, **kwargs) -> list[Path]:

@@ -25,7 +25,7 @@ import namesift.cli
 import namesift.experiments
 from namesift.baselines import BASELINES
 from namesift.cli import build_parser, main
-from namesift.corpus import NOISE_LABEL, discover_tasks, load_task, write_task
+from namesift.corpus import NOISE_LABEL, discover_tasks, load_task, tokenize, write_task
 from namesift.experiments import RunSpec, task_clusterings, validate_corpus
 from namesift.features import IDF_NUMERATORS, INTERSECTION_SEMANTICS, LOG_BASES, NOISE_MODES, FeatureConfig
 from namesift.models import LAPLACE_DENOMINATORS, MODELS
@@ -769,6 +769,55 @@ def test_blocked_output_directory_fails_before_any_task_loads(mini_corpus, clean
     err = capsys.readouterr().err
     assert err.startswith("usage error: cannot write") and str(taken) in err
     assert loads == []
+
+
+def test_stopword_file_with_a_byte_order_mark_drops_its_first_word(mini_corpus, clean_env, tmp_path, capsys):
+    words = "protein\nenzyme\ncell\nlaboratory\nresearch\n"
+    grid = ["grid", str(mini_corpus), "--models", "all", "--noise-modes", "all"]
+    outputs = []
+    for name, text in (("plain.txt", words), ("bom.txt", "\ufeff" + words)):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        assert main([*grid, "--stopwords", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert main(grid) == 0
+    assert outputs[0] != capsys.readouterr().out  # the list changes the grid
+    assert outputs[0] == outputs[1]
+
+
+_STOPWORD = st.text(st.characters(categories=("L", "Nd")), min_size=1, max_size=6).filter(
+    lambda word: tokenize(word) == [word.lower()]
+)
+_STOPWORD_LINE = (
+    st.tuples(st.sampled_from(["", " "]), _STOPWORD, st.sampled_from(["", " ", "\t"]))
+    | st.text(st.characters(categories=("L", "Zs")), max_size=8).map(lambda text: ("#", text, ""))
+    | st.sampled_from([("", "", ""), ("", " ", ""), ("", "\t", "")])
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(_STOPWORD_LINE, max_size=6), bom=st.booleans(), newline=st.sampled_from(["\n", "\r\n"]))
+@example(lines=[("", "The", ""), ("#", " note", ""), ("", "", ""), ("", "Stra\u00dfe", " ")], bom=True, newline="\r\n")
+def test_grid_drops_exactly_the_listed_stopwords(clean_env, lines, bom, newline):
+    """Whatever its BOM, line endings, blanks and comments, a stopword list drops its words, lowercased, and no other token."""
+    words = [word for lead, word, _ in lines if lead != "#" and word.strip()]
+    text = " ".join(words) + " retainedword"
+    loaded = []
+
+    def spy(*args, **kwargs):
+        loaded.append(load_task(*args, **kwargs))
+        return loaded[-1]
+
+    clean_env.setattr(namesift.experiments, "load_task", spy)
+    with tempfile.TemporaryDirectory() as root:
+        write_task(build_task({"e0": "retainedword"}, {"d0": text}, gold={"d0": "e0"}), Path(root) / "corpus" / "t")
+        path = Path(root) / "stop.txt"
+        path.write_text(("\ufeff" if bom else "") + newline.join("".join(line) for line in lines), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["grid", str(Path(root) / "corpus"), "--models", "score", "--stopwords", str(path)])
+    assert code == 0, err.getvalue()
+    assert set(tokenize(text)) - set(loaded[0].documents[0].tokens) == {word.lower() for word in words}
 
 
 def test_non_utf8_input_files_are_named(mini_corpus, clean_env, tmp_path, capsys):

@@ -17,6 +17,7 @@ from namesift.features import (
     LOG_BASES,
     ConfigError,
     FeatureConfig,
+    FeatureVector,
     NoiseProfile,
     build_index,
     build_noise_profile,
@@ -103,6 +104,17 @@ def test_index_term_lookups():
         index.term_counts["missing"]
     with pytest.raises(KeyError):
         index.term_counts[NOISE_LABEL]  # the noise entity has no term statistics
+
+
+def test_index_rows_are_cached_read_only_views():
+    index = build_index(build_task({"e1": "cat cat dog"}, {"d1": "ant"}))
+    row = index.term_counts["e1"]
+    assert isinstance(row, FeatureVector) and index.term_counts["e1"] is row
+    assert row == {index.feature_id("cat"): 2.0, index.feature_id("dog"): 1.0}
+    with pytest.raises(TypeError):
+        row[index.feature_id("cat")] = 3
+    with pytest.raises(TypeError):
+        index.term_counts["e1"] = {}
 
 
 # ---------------------------------------------------------------------------

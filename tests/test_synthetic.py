@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from namesift.corpus import NOISE_LABEL, discover_tasks, load_task
 from namesift.synthetic import generate_task, synthetic_benchmark, write_benchmark
@@ -64,12 +63,6 @@ def test_noise_documents_share_no_tokens_with_any_single_entity_topic():
         if task.gold[doc.id] == NOISE_LABEL:
             assert not (set(doc.tokens) & topic)
             assert set(doc.tokens) & filler  # anchored to the shared vocabulary
-
-
-def test_generate_task_validates_noise_count():
-    rng = np.random.default_rng(1)
-    with pytest.raises(ValueError):
-        generate_task("X", rng, n_documents=5, n_noise_docs=6)
 
 
 def test_write_benchmark_round_trips(tmp_path):
