@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .baselines import BASELINES
-from .corpus import CorpusFormatError, CorpusIntegrityError, _read_regular, tsv_cell
+from .corpus import CorpusFormatError, CorpusIntegrityError, _read_regular, tokenize, tsv_cell
 from .evaluation import EvalReport, METRIC_COLUMNS, TaskMetrics
 from .experiments import (
     GridResult,
@@ -190,7 +190,15 @@ def _load_stopwords(path: str) -> frozenset[str] | None:
         return None
     # A leading byte-order mark is not part of the first word.
     lines = _read_text(path, "stopword file").removeprefix("\ufeff").splitlines()
-    words = {line.strip().lower() for line in lines if line.strip() and not line.startswith("#")}
+    words = set()
+    for lineno, line in enumerate(lines, start=1):
+        word = line.strip().lower()
+        if not word or word.startswith("#"):
+            continue
+        # Stopwords are matched against tokens, so any other word drops nothing.
+        if tokenize(word) != [word]:
+            raise _UsageError(f"stopword file {path} line {lineno}: {word!r} is not a single token")
+        words.add(word)
     return frozenset(words)
 
 

@@ -23,11 +23,13 @@ whose immediate subdirectories are tasks.
 
 from __future__ import annotations
 
+import errno
 import html
 import json
 import os
 import re
 import stat
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Collection
@@ -226,37 +228,87 @@ def _require_list(mapping: dict, key: str, where: str) -> list:
     return value
 
 
-def _open_nonblocking(path: str, flags: int) -> int:
-    """``os.open`` that returns at once on a FIFO instead of waiting for a writer."""
-    return os.open(path, flags | os.O_NONBLOCK)
+def _read_fd(fd: int, name: str | Path) -> str:
+    """The UTF-8 text of the open file ``fd``, which is closed; anything but a regular file raises OSError.
 
-
-def _read_regular(path: str | Path) -> str:
-    """The UTF-8 text of a regular file; anything else raises OSError at once."""
-    # newline="" keeps every line ending as written, so bodies round-trip.
-    with open(path, encoding="utf-8", newline="", opener=_open_nonblocking) as f:
-        # A FIFO or a device could block or never end; open itself has
-        # already refused a directory.
-        if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+    A directory raises IsADirectoryError naming ``name``.
+    """
+    try:
+        mode = os.fstat(fd).st_mode
+        if stat.S_ISDIR(mode):  # os.open, unlike open(), opens a directory
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(name))
+        if not stat.S_ISREG(mode):  # a FIFO or a device could block or never end
             raise OSError("not a regular file")
-        return f.read()
+        chunks = []
+        while chunk := os.read(fd, 1 << 20):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    # Decoded without newline translation, so bodies round-trip.
+    return b"".join(chunks).decode("utf-8")
 
 
-def _read_text(path: Path, where: str) -> str:
+def _read_regular(path: str | Path, dir_fd: int | None = None) -> str:
+    """The UTF-8 text of the regular file ``path``, relative to ``dir_fd`` if given; anything else raises OSError at once.
+
+    O_NONBLOCK makes a FIFO open at once instead of waiting for a writer.
+    """
+    return _read_fd(os.open(path, os.O_RDONLY | os.O_NONBLOCK, dir_fd=dir_fd), path)
+
+
+def _read_error(exc: OSError | ValueError, path: Path, where: str) -> CorpusFormatError:
+    """The format error for file ``path`` of a task, which could not be read."""
+    if isinstance(exc, FileNotFoundError):
+        return CorpusFormatError(f"{where}: referenced file {path} does not exist")
+    if isinstance(exc, UnicodeDecodeError):
+        return CorpusFormatError(f"{where}: {path} is not valid UTF-8 ({exc})")
+    if isinstance(exc, OSError) and exc.errno is not None:
+        # An os.open relative to a descriptor names only what it opened;
+        # the message names the whole path, as opening that would.
+        exc = OSError(exc.errno, exc.strerror, str(path))
+    return CorpusFormatError(f"{where}: cannot read {path} ({exc})")  # a directory, no permission
+
+
+def _read_text(path: Path, where: str, dir_fd: int | None = None) -> str:
+    """The text of the regular file ``path``; given its directory's descriptor ``dir_fd``, only its last name is opened."""
     try:
-        return _read_regular(path)
-    except FileNotFoundError:
-        raise CorpusFormatError(f"{where}: referenced file {path} does not exist") from None
-    except UnicodeDecodeError as exc:
-        raise CorpusFormatError(f"{where}: {path} is not valid UTF-8 ({exc})") from None
-    except (OSError, ValueError) as exc:  # a directory, no permission, a NUL byte
-        raise CorpusFormatError(f"{where}: cannot read {path} ({exc})") from None
+        return _read_regular(path if dir_fd is None else path.name, dir_fd)
+    except (OSError, ValueError) as exc:
+        raise _read_error(exc, path, where) from None
 
 
-def _resolves_inside(path: Path, directory: str) -> bool:
-    """Whether ``path``, symlinks followed, is or lies under ``directory``, a resolved path ending in a separator."""
+def _walk(dir_fd: int, rel: str) -> int | None:
+    """A descriptor of the body ``rel``, opened one component at a time down from the task directory ``dir_fd``.
+
+    None when only resolving the path can tell where it leads: ``rel``
+    holds a ``..``, a NUL byte, or a component that is a symlink, which
+    O_NOFOLLOW refuses with ELOOP (ENOTDIR under O_DIRECTORY, which a file
+    where a directory belongs also gives).  Any other OSError is raised.
+    """
+    parts = [part for part in rel.split("/") if part not in ("", ".")] or ["."]
+    if ".." in parts or "\0" in rel:
+        return None
+    flags = os.O_RDONLY | os.O_NOFOLLOW
+    fd = dir_fd
     try:
-        return os.path.join(os.path.realpath(path), "").startswith(directory)
+        for part in parts[:-1]:
+            parent, fd = fd, os.open(part, flags | os.O_DIRECTORY, dir_fd=fd)
+            if parent != dir_fd:
+                os.close(parent)
+        return os.open(parts[-1], flags | os.O_NONBLOCK, dir_fd=fd)
+    except OSError as exc:
+        if exc.errno in (errno.ELOOP, errno.ENOTDIR):
+            return None
+        raise
+    finally:
+        if fd != dir_fd:
+            os.close(fd)
+
+
+def _resolves_inside(path: Path, directory: Path) -> bool:
+    """Whether ``path``, symlinks followed, is or lies under ``directory``, symlinks followed."""
+    try:
+        return os.path.join(os.path.realpath(path), "").startswith(os.path.join(os.path.realpath(directory), ""))
     except (OSError, ValueError):  # a NUL byte
         return False
 
@@ -285,9 +337,9 @@ def _gold_line(doc_id: str, label: str) -> str:
     return line
 
 
-def _parse_gold(path: Path) -> dict[str, str]:
+def _parse_gold(path: Path, dir_fd: int) -> dict[str, str]:
     rows: dict[str, str] = {}
-    text = _read_text(path, "gold.tsv")
+    text = _read_text(path, "gold.tsv", dir_fd)
     for lineno, line in enumerate(text.splitlines(), start=1):
         if _is_gold_skip(line):
             continue
@@ -301,12 +353,28 @@ def _parse_gold(path: Path) -> dict[str, str]:
     return rows
 
 
-def read_manifest(path: str | Path) -> dict:
-    """The parsed task.json of a task directory, its ``name`` checked; bodies and gold are not read."""
-    manifest_path = Path(path, "task.json")
-    if not manifest_path.is_file():
+@contextmanager
+def _task_directory(path: Path):
+    """The task directory ``path`` open as a descriptor, which every file of the task is read through."""
+    try:
+        dir_fd = os.open(path, os.O_RDONLY | os.O_DIRECTORY)
+    except (OSError, ValueError):
+        raise CorpusFormatError(f"{path}: no task.json manifest") from None
+    try:
+        yield dir_fd
+    finally:
+        os.close(dir_fd)
+
+
+def _read_manifest(path: Path, dir_fd: int) -> dict:
+    manifest_path = path / "task.json"
+    try:
+        regular = stat.S_ISREG(os.stat("task.json", dir_fd=dir_fd).st_mode)
+    except OSError:
+        regular = False
+    if not regular:
         raise CorpusFormatError(f"{path}: no task.json manifest")
-    manifest_text = _read_text(manifest_path, "task.json")
+    manifest_text = _read_text(manifest_path, "task.json", dir_fd)
     try:
         manifest = json.loads(manifest_text)
         # A \udXXX escape can decode to a lone surrogate, which no output
@@ -323,6 +391,13 @@ def read_manifest(path: str | Path) -> dict:
     if not isinstance(name, str) or not name:
         raise CorpusFormatError("task.json: name must be a non-empty string")
     return manifest
+
+
+def read_manifest(path: str | Path) -> dict:
+    """The parsed task.json of a task directory, its ``name`` checked; bodies and gold are not read."""
+    path = Path(path)
+    with _task_directory(path) as dir_fd:
+        return _read_manifest(path, dir_fd)
 
 
 def load_task(
@@ -347,48 +422,57 @@ def load_task(
     """
     path = Path(path)
     stopwords = _frozen_stopwords(stopwords)
-    inside = os.path.join(os.path.realpath(path), "")
-    manifest = read_manifest(path)
+    with _task_directory(path) as dir_fd:
+        manifest = _read_manifest(path, dir_fd)
 
-    def _body(spec: dict, where: str) -> str:
-        rel = _require(spec, "file", where)
-        if not isinstance(rel, str):
-            raise CorpusFormatError(f"{where}: file must be a string, got {rel!r}")
-        # Bodies live inside the task directory: no absolute path, and no
-        # ``..`` or symlink that leads out of it once resolved.
-        if os.path.isabs(rel) or not _resolves_inside(path / rel, inside):
-            raise CorpusFormatError(f"{where}: file {rel!r} is not a path inside the task directory")
-        text = _read_text(path / rel, "task.json")
-        return strip_html(text) if strip_markup else text
+        def _body(spec: dict, where: str) -> str:
+            rel = _require(spec, "file", where)
+            if not isinstance(rel, str):
+                raise CorpusFormatError(f"{where}: file must be a string, got {rel!r}")
+            # Bodies live inside the task directory: no absolute path, and no
+            # ``..`` or symlink that leads out of it.  A path the walk follows
+            # to its end holds neither; any other is resolved and checked.
+            text = None
+            if not os.path.isabs(rel):
+                try:
+                    fd = _walk(dir_fd, rel)
+                    text = None if fd is None else _read_fd(fd, rel)
+                except (OSError, ValueError) as exc:
+                    raise _read_error(exc, path / rel, "task.json") from None
+                if text is None and _resolves_inside(path / rel, path):
+                    text = _read_text(path / rel, "task.json")
+            if text is None:
+                raise CorpusFormatError(f"{where}: file {rel!r} is not a path inside the task directory")
+            return strip_html(text) if strip_markup else text
 
-    entities = []
-    for i, spec in enumerate(_require_list(manifest, "entities", "task.json")):
-        where = f"task.json entities[{i}]"
-        entities.append(
-            EntityProfile(
-                id=str(_require(spec, "id", where)),
-                title=str(_require(spec, "title", where)),
-                text=_body(spec, where),
-                stopwords=stopwords,
+        entities = []
+        for i, spec in enumerate(_require_list(manifest, "entities", "task.json")):
+            where = f"task.json entities[{i}]"
+            entities.append(
+                EntityProfile(
+                    id=str(_require(spec, "id", where)),
+                    title=str(_require(spec, "title", where)),
+                    text=_body(spec, where),
+                    stopwords=stopwords,
+                )
             )
-        )
-    documents = []
-    for i, spec in enumerate(_require_list(manifest, "documents", "task.json")):
-        where = f"task.json documents[{i}]"
-        rank = _require(spec, "rank", where)
-        if not isinstance(rank, int) or isinstance(rank, bool):
-            raise CorpusFormatError(f"{where}: rank must be an integer, got {rank!r}")
-        documents.append(
-            ResultDocument(
-                id=str(_require(spec, "id", where)),
-                url=str(_require(spec, "url", where)),
-                rank=rank,
-                text=_body(spec, where),
-                stopwords=stopwords,
+        documents = []
+        for i, spec in enumerate(_require_list(manifest, "documents", "task.json")):
+            where = f"task.json documents[{i}]"
+            rank = _require(spec, "rank", where)
+            if not isinstance(rank, int) or isinstance(rank, bool):
+                raise CorpusFormatError(f"{where}: rank must be an integer, got {rank!r}")
+            documents.append(
+                ResultDocument(
+                    id=str(_require(spec, "id", where)),
+                    url=str(_require(spec, "url", where)),
+                    rank=rank,
+                    text=_body(spec, where),
+                    stopwords=stopwords,
+                )
             )
-        )
 
-    gold = _parse_gold(path / "gold.tsv")
+        gold = _parse_gold(path / "gold.tsv", dir_fd)
     return Task(name=manifest["name"], entities=entities, documents=documents, gold=gold)
 
 

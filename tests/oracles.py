@@ -11,7 +11,9 @@ floating-point summation order of the sparse row product.
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
@@ -530,3 +532,31 @@ def kmeans_objective(clustering, gram) -> float:
         block = gram.matrix[np.ix_(members, members)]
         total += float(np.trace(block) - block.sum() / len(members))
     return total
+
+
+# ---------------------------------------------------------------------------
+# corpus bodies
+
+
+def body_ref(task_dir, file):
+    """What a task's manifest ``file`` reads as, by resolving the whole path.
+
+    ``"outside"`` when ``file`` is absolute, or names a path that lies
+    outside ``task_dir`` once every symlink and ``..`` is resolved;
+    otherwise the body's text, read without newline translation, or the
+    OSError or ValueError that reading it raised.
+    """
+    path = Path(task_dir, file)
+    try:
+        inside = os.path.join(os.path.realpath(path), "").startswith(os.path.join(os.path.realpath(task_dir), ""))
+    except (OSError, ValueError):
+        inside = False
+    if os.path.isabs(file) or not inside:
+        return "outside"
+    try:
+        with open(path, encoding="utf-8", newline="", opener=lambda p, flags: os.open(p, flags | os.O_NONBLOCK)) as f:
+            if not os.path.isfile(f.fileno()):
+                return OSError("not a regular file")
+            return f.read()
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError, as is a NUL byte
+        return exc

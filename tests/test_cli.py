@@ -820,6 +820,40 @@ def test_grid_drops_exactly_the_listed_stopwords(clean_env, lines, bom, newline)
     assert set(tokenize(text)) - set(loaded[0].documents[0].tokens) == {word.lower() for word in words}
 
 
+_STOPWORD_TEXT = st.text(st.sampled_from("aZ9 \t#-'_.İßé"), max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(_STOPWORD_TEXT, max_size=6))
+@example(lines=["e-mail"])
+@example(lines=["The", "Don't"])
+@example(lines=["İ"])
+@example(lines=["  # x", "a"])
+def test_a_stopword_line_is_one_token_a_comment_or_blank(tmp_path_factory, lines):
+    """A stopword line, stripped and lowercased, is blank, a # comment or one token; any other is refused, naming it."""
+    path = tmp_path_factory.mktemp("stopwords") / "stop.txt"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    words = [line.strip().lower() for line in lines]
+    bad = [(n, w) for n, w in enumerate(words, start=1) if w and not w.startswith("#") and tokenize(w) != [w]]
+    if bad:
+        lineno, word = bad[0]
+        with pytest.raises(namesift.cli._UsageError) as raised:
+            namesift.cli._load_stopwords(str(path))
+        assert str(raised.value) == f"stopword file {path} line {lineno}: {word!r} is not a single token"
+    else:
+        assert namesift.cli._load_stopwords(str(path)) == {w for w in words if w and not w.startswith("#")}
+
+
+def test_a_stopword_that_is_not_one_token_fails_before_any_task_loads(mini_corpus, clean_env, tmp_path, capsys):
+    path = tmp_path / "stop.txt"
+    path.write_text("the\n  # a comment\ne-mail\n", encoding="utf-8")
+    loads = []
+    clean_env.setattr(namesift.experiments, "load_task", lambda *a, **k: loads.append(a))
+    assert main(["validate", str(mini_corpus), "--stopwords", str(path)]) == 1
+    assert capsys.readouterr().err == f"usage error: stopword file {path} line 3: 'e-mail' is not a single token\n"
+    assert loads == []
+
+
 def test_non_utf8_input_files_are_named(mini_corpus, clean_env, tmp_path, capsys):
     latin = tmp_path / "latin1.txt"
     latin.write_bytes("caf\xe9 {}".encode("latin-1"))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import subprocess
@@ -30,8 +31,10 @@ from namesift.corpus import (
     tokenize,
     write_task,
 )
-from namesift.experiments import validate_corpus
+from namesift.cli import main as cli_main
+from namesift.experiments import RunSpec, load_tasks, validate_corpus
 
+import oracles
 from conftest import build_task, write_mini_corpus
 
 
@@ -577,6 +580,202 @@ def test_a_fifo_in_a_task_is_refused_without_waiting_for_a_writer(tmp_path, name
     assert f"{bad}\t\tfail\t{problem}\n" in runs["validate"].stdout
     assert runs["grid"].returncode == 3
     assert f"warning: skipped {bad}: {problem}" in runs["grid"].stderr
+
+
+# ---------------------------------------------------------------------------
+# body paths: walked relative to the task directory, resolved only for a
+# ``..`` or a symlink
+
+
+def _write_body_task(root: Path, documents: str) -> Path:
+    """A task directory whose documents/ is a directory, or a symlink that stays inside or leads out.
+
+    Beside it lie symlinks that stay inside, lead out, dangle or loop, and
+    the bodies hold CRLF line endings, a byte that is not UTF-8 and a FIFO.
+    """
+    outside = root / "outside"
+    d = root / documents
+    bodies = [outside, d / "store"] + ([d / "documents"] if documents == "plain" else [])
+    for base in bodies:
+        if not base.exists():
+            (base / "sub").mkdir(parents=True)
+            (base / "d1.txt").write_text("first\r\nbody\n", encoding="utf-8")
+            (base / "sub" / "d2.txt").write_bytes(b"caf\xe9")
+            os.mkfifo(base / "fifo")
+    _write_minimal(d)
+    if documents != "plain":
+        (d / "documents").symlink_to("store" if documents == "linked_in" else outside)
+    links = {
+        "in_file": "store/d1.txt",
+        "in_dir": d / "store",
+        "out_file": "../outside/d1.txt",
+        "out_dir": outside,
+        "dangling_in": "store/missing",
+        "dangling_out": outside / "missing",
+        "loop": "loop",
+        "loop_a": "loop_b",
+        "loop_b": "loop_a",
+        "up": "..",
+    }
+    for name, target in links.items():
+        (d / name).symlink_to(target)
+    return d
+
+
+@pytest.fixture(scope="module")
+def body_tasks(tmp_path_factory):
+    root = tmp_path_factory.mktemp("bodies")
+    return {layout: _write_body_task(root, layout) for layout in ("plain", "linked_in", "linked_out")}
+
+
+_BODY_PARTS = [
+    "documents", "store", "sub", "d1.txt", "d2.txt", "fifo", "e1.txt", "missing", "plain",
+    *("in_file", "in_dir", "out_file", "out_dir", "dangling_in", "dangling_out", "loop", "loop_a", "up"),
+    ".", "..", "", "d\0",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    layout=st.sampled_from(["plain", "linked_in", "linked_out"]),
+    parts=st.lists(st.sampled_from(_BODY_PARTS), min_size=1, max_size=4),
+    absolute=st.booleans(),
+)
+@example(layout="plain", parts=["documents", "d1.txt", ""], absolute=False)
+@example(layout="plain", parts=["", "documents", "d1.txt"], absolute=False)
+@example(layout="plain", parts=[".", "documents", ".", "d1.txt"], absolute=False)
+@example(layout="plain", parts=["documents", "d1.txt"], absolute=True)
+@example(layout="plain", parts=[""], absolute=False)
+@example(layout="plain", parts=["."], absolute=False)
+@example(layout="plain", parts=["documents", "d\0"], absolute=False)
+@example(layout="plain", parts=["sub", "d\0"], absolute=False)
+@example(layout="plain", parts=["loop", "d\0"], absolute=False)
+@example(layout="plain", parts=["up", "plain", "e1.txt"], absolute=False)
+@example(layout="plain", parts=["in_dir", "..", "e1.txt"], absolute=False)
+@example(layout="plain", parts=["out_dir", "..", "plain", "e1.txt"], absolute=False)
+@example(layout="plain", parts=["e1.txt", "d1.txt"], absolute=False)
+@example(layout="plain", parts=["loop_a", "d1.txt"], absolute=False)
+@example(layout="linked_in", parts=["documents", "sub", "d2.txt"], absolute=False)
+@example(layout="linked_out", parts=["documents", "fifo"], absolute=False)
+def test_a_body_reads_as_resolving_its_whole_path_says(body_tasks, layout, parts, absolute):
+    d = body_tasks[layout]
+    file = (f"{d}/" if absolute else "") + "/".join(parts)
+    _write_manifest(d, documents=[{"id": "d1", "url": "http://x", "rank": 1, "file": file}])
+    expected = oracles.body_ref(d, file)
+    try:
+        got = load_task(d).documents[0].text
+    except CorpusFormatError as exc:
+        got = str(exc)
+    if expected == "outside":
+        assert got == f"task.json documents[0]: file {file!r} is not a path inside the task directory"
+    elif isinstance(expected, str):
+        assert got == expected
+    elif isinstance(expected, FileNotFoundError):
+        assert got == f"task.json: referenced file {d / file} does not exist"
+    elif isinstance(expected, UnicodeDecodeError):
+        assert got == f"task.json: {d / file} is not valid UTF-8 ({expected})"
+    else:
+        assert got == f"task.json: cannot read {d / file} ({expected})"
+
+
+def _write_broken_corpus(root: Path, outside: Path) -> Path:
+    """One task per way a body or gold.tsv can fail to load, and two that load, one through a symlink that stays inside."""
+    files = {
+        "missing": "documents/deeper/nope.txt",
+        "missing_directory": "nodir/nope.txt",
+        "directory": "documents/sub",
+        "fifo": "documents/fifo",
+        "not_utf8": "documents/latin1.txt",
+        "escaping_link": "documents/link",
+        "dangling_link": "documents/link",
+        "link_loop": "documents/link",
+        "nul": "documents/d\0.txt",
+        "empty": "",
+        "dot": ".",
+        "no_gold": "documents/d1.txt",
+        "inside_link": "documents/link",
+        "ok": "documents/deeper/d1.txt",
+    }
+    for name, file in files.items():
+        d = root / name
+        _write_manifest(d, name=name, documents=[{"id": "d1", "url": "http://x", "rank": 1, "file": file}])
+        (d / "documents").mkdir()
+        (d / "documents" / "deeper").mkdir(parents=True)
+        for body in ("documents/d1.txt", "documents/deeper/d1.txt"):
+            (d / body).write_text("document body words", encoding="utf-8")
+    (root / "directory" / "documents" / "sub").mkdir()
+    os.mkfifo(root / "fifo" / "documents" / "fifo")
+    (root / "not_utf8" / "documents" / "latin1.txt").write_bytes(b"caf\xe9")
+    (root / "escaping_link" / "documents" / "link").symlink_to(outside)
+    (root / "dangling_link" / "documents" / "link").symlink_to("nothing")
+    (root / "link_loop" / "documents" / "link").symlink_to("link")
+    (root / "no_gold" / "gold.tsv").unlink()
+    (root / "inside_link" / "documents" / "link").symlink_to(root / "inside_link" / "e1.txt")
+    return root
+
+
+def _outcomes(root: Path) -> dict[str, object]:
+    """Each task's loaded Task, or its error's kind and message with ``root`` written ROOT."""
+    outcomes: dict[str, object] = {}
+    for path in discover_tasks(root):
+        try:
+            outcomes[path.name] = load_task(path)
+        except (CorpusFormatError, CorpusIntegrityError) as exc:
+            outcomes[path.name] = (type(exc).__name__, str(exc).replace(str(root), "ROOT"))
+    return outcomes
+
+
+def test_a_task_loads_the_same_from_any_location(tmp_path):
+    outside = tmp_path / "outside.txt"
+    outside.write_text("outside words", encoding="utf-8")
+    direct = _write_broken_corpus(tmp_path / "real" / "corpus", outside)
+    # Deeper than realpath's walk from / would be cheap to repeat per body.
+    deep = _write_broken_corpus(tmp_path.joinpath(*["deep"] * 32, "corpus"), outside)
+    (tmp_path / "link").symlink_to(tmp_path / "real")
+    through_link = tmp_path / "link" / "corpus"
+    outcomes = _outcomes(direct)
+    assert outcomes == _outcomes(deep) == _outcomes(through_link)
+    assert [name for name, outcome in outcomes.items() if isinstance(outcome, Task)] == ["inside_link", "ok"]
+    assert len(outcomes) == 14
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd to list open descriptors")
+def test_loading_a_broken_corpus_leaves_no_descriptor_open(tmp_path):
+    outside = tmp_path / "outside.txt"
+    outside.write_text("outside words", encoding="utf-8")
+    root = _write_broken_corpus(tmp_path / "corpus", outside)
+    before = sorted(os.listdir("/proc/self/fd"))
+    results = validate_corpus(root)
+    tasks, skipped = load_tasks(RunSpec(corpus_root=root))
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert sum(not r.ok for r in results) == len(skipped) == 12
+    assert [t.name for t in tasks] == ["inside_link", "ok"]
+
+
+def test_validate_names_each_broken_body_as_before(tmp_path, capsys):
+    outside = tmp_path / "outside.txt"
+    outside.write_text("outside words", encoding="utf-8")
+    root = _write_broken_corpus(tmp_path / "corpus", outside)
+    assert cli_main(["validate", str(root)]) == 2
+    problems = {}
+    for line in capsys.readouterr().out.splitlines()[1:]:
+        directory, _, status, problem = line.split("\t")
+        problems[Path(directory).name] = problem
+    is_a_directory = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}"
+    assert problems["missing"] == f"task.json: referenced file {root}/missing/documents/deeper/nope.txt does not exist"
+    assert problems["directory"] == (
+        f"task.json: cannot read {root}/directory/documents/sub ({is_a_directory}: '{root}/directory/documents/sub')"
+    )
+    assert problems["fifo"] == f"task.json: cannot read {root}/fifo/documents/fifo (not a regular file)"
+    assert problems["not_utf8"] == (
+        f"task.json: {root}/not_utf8/documents/latin1.txt is not valid UTF-8"
+        " ('utf-8' codec can't decode byte 0xe9 in position 3: unexpected end of data)"
+    )
+    assert problems["escaping_link"] == (
+        "task.json documents[0]: file 'documents/link' is not a path inside the task directory"
+    )
+    for name in ("empty", "dot"):
+        assert problems[name] == f"task.json: cannot read {root}/{name} ({is_a_directory}: '{root}/{name}')"
 
 
 def test_load_task_strip_markup_flag(tmp_path):
