@@ -729,7 +729,6 @@ def test_a_task_loads_the_same_from_any_location(tmp_path):
     outside = tmp_path / "outside.txt"
     outside.write_text("outside words", encoding="utf-8")
     direct = _write_broken_corpus(tmp_path / "real" / "corpus", outside)
-    # Deeper than realpath's walk from / would be cheap to repeat per body.
     deep = _write_broken_corpus(tmp_path.joinpath(*["deep"] * 32, "corpus"), outside)
     (tmp_path / "link").symlink_to(tmp_path / "real")
     through_link = tmp_path / "link" / "corpus"
@@ -752,7 +751,7 @@ def test_loading_a_broken_corpus_leaves_no_descriptor_open(tmp_path):
     assert [t.name for t in tasks] == ["inside_link", "ok"]
 
 
-def test_validate_names_each_broken_body_as_before(tmp_path, capsys):
+def test_validate_names_each_broken_body_in_full(tmp_path, capsys):
     outside = tmp_path / "outside.txt"
     outside.write_text("outside words", encoding="utf-8")
     root = _write_broken_corpus(tmp_path / "corpus", outside)
