@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .baselines import BASELINES
-from .corpus import CorpusFormatError, CorpusIntegrityError, _read_regular, tokenize, tsv_cell
+from .corpus import CorpusFormatError, CorpusIntegrityError, _parse_json, _read_regular, tokenize, tsv_cell
 from .evaluation import EvalReport, METRIC_COLUMNS, TaskMetrics
 from .experiments import (
     GridResult,
@@ -137,23 +137,10 @@ def _read_text(path: str, what: str) -> str:
 
 
 def _read_json(path: str, what: str):
-    text = _read_text(path, what)
     try:
-        value = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # bad JSON, an over-long integer, nesting too deep
-        raise _UsageError(f"{what} {path} is not valid JSON ({exc})") from None
-    # A \udXXX escape can decode to a lone surrogate, which no output could
-    # encode; name the top-level entry that holds one.
-    for key, item in value.items() if isinstance(value, dict) else [(None, value)]:
-        try:
-            json.dumps(key, ensure_ascii=False).encode("utf-8")
-            json.dumps(item, ensure_ascii=False).encode("utf-8")
-        except UnicodeEncodeError:
-            where = "" if key is None else f" entry {key!r}"
-            raise _UsageError(f"{what} {path}{where} holds an unpaired surrogate escape") from None
-        except RecursionError as exc:  # nesting too deep to write back
-            raise _UsageError(f"{what} {path} is not valid JSON ({exc})") from None
-    return value
+        return _parse_json(_read_text(path, what), f"{what} {path}")
+    except CorpusFormatError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _resolve_settings(args: argparse.Namespace) -> dict:
@@ -315,8 +302,8 @@ def cmd_classify(args, settings) -> int:
                 assignment = assignments[task_name]
                 _write(Path(args.output, f"{stem}.assignment.tsv"), assignment.to_tsv())
                 if args.scores:
-                    scores = json.dumps(assignment.scores_dict(), indent=2) + "\n"
-                    _write(Path(args.output, f"{stem}.scores.json"), scores)
+                    scores = {doc_id: dict(row) for doc_id, row in assignment.scores.items()}
+                    _write(Path(args.output, f"{stem}.scores.json"), json.dumps(scores, indent=2) + "\n")
         _emit_reports(result, settings, args.output, "report")
     return _exit_code(result)
 

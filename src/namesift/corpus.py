@@ -321,6 +321,26 @@ def tsv_cell(text: str) -> str:
     return text.translate(_TSV_ESCAPES)
 
 
+def _parse_json(text: str, where: str):
+    """The JSON value of ``text``; a value no output could carry raises CorpusFormatError naming ``where``."""
+    try:
+        value = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad JSON, an over-long integer, nesting too deep
+        raise CorpusFormatError(f"{where} is not valid JSON ({exc})") from None
+    # A \udXXX escape can decode to a lone surrogate, which no output could
+    # encode; name the top-level entry that holds one.
+    for key, item in value.items() if isinstance(value, dict) else [(None, value)]:
+        try:
+            json.dumps(key, ensure_ascii=False).encode("utf-8")
+            json.dumps(item, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            entry = "" if key is None else f" entry {key!r}"
+            raise CorpusFormatError(f"{where}{entry} holds an unpaired surrogate escape") from None
+        except RecursionError as exc:  # nesting too deep to write back
+            raise CorpusFormatError(f"{where} is not valid JSON ({exc})") from None
+    return value
+
+
 def _is_gold_skip(line: str) -> bool:
     """Blank and ``#`` comment lines of gold.tsv carry no row."""
     return not line.strip() or line.lstrip().startswith("#")
@@ -374,16 +394,7 @@ def _read_manifest(path: Path, dir_fd: int) -> dict:
         regular = False
     if not regular:
         raise CorpusFormatError(f"{path}: no task.json manifest")
-    manifest_text = _read_text(manifest_path, "task.json", dir_fd)
-    try:
-        manifest = json.loads(manifest_text)
-        # A \udXXX escape can decode to a lone surrogate, which no output
-        # could encode.
-        json.dumps(manifest, ensure_ascii=False).encode("utf-8")
-    except UnicodeEncodeError:
-        raise CorpusFormatError(f"{manifest_path}: a string holds an unpaired surrogate escape") from None
-    except (ValueError, RecursionError) as exc:  # bad JSON, an over-long integer, nesting too deep
-        raise CorpusFormatError(f"{manifest_path}: invalid JSON ({exc})") from None
+    manifest = _parse_json(_read_text(manifest_path, "task.json", dir_fd), str(manifest_path))
     if not isinstance(manifest, dict):
         raise CorpusFormatError(f"{manifest_path}: manifest must be a JSON object")
 

@@ -12,7 +12,7 @@ scripts and tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 from .baselines import Clustering
@@ -30,9 +30,6 @@ __all__ = [
     "evaluate_clusterings",
     "aggregate_metrics",
 ]
-
-METRIC_COLUMNS = ("purity", "nmi", "micro_f1", "macro_f1", "f1_bar")
-
 
 def _contingency(pairs: Iterable[tuple[object, str]]) -> dict[object, dict[str, int]]:
     """Gold-label counts per predicted group: groups, and labels within one, in first-seen order."""
@@ -158,8 +155,10 @@ class TaskMetrics:
     macro_f1: float | None = None
     f1_bar: float | None = None
 
-    def as_dict(self) -> dict[str, float | None]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+METRIC_COLUMNS = tuple(f.name for f in fields(TaskMetrics))
+# The header of every metrics TSV table; `EvalReport.tsv_rows` writes its rows.
+TSV_HEADER = "task\tmodel\tnoise\t" + "\t".join(METRIC_COLUMNS)
 
 
 def evaluate_assignment(task: Task, assignment: Assignment) -> TaskMetrics:
@@ -218,8 +217,6 @@ class EvalReport:
     aggregate: TaskMetrics
     config: dict[str, object]
 
-    AGGREGATE_ROW = "aggregate"
-
     @classmethod
     def build(cls, model: str, noise: str, per_task: Mapping[str, TaskMetrics], config: Mapping[str, object]) -> "EvalReport":
         ordered = {name: per_task[name] for name in sorted(per_task)}
@@ -231,24 +228,20 @@ class EvalReport:
             config=dict(config),
         )
 
-    def _rows(self) -> list[tuple[str, TaskMetrics]]:
-        return list(self.per_task.items()) + [(self.AGGREGATE_ROW, self.aggregate)]
-
-    def to_tsv(self) -> str:
-        lines = ["task\tmodel\tnoise\t" + "\t".join(METRIC_COLUMNS)]
-        for name, metrics in self._rows():
+    def tsv_rows(self) -> list[str]:
+        """One row under `TSV_HEADER` per task, in task order, then the ``aggregate`` row."""
+        rows = []
+        for name, metrics in [*self.per_task.items(), ("aggregate", self.aggregate)]:
             cells = [tsv_cell(name), tsv_cell(self.model), tsv_cell(self.noise)]
-            for column in METRIC_COLUMNS:
-                value = getattr(metrics, column)
-                cells.append("" if value is None else f"{value:.6f}")
-            lines.append("\t".join(cells))
-        return "\n".join(lines) + "\n"
+            cells += ["" if value is None else f"{value:.6f}" for value in astuple(metrics)]
+            rows.append("\t".join(cells))
+        return rows
 
     def to_dict(self) -> dict:
         return {
             "model": self.model,
             "noise": self.noise,
             "config": self.config,
-            "per_task": {name: metrics.as_dict() for name, metrics in self.per_task.items()},
-            "aggregate": self.aggregate.as_dict(),
+            "per_task": {name: asdict(metrics) for name, metrics in self.per_task.items()},
+            "aggregate": asdict(self.aggregate),
         }

@@ -28,7 +28,7 @@ from .corpus import (
     read_manifest,
     tsv_cell,
 )
-from .evaluation import EvalReport, TaskMetrics, clustering_eval_filter, evaluate_assignment, evaluate_clusterings
+from .evaluation import TSV_HEADER, EvalReport, TaskMetrics, clustering_eval_filter, evaluate_assignment, evaluate_clusterings
 from .features import NOISE_MODES, ConfigError, FeatureConfig
 from .features import build_index, vectorize  # noqa: F401  (kept importable here: perfbench's tracer wraps them in this module)
 from .models import MODELS, Assignment, ModelConfig, TaskResources, map_documents
@@ -261,12 +261,9 @@ def validate_corpus(
 
 
 def grid_tsv(reports: Iterable[EvalReport]) -> str:
-    """All reports concatenated into one TSV table (single header)."""
-    lines: list[str] = []
-    for i, report in enumerate(reports):
-        tsv = report.to_tsv().rstrip("\n").split("\n")
-        lines.extend(tsv if i == 0 else tsv[1:])
-    return "\n".join(lines) + "\n" if lines else ""
+    """All reports' rows in one TSV table under a single header; no reports give an empty string."""
+    rows = [row for report in reports for row in report.tsv_rows()]
+    return "\n".join([TSV_HEADER, *rows]) + "\n" if rows else ""
 
 
 def grid_json_dict(result: GridResult) -> dict:

@@ -52,6 +52,12 @@ def _check(value: str, allowed: tuple[str, ...], key: str) -> None:
         raise ConfigError(f"{key} must be one of {allowed}, got {value!r}")
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array`` itself, marked read-only."""
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class FeatureConfig:
     """Weighting and noise-profile options.
@@ -107,7 +113,7 @@ class FeatureIndex:
     def __post_init__(self) -> None:
         self._rows = {element_id: r for r, element_id in enumerate(self.document_ids + self.entity_ids)}
         for array in (self.features, self.counts, self.offsets, self.df):
-            array.flags.writeable = False
+            _read_only(array)
 
     @property
     def corpus_size(self) -> int:
@@ -148,9 +154,7 @@ class FeatureIndex:
         """The tf-idf weight at every stored position, computed once per weighting."""
         key = (config.idf_numerator, config.log_base)
         if key not in self._weights:
-            weights = _tfidf_weights(self, *key)
-            weights.flags.writeable = False
-            self._weights[key] = weights
+            self._weights[key] = _read_only(_tfidf_weights(self, *key))
         return self._weights[key]
 
 
@@ -287,9 +291,7 @@ class NoiseProfile:
         ordered = np.sort(np.asarray(self.features, dtype=np.int64))
         distinct = np.ones(len(ordered), dtype=bool)
         distinct[1:] = ordered[1:] != ordered[:-1]
-        ordered = ordered[distinct]
-        ordered.flags.writeable = False
-        object.__setattr__(self, "features", ordered)
+        object.__setattr__(self, "features", _read_only(ordered[distinct]))
 
     @property
     def weight(self) -> float:

@@ -41,6 +41,7 @@ from .features import (
     FeatureConfig,
     FeatureIndex,
     FeatureVector,
+    _read_only,
     build_index,
     build_noise_profile,
     reduce_segments,
@@ -107,12 +108,6 @@ class ModelConfig:
             raise ConfigError(
                 f"laplace_denominator must be one of {LAPLACE_DENOMINATORS}, got {self.laplace_denominator!r}"
             )
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    """``array`` itself, marked read-only."""
-    array.flags.writeable = False
-    return array
 
 
 def _inverse(norms: np.ndarray) -> np.ndarray:
@@ -414,7 +409,7 @@ class TaskResources:
         positions = np.concatenate([np.arange(0)] + [np.arange(span.start, span.stop) for span in spans])
         offsets = np.cumsum([0] + [span.stop - span.start for span in spans])
         shared = gram(kept, self.index.features[positions], offsets, self.index.weights(self.weighting)[positions])
-        shared.matrix.flags.writeable = False
+        _read_only(shared.matrix)
         return shared
 
 
@@ -506,7 +501,8 @@ class Assignment:
     @cached_property
     def scores(self) -> Mapping[str, Mapping[str, float]]:
         """Read-only ``doc_id -> {class_id: score}``, built on first read."""
-        return MappingProxyType({doc_id: MappingProxyType(row) for doc_id, row in self.scores_dict().items()})
+        rows = zip(self.doc_ids, self.matrix.tolist())
+        return MappingProxyType({doc_id: MappingProxyType(dict(zip(self.class_ids, row))) for doc_id, row in rows})
 
     def to_tsv(self) -> str:
         """doc_id, assigned class, winning score; one row per document."""
@@ -515,9 +511,6 @@ class Assignment:
         for doc_id, label, score in zip(self.doc_ids, self.labels.tolist(), best):
             lines.append(f"{tsv_cell(doc_id)}\t{tsv_cell(self.class_ids[label])}\t{score:.10g}")
         return "\n".join(lines) + "\n"
-
-    def scores_dict(self) -> dict[str, dict[str, float]]:
-        return {doc_id: dict(zip(self.class_ids, row)) for doc_id, row in zip(self.doc_ids, self.matrix.tolist())}
 
 
 def assign_from_context(ctx: ScoringContext) -> Assignment:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 
@@ -24,7 +25,7 @@ from namesift.evaluation import (
     nmi,
     purity,
 )
-from namesift.experiments import task_clusterings
+from namesift.experiments import grid_tsv, task_clusterings
 from namesift.features import NOISE_MODES, FeatureConfig
 from namesift.models import MODELS, Assignment, ModelConfig, map_documents
 
@@ -266,6 +267,20 @@ def test_evaluate_assignment_all_noise_gold_leaves_clustering_metrics_unset():
     assert metrics.micro_f1 is not None
 
 
+@pytest.mark.parametrize(
+    "metric, empty",
+    [(purity, []), (nmi, []), (purity, [[]]), (micro_macro_f1, {})],
+)
+def test_metrics_refuse_empty_input(metric, empty):
+    with pytest.raises(ValueError, match="cannot score an empty"):
+        metric(empty, {})
+
+
+def test_metric_columns_are_the_task_metrics_fields():
+    assert METRIC_COLUMNS == ("purity", "nmi", "micro_f1", "macro_f1", "f1_bar")
+    assert list(dataclasses.asdict(TaskMetrics(nmi=0.5))) == list(METRIC_COLUMNS)
+
+
 def test_evaluate_assignment_empty_task_leaves_everything_unset():
     task = build_task({"e1": "x"}, {})
     metrics = evaluate_assignment(task, Assignment([], [], np.zeros(0, dtype=int), np.zeros((0, 0))))
@@ -304,7 +319,7 @@ def test_eval_report_tsv_layout():
         "alpha": TaskMetrics(purity=1.0, nmi=1.0, micro_f1=1.0, macro_f1=1.0, f1_bar=1.0),
     }
     report = EvalReport.build("cosine", "union", per_task, {"alpha": 0.01})
-    lines = report.to_tsv().splitlines()
+    lines = grid_tsv([report]).splitlines()
     assert lines[0] == "task\tmodel\tnoise\tpurity\tnmi\tmicro_f1\tmacro_f1\tf1_bar"
     assert lines[1].startswith("alpha\tcosine\tunion\t1.000000\t1.000000")
     assert lines[2].split("\t")[3] == ""  # unset purity prints empty

@@ -104,6 +104,8 @@ def test_index_term_lookups():
         index.term_counts["missing"]
     with pytest.raises(KeyError):
         index.term_counts[NOISE_LABEL]  # the noise entity has no term statistics
+    with pytest.raises(KeyError, match="noise entity"):
+        index.span(NOISE_LABEL)
 
 
 def test_index_rows_are_cached_read_only_views():

@@ -671,25 +671,17 @@ def test_assignment_tsv_shape():
     assert float(score) == pytest.approx(1.0)
 
 
-def test_scores_dict_is_a_deep_copy():
-    task = build_task({"e1": "alpha"}, {"d1": "alpha"})
-    assignment = map_documents(task, ModelConfig(model="cosine"))
-    copy = assignment.scores_dict()
-    copy["d1"]["e1"] = -99.0
-    assert assignment.scores["d1"]["e1"] != -99.0
-
-
 def test_assignment_views_cannot_be_written_through():
     task = build_task({"e1": "alpha"}, {"d1": "alpha", "d2": "beta"})
     assignment = map_documents(task, ModelConfig(model="cosine", features=FeatureConfig(noise="union")))
-    before = assignment.to_tsv(), assignment.scores_dict()
+    before = assignment.to_tsv(), {doc_id: dict(row) for doc_id, row in assignment.scores.items()}
     with pytest.raises(TypeError):
         assignment.mapping["d1"] = NOISE_LABEL
     with pytest.raises(TypeError):
         assignment.scores["d1"] = {"e1": -99.0}
     with pytest.raises(TypeError):
         assignment.scores["d1"]["e1"] = -99.0
-    assert (assignment.to_tsv(), assignment.scores_dict()) == before
+    assert (assignment.to_tsv(), {doc_id: dict(row) for doc_id, row in assignment.scores.items()}) == before
 
 
 # ---------------------------------------------------------------------------
