@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .baselines import BASELINES
-from .corpus import CorpusFormatError, CorpusIntegrityError, _parse_json, _read_regular, tokenize, tsv_cell
+from .corpus import CorpusFormatError, CorpusIntegrityError, _lines, _parse_json, _read_regular, tokenize, tsv_cell
 from .evaluation import EvalReport, METRIC_COLUMNS, TaskMetrics
 from .experiments import (
     GridResult,
@@ -175,10 +175,8 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
 def _load_stopwords(path: str) -> frozenset[str] | None:
     if not path:
         return None
-    # A leading byte-order mark is not part of the first word.
-    lines = _read_text(path, "stopword file").removeprefix("\ufeff").splitlines()
     words = set()
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_lines(_read_text(path, "stopword file")), start=1):
         word = line.strip().lower()
         if not word or word.startswith("#"):
             continue

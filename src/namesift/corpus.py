@@ -16,9 +16,10 @@ On disk a task is a directory::
 
 ``task.json`` lists entities as objects with ``id``, ``title`` and ``file``
 keys and documents with ``id``, ``url``, ``rank`` and ``file`` keys; ``file``
-paths are relative to the task directory.  Lines starting with ``#`` and
-blank lines in ``gold.tsv`` are ignored.  A corpus root is any directory
-whose immediate subdirectories are tasks.
+paths are relative to the task directory.  Lines of ``gold.tsv`` end at
+LF, CR LF or CR; lines starting with ``#`` and blank lines are ignored.  A
+leading byte-order mark is dropped from ``gold.tsv`` and ``task.json``.  A
+corpus root is any directory whose immediate subdirectories are tasks.
 """
 
 from __future__ import annotations
@@ -321,10 +322,23 @@ def tsv_cell(text: str) -> str:
     return text.translate(_TSV_ESCAPES)
 
 
+_LINE_BREAK = re.compile(r"\r\n?|\n")
+
+
+def _lines(text: str) -> list[str]:
+    """The lines of a line-oriented file's ``text``, a leading U+FEFF dropped.
+
+    Lines end at LF, CR LF or CR, the breaks `tsv_cell` escapes, and at
+    nothing else; a break at the end of the text starts no line.
+    """
+    lines = _LINE_BREAK.split(text.removeprefix("\ufeff"))
+    return lines[:-1] if lines[-1] == "" else lines
+
+
 def _parse_json(text: str, where: str):
-    """The JSON value of ``text``; a value no output could carry raises CorpusFormatError naming ``where``."""
+    """The JSON value of ``text``, a leading U+FEFF dropped; bad JSON raises CorpusFormatError naming ``where``."""
     try:
-        value = json.loads(text)
+        value = json.loads(text.removeprefix("\ufeff"))
     except (ValueError, RecursionError) as exc:  # bad JSON, an over-long integer, nesting too deep
         raise CorpusFormatError(f"{where} is not valid JSON ({exc})") from None
     # A \udXXX escape can decode to a lone surrogate, which no output could
@@ -349,10 +363,10 @@ def _is_gold_skip(line: str) -> bool:
 def _gold_line(doc_id: str, label: str) -> str:
     """The gold.tsv row of one document; raises if the format cannot carry it."""
     line = f"{doc_id}\t{label}"
-    if line.count("\t") != 1 or line.splitlines() != [line] or _is_gold_skip(line):
+    if line.count("\t") != 1 or _lines(line) != [line] or _is_gold_skip(line):
         raise CorpusFormatError(
-            f"document {doc_id!r} labeled {label!r} cannot be a gold.tsv row:"
-            " ids may not contain tabs or line breaks, and a row may not be blank or start with '#'"
+            f"document {doc_id!r} labeled {label!r} cannot be a gold.tsv row: ids may not contain tabs"
+            " or line breaks, and a row may not be blank or start with '#' or a byte-order mark"
         )
     return line
 
@@ -360,7 +374,7 @@ def _gold_line(doc_id: str, label: str) -> str:
 def _parse_gold(path: Path, dir_fd: int) -> dict[str, str]:
     rows: dict[str, str] = {}
     text = _read_text(path, "gold.tsv", dir_fd)
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_lines(text), start=1):
         if _is_gold_skip(line):
             continue
         parts = line.split("\t")

@@ -12,7 +12,7 @@ scripts and tests.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 from .baselines import Clustering
@@ -30,6 +30,7 @@ __all__ = [
     "evaluate_clusterings",
     "aggregate_metrics",
 ]
+
 
 def _contingency(pairs: Iterable[tuple[object, str]]) -> dict[object, dict[str, int]]:
     """Gold-label counts per predicted group: groups, and labels within one, in first-seen order."""
@@ -233,7 +234,8 @@ class EvalReport:
         rows = []
         for name, metrics in [*self.per_task.items(), ("aggregate", self.aggregate)]:
             cells = [tsv_cell(name), tsv_cell(self.model), tsv_cell(self.noise)]
-            cells += ["" if value is None else f"{value:.6f}" for value in astuple(metrics)]
+            values = [getattr(metrics, column) for column in METRIC_COLUMNS]
+            cells += ["" if value is None else f"{value:.6f}" for value in values]
             rows.append("\t".join(cells))
         return rows
 

@@ -25,12 +25,13 @@ import namesift.cli
 import namesift.experiments
 from namesift.baselines import BASELINES
 from namesift.cli import build_parser, main
-from namesift.corpus import NOISE_LABEL, discover_tasks, load_task, tokenize, write_task
+from namesift.corpus import NOISE_LABEL, discover_tasks, load_task, strip_html, tokenize, write_task
 from namesift.experiments import RunSpec, task_clusterings, validate_corpus
 from namesift.features import IDF_NUMERATORS, INTERSECTION_SEMANTICS, LOG_BASES, NOISE_MODES, FeatureConfig
 from namesift.models import LAPLACE_DENOMINATORS, MODELS
 from namesift.synthetic import write_benchmark
 
+import conftest
 from conftest import build_task, write_broken_task
 
 
@@ -1089,6 +1090,135 @@ def test_jobs_setting_is_ignored_like_any_unknown_key(mini_corpus, clean_env, tm
 def test_missing_subcommand_is_usage_error(clean_env, capsys):
     assert main([]) == 1
     assert "usage error" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# input file rules, and the branches of main and its settings
+
+
+def test_a_stopword_line_ends_only_at_lf_crlf_or_cr(mini_corpus, clean_env, tmp_path, capsys):
+    """A form feed is not a line break: the file's first line is refused, whole."""
+    path = tmp_path / "stop.txt"
+    path.write_text("the\x0cand\ne-mail\n", encoding="utf-8")
+    assert main(["grid", str(mini_corpus), "--stopwords", str(path)]) == 1
+    assert capsys.readouterr().err == f"usage error: stopword file {path} line 1: 'the\\x0cand' is not a single token\n"
+
+
+def test_a_config_file_with_a_byte_order_mark_loads(mini_corpus, clean_env, tmp_path, capsys):
+    config = tmp_path / "conf.json"
+    config.write_text('\ufeff{"reps": 3}\r\n', encoding="utf-8")
+    assert main(["grid", str(mini_corpus), "--baselines", "--format", "json", "--config", str(config)]) == 0
+    via_file = capsys.readouterr().out
+    assert '"reps": 3' in via_file
+    assert main(["grid", str(mini_corpus), "--baselines", "--format", "json", "--reps", "3"]) == 0
+    assert capsys.readouterr().out == via_file
+
+
+def test_a_grid_file_with_a_byte_order_mark_is_reported(mini_corpus, clean_env, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["grid", str(mini_corpus), "--output", str(out)]) == 0
+    bom = tmp_path / "bom.json"
+    bom.write_text("\ufeff" + (out / "grid.json").read_text(encoding="utf-8"), encoding="utf-8")
+    assert main(["report", str(bom)]) == 0
+    assert capsys.readouterr().out == (out / "pivot.tsv").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["grid", "validate"])
+def test_a_corpus_root_that_is_a_file_is_a_corpus_error(clean_env, tmp_path, capsys, command):
+    root = tmp_path / "root.txt"
+    root.write_text("x", encoding="utf-8")
+    assert main([command, str(root)]) == 2
+    assert capsys.readouterr().err == f"corpus error: corpus root {root} is not a directory\n"
+
+
+def test_two_task_directories_with_one_name_are_a_corpus_error(clean_env, tmp_path, capsys):
+    task = build_task({"e1": "x"}, {"d1": "x"}, gold={"d1": "e1"}, name="same")
+    for directory in ("a", "b"):
+        write_task(task, tmp_path / "corpus" / directory)
+    assert main(["grid", str(tmp_path / "corpus")]) == 2
+    assert capsys.readouterr().err == "corpus error: duplicate task names across directories: ['same']\n"
+
+
+def test_an_entity_less_task_without_noise_is_an_error(mini_corpus, clean_env, capsys):
+    write_task(build_task({}, {"d1": "x"}, name="nobody"), mini_corpus / "nobody")
+    assert main(["grid", str(mini_corpus), "--noise-modes", "none"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: task 'nobody'") and err.endswith("nothing to assign to\n")
+
+
+def _write_html_corpora(root: Path) -> tuple[Path, Path]:
+    """The mini corpus with markup naming the other entity around every document, and that corpus stripped."""
+    raw, stripped = root / "raw", root / "stripped"
+    for task in conftest.mini_tasks():
+        profiles = {e.id: e.text for e in task.entities}
+        for doc in task.documents:
+            other = next((text for eid, text in profiles.items() if eid != task.gold[doc.id]), "")
+            doc.text = f'<div title="{other}"><p>{doc.text} &amp; more</p><!-- {other} --></div>'
+        write_task(task, raw / task.name)
+        for doc in task.documents:
+            doc.text = strip_html(doc.text)
+        write_task(task, stripped / task.name)
+    return raw, stripped
+
+
+def test_strip_html_from_flag_environment_or_config(clean_env, tmp_path, capsys):
+    raw, stripped = _write_html_corpora(tmp_path / "corpora")
+    config = tmp_path / "conf.json"
+
+    def grid_json(root: Path, *args: str) -> str:
+        out = tmp_path / "out"
+        assert main(["grid", str(root), "--models", "all", "--noise-modes", "all", "--output", str(out), *args]) == 0
+        return (out / "grid.json").read_text(encoding="utf-8")
+
+    plain, raw_plain = grid_json(stripped), grid_json(raw)
+    assert plain != raw_plain  # the markup changes the grid
+    assert grid_json(raw, "--strip-html") == plain
+    for value, expected in (("yes", plain), ("off", raw_plain)):
+        clean_env.setenv("NAMESIFT_STRIP_HTML", value)
+        assert grid_json(raw) == expected
+        clean_env.delenv("NAMESIFT_STRIP_HTML")
+    for value, expected in ((True, plain), (False, raw_plain)):
+        config.write_text(json.dumps({"strip_html": value}), encoding="utf-8")
+        assert grid_json(raw, "--config", str(config)) == expected
+
+
+def test_a_config_model_list_is_the_comma_separated_flag(mini_corpus, clean_env, tmp_path, capsys):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"models": ["cosine", "score"]}), encoding="utf-8")
+    assert main(["grid", str(mini_corpus), "--config", str(config)]) == 0
+    via_file = capsys.readouterr().out
+    assert main(["grid", str(mini_corpus), "--models", "cosine,score"]) == 0
+    assert capsys.readouterr().out == via_file
+    assert {row.split("\t")[1] for row in via_file.splitlines()[1:]} == {"cosine", "score"}
+
+
+def test_an_empty_stopword_path_drops_nothing(mini_corpus, clean_env, capsys):
+    assert main(["grid", str(mini_corpus), "--stopwords", ""]) == 0
+    with_empty = capsys.readouterr().out
+    assert main(["grid", str(mini_corpus)]) == 0
+    assert capsys.readouterr().out == with_empty
+
+
+def test_classify_warns_of_floored_probabilities(clean_env, tmp_path, capsys):
+    task = build_task({"e1": "a"}, {"d1": "a b c", "d2": "a b c", "d3": "a b c"})
+    write_task(task, tmp_path / "corpus" / "t")
+    argv = ["classify", str(tmp_path / "corpus"), "--model", "nb_bernoulli_laplace", "--idf-numerator", "paper"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == "warning: 1 probabilities were floored to stay positive\n"
+
+
+def test_grid_baselines_write_nulls_for_a_task_without_entity_documents(mini_corpus, clean_env, tmp_path, capsys):
+    write_task(build_task({"e1": "x"}, {"d1": "x", "d2": "y"}, name="noise"), mini_corpus / "noise")
+    out = tmp_path / "out"
+    assert main(["grid", str(mini_corpus), "--baselines", "--output", str(out)]) == 0
+    reports = json.loads((out / "grid.json").read_text(encoding="utf-8"))["reports"]
+    baselines = {report["model"]: report["per_task"] for report in reports if report["model"] in BASELINES}
+    assert set(baselines) == set(BASELINES)
+    for per_task in baselines.values():
+        assert set(per_task["noise"].values()) == {None}
+        assert per_task["baker"]["purity"] is not None and per_task["baker"]["nmi"] is not None
+    rows = [row.split("\t") for row in (out / "grid.tsv").read_text(encoding="utf-8").splitlines()]
+    assert [row[3:] for row in rows if row[0] == "noise" and row[1] in BASELINES] == [[""] * 5] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -321,12 +321,52 @@ def test_round_trip_keeps_carriage_returns(tmp_path, make_task):
     assert loaded.entities[0].text == "x\r\ny"
 
 
-@pytest.mark.parametrize("doc_id", ["#d1", "  # d1", "a\tb", "a\nb", "a\rb", "a\x85b", "a\u2028b"])
+@pytest.mark.parametrize("doc_id", ["#d1", "  # d1", "a\tb", "a\nb", "a\rb", "\ufeffd1"])
 def test_write_task_refuses_ids_gold_tsv_cannot_carry(tmp_path, make_task, doc_id):
     task = make_task({"e1": "x"}, {doc_id: "a"})
     with pytest.raises(CorpusFormatError, match="gold.tsv"):
         write_task(task, tmp_path / "rt")
     assert not (tmp_path / "rt").exists()
+
+
+@pytest.mark.parametrize("doc_id", ["a\x85b", "a\u2028b", "a\u2029b", "a\x0cb", "a\x0bb", "a\x1cb", "a\x1eb"])
+def test_write_task_carries_ids_holding_breaks_other_than_cr_and_lf(tmp_path, make_task, doc_id):
+    """gold.tsv lines end at LF, CR LF or CR only, so an id holding any other break is one row."""
+    task = make_task({"e1": "x"}, {"d0": "a", doc_id: "b"}, gold={"d0": "e1", doc_id: "e1"})
+    assert load_task(write_task(task, tmp_path / "rt")) == task
+
+
+def test_task_json_and_gold_tsv_with_a_byte_order_mark_and_crlf_load(tmp_path, make_task):
+    task = make_task({"e1": "x"}, {"d1": "a\r\nb", "d2": "c"}, gold={"d1": "e1", "d2": NOISE_LABEL})
+    path = write_task(task, tmp_path / "rt")
+    for name in ("task.json", "gold.tsv"):
+        text = (path / name).read_text(encoding="utf-8")
+        (path / name).write_bytes(("\ufeff" + text.replace("\n", "\r\n")).encode("utf-8"))
+    assert load_task(path) == task  # bodies keep their bytes: d1 still holds its CR LF
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{not json", "{manifest} is not valid JSON (Expecting property name"),
+        ('{"name": "\\ud800", "entities": [], "documents": []}', "{manifest} entry 'name' holds an unpaired surrogate escape"),
+        ("[1]", "{manifest}: manifest must be a JSON object"),
+    ],
+)
+def test_manifest_json_errors_name_the_file_and_the_entry(tmp_path, text, message):
+    d = tmp_path / "t"
+    d.mkdir()
+    (d / "task.json").write_text(text, encoding="utf-8")
+    with pytest.raises(CorpusFormatError) as raised:
+        load_task(d)
+    assert str(raised.value).startswith(message.format(manifest=d / "task.json"))
+
+
+def test_load_task_on_a_file_is_a_format_error(tmp_path):
+    path = tmp_path / "task.json"
+    path.write_text("{}", encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match="no task.json manifest"):
+        load_task(path)
 
 
 def test_write_task_refuses_labels_gold_tsv_cannot_carry(tmp_path, make_task):

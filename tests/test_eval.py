@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 
@@ -274,11 +273,6 @@ def test_evaluate_assignment_all_noise_gold_leaves_clustering_metrics_unset():
 def test_metrics_refuse_empty_input(metric, empty):
     with pytest.raises(ValueError, match="cannot score an empty"):
         metric(empty, {})
-
-
-def test_metric_columns_are_the_task_metrics_fields():
-    assert METRIC_COLUMNS == ("purity", "nmi", "micro_f1", "macro_f1", "f1_bar")
-    assert list(dataclasses.asdict(TaskMetrics(nmi=0.5))) == list(METRIC_COLUMNS)
 
 
 def test_evaluate_assignment_empty_task_leaves_everything_unset():
