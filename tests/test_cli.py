@@ -31,8 +31,7 @@ from namesift.features import IDF_NUMERATORS, INTERSECTION_SEMANTICS, LOG_BASES,
 from namesift.models import LAPLACE_DENOMINATORS, MODELS
 from namesift.synthetic import write_benchmark
 
-import conftest
-from conftest import build_task, write_broken_task
+from conftest import build_task, mini_tasks, write_broken_task
 
 
 # ---------------------------------------------------------------------------
@@ -1149,7 +1148,7 @@ def test_an_entity_less_task_without_noise_is_an_error(mini_corpus, clean_env, c
 def _write_html_corpora(root: Path) -> tuple[Path, Path]:
     """The mini corpus with markup naming the other entity around every document, and that corpus stripped."""
     raw, stripped = root / "raw", root / "stripped"
-    for task in conftest.mini_tasks():
+    for task in mini_tasks():
         profiles = {e.id: e.text for e in task.entities}
         for doc in task.documents:
             other = next((text for eid, text in profiles.items() if eid != task.gold[doc.id]), "")
