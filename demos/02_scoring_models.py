@@ -6,6 +6,8 @@ artificial noise entity exists, and what profile smoothing changes.
 Run:  python3 demos/02_scoring_models.py
 """
 
+import numpy as np
+
 from namesift import (
     EntityProfile,
     FeatureConfig,
@@ -51,9 +53,9 @@ def main() -> None:
 
     print("== noise profiles ==")
     for kind in ("union", "intersection"):
-        profile = build_noise_profile(index, FeatureConfig(noise=kind))
-        tokens = sorted(index.tokens[fid] for fid in profile.features)
-        print(f"  {kind:12} {len(tokens):2} features, uniform weight {profile.weight:.4f}")
+        row = build_noise_profile(index, FeatureConfig(noise=kind))[0]
+        tokens = sorted(index.tokens[fid] for fid in np.flatnonzero(row))
+        print(f"  {kind:12} {len(tokens):2} features, uniform weight {row.max():.4f}")
         print(f"               {tokens}")
 
     print("\n== who gets d3 (about neither person) ==")

@@ -37,11 +37,8 @@ from .features import (
     FeatureConfig,
     FeatureIndex,
     FeatureVector,
-    NoiseProfile,
     build_index,
     build_noise_profile,
-    intersection_noise,
-    union_noise,
     vectorize,
 )
 from .models import (
@@ -70,7 +67,6 @@ __all__ = [
     "FeatureVector",
     "Gram",
     "ModelConfig",
-    "NoiseProfile",
     "ResultDocument",
     "RunSpec",
     "Task",
@@ -83,7 +79,6 @@ __all__ = [
     "evaluate_assignment",
     "gram",
     "hac_complete",
-    "intersection_noise",
     "kmeans",
     "load_task",
     "map_documents",
@@ -96,7 +91,6 @@ __all__ = [
     "strip_html",
     "synthetic_benchmark",
     "tokenize",
-    "union_noise",
     "validate_corpus",
     "vectorize",
     "write_benchmark",

@@ -222,6 +222,14 @@ def _require(mapping: object, key: str, where: str):
     return mapping[key]
 
 
+def _require_str(mapping: object, key: str, where: str, non_empty: bool = False) -> str:
+    value = _require(mapping, key, where)
+    if not isinstance(value, str) or (non_empty and not value):
+        what = "a non-empty string" if non_empty else "a string"
+        raise CorpusFormatError(f"{where}: {key} must be {what}, got {value!r}")
+    return value
+
+
 def _require_list(mapping: dict, key: str, where: str) -> list:
     value = _require(mapping, key, where)
     if not isinstance(value, list):
@@ -412,9 +420,7 @@ def _read_manifest(path: Path, dir_fd: int) -> dict:
     if not isinstance(manifest, dict):
         raise CorpusFormatError(f"{manifest_path}: manifest must be a JSON object")
 
-    name = _require(manifest, "name", "task.json")
-    if not isinstance(name, str) or not name:
-        raise CorpusFormatError("task.json: name must be a non-empty string")
+    _require_str(manifest, "name", "task.json", non_empty=True)
     return manifest
 
 
@@ -451,9 +457,7 @@ def load_task(
         manifest = _read_manifest(path, dir_fd)
 
         def _body(spec: dict, where: str) -> str:
-            rel = _require(spec, "file", where)
-            if not isinstance(rel, str):
-                raise CorpusFormatError(f"{where}: file must be a string, got {rel!r}")
+            rel = _require_str(spec, "file", where)
             # Bodies live inside the task directory: no absolute path, and no
             # ``..`` or symlink that leads out of it.  A path the walk follows
             # to its end holds neither; any other is resolved and checked.
@@ -475,8 +479,8 @@ def load_task(
             where = f"task.json entities[{i}]"
             entities.append(
                 EntityProfile(
-                    id=str(_require(spec, "id", where)),
-                    title=str(_require(spec, "title", where)),
+                    id=_require_str(spec, "id", where),
+                    title=_require_str(spec, "title", where),
                     text=_body(spec, where),
                     stopwords=stopwords,
                 )
@@ -489,8 +493,8 @@ def load_task(
                 raise CorpusFormatError(f"{where}: rank must be an integer, got {rank!r}")
             documents.append(
                 ResultDocument(
-                    id=str(_require(spec, "id", where)),
-                    url=str(_require(spec, "url", where)),
+                    id=_require_str(spec, "id", where),
+                    url=_require_str(spec, "url", where),
                     rank=rank,
                     text=_body(spec, where),
                     stopwords=stopwords,

@@ -26,11 +26,8 @@ __all__ = [
     "ConfigError",
     "FeatureConfig",
     "FeatureIndex",
-    "NoiseProfile",
     "build_index",
     "vectorize",
-    "union_noise",
-    "intersection_noise",
     "build_noise_profile",
 ]
 
@@ -271,46 +268,16 @@ def vectorize(
     return FeatureVector(index.features[span], index.weights(config)[span])
 
 
-@dataclass(frozen=True, eq=False)
-class NoiseProfile:
-    """Artificial entity absorbing documents that match nobody.
+def build_noise_profile(index: FeatureIndex, config: FeatureConfig) -> np.ndarray:
+    """The artificial noise entity's read-only row over the F features.
 
-    ``features`` holds the selected feature ids, each once in ascending
-    order, as a read-only int64 array, whatever ids construction was given.
-    The profile spreads ``weight`` uniformly over them, so a non-empty
-    profile sums to 1.  An empty feature set (weight 0) is legal: the noise
-    class then scores 0 everywhere.
-    """
+    The row is 1 x F, or 0 x F when ``config.noise`` is ``none``.  It
+    spreads weight 1 uniformly over the selected features, so it is both
+    the noise class's weight row and its token distribution; with none
+    selected it is all zero and the noise class scores 0 everywhere.
 
-    kind: str
-    features: np.ndarray
-
-    def __post_init__(self) -> None:
-        # A sort and a neighbour mask, not np.unique, which is several times
-        # slower on these arrays with numpy 2.4.
-        ordered = np.sort(np.asarray(self.features, dtype=np.int64))
-        distinct = np.ones(len(ordered), dtype=bool)
-        distinct[1:] = ordered[1:] != ordered[:-1]
-        object.__setattr__(self, "features", _read_only(ordered[distinct]))
-
-    @property
-    def weight(self) -> float:
-        return 1.0 / len(self.features) if len(self.features) else 0.0
-
-
-def _entity_features(index: FeatureIndex) -> np.ndarray:
-    """Feature ids at the stored positions of every entity profile."""
-    return index.features[index.offsets[len(index.document_ids)] :]
-
-
-def union_noise(index: FeatureIndex) -> NoiseProfile:
-    """Noise profile over the union of all entity-profile features."""
-    return NoiseProfile("union", _entity_features(index))
-
-
-def intersection_noise(index: FeatureIndex, semantics: str = FeatureConfig.intersection_semantics) -> NoiseProfile:
-    """Noise profile over pairwise entity/element feature intersections.
-
+    ``union`` selects every feature of some entity profile.
+    ``intersection`` selects pairwise entity/element feature intersections.
     ``exists`` collects every feature shared by at least one pair (e, c)
     with e an entity, c any corpus element, e != c; that is exactly the
     features occurring in some entity profile with df >= 2, which biases
@@ -319,19 +286,13 @@ def intersection_noise(index: FeatureIndex, semantics: str = FeatureConfig.inter
     every element of C is in one, so these are the features present in
     every element of C.  With no valid pair the profile is empty.
     """
-    _check(semantics, INTERSECTION_SEMANTICS, "intersection_semantics")
-    if semantics == "exists":
-        feats = _entity_features(index)
-        return NoiseProfile("intersection", feats[index.df[feats] >= 2])
-    if not index.entity_ids or index.corpus_size < 2:
-        return NoiseProfile("intersection", ())
-    return NoiseProfile("intersection", np.flatnonzero(index.df == index.corpus_size))
-
-
-def build_noise_profile(index: FeatureIndex, config: FeatureConfig) -> NoiseProfile | None:
-    """Noise profile selected by ``config.noise``; None when disabled."""
-    if config.noise == "none":
-        return None
+    # With noise off the row has no line, so the writes below change nothing.
+    row = np.zeros((int(config.noise != "none"), index.feature_count))
+    entity_features = index.features[index.offsets[len(index.document_ids)] :]
     if config.noise == "union":
-        return union_noise(index)
-    return intersection_noise(index, config.intersection_semantics)
+        row[:, entity_features] = 1.0
+    elif config.intersection_semantics == "exists":
+        row[:, entity_features[index.df[entity_features] >= 2]] = 1.0
+    elif index.entity_ids and index.corpus_size >= 2:
+        row[:, index.df == index.corpus_size] = 1.0
+    return _read_only(row / max(np.count_nonzero(row), 1))

@@ -316,14 +316,10 @@ class TaskResources:
             raise ValueError("resources were built with different weighting options")
 
     def noise_rows(self, config: FeatureConfig) -> np.ndarray:
-        """The noise profile as a dense row, 1 x F; 0 x F when noise is off."""
+        """`build_noise_profile`'s row, 1 x F or 0 x F, cached per noise mode and intersection semantics."""
         key = (config.noise, config.intersection_semantics)
         if key not in self._noise:
-            profile = build_noise_profile(self.index, config)
-            row = np.zeros((int(profile is not None), self.index.feature_count))
-            if profile is not None:
-                row[0, profile.features] = profile.weight
-            self._noise[key] = _read_only(row)
+            self._noise[key] = build_noise_profile(self.index, config)
         return self._noise[key]
 
     @cached_property

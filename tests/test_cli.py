@@ -1191,6 +1191,13 @@ def test_a_config_model_list_is_the_comma_separated_flag(mini_corpus, clean_env,
     assert {row.split("\t")[1] for row in via_file.splitlines()[1:]} == {"cosine", "score"}
 
 
+def test_a_config_list_setting_that_is_neither_string_nor_list_is_a_usage_error(mini_corpus, clean_env, tmp_path, capsys):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"models": 5}), encoding="utf-8")
+    assert main(["grid", str(mini_corpus), "--config", str(config)]) == 1
+    assert capsys.readouterr().err == "usage error: models must be a comma-separated string or list, got 5\n"
+
+
 def test_an_empty_stopword_path_drops_nothing(mini_corpus, clean_env, capsys):
     assert main(["grid", str(mini_corpus), "--stopwords", ""]) == 0
     with_empty = capsys.readouterr().out

@@ -517,6 +517,54 @@ def _write_manifest(d, **changes):
     (d / "task.json").write_text(json.dumps(manifest), encoding="utf-8")
 
 
+@pytest.mark.parametrize(
+    ("section", "key", "value", "gold"),
+    [
+        # Each used to load through str(): as the document "None", the url
+        # "None", the title "['x']" and the entity "7".
+        ("documents", "id", None, "None\t__NOISE__\n"),
+        ("documents", "url", None, "d1\te1\n"),
+        ("entities", "title", ["x"], "d1\te1\n"),
+        ("entities", "id", 7, "d1\t7\n"),
+        ("documents", "file", 3, "d1\te1\n"),
+    ],
+)
+def test_load_task_refuses_non_string_ids_titles_urls_and_files(tmp_path, section, key, value, gold):
+    d = tmp_path / "t"
+    _write_minimal(d, gold=gold)
+    manifest = json.loads((d / "task.json").read_text(encoding="utf-8"))
+    manifest[section][0][key] = value
+    (d / "task.json").write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(CorpusFormatError) as excinfo:
+        load_task(d)
+    assert str(excinfo.value) == f"task.json {section}[0]: {key} must be a string, got {value!r}"
+    [result] = validate_corpus(tmp_path)
+    assert not result.ok and result.problems == [str(excinfo.value)]
+
+
+@pytest.mark.parametrize("name", [5, None, ""])
+def test_load_task_refuses_a_name_that_is_not_a_non_empty_string(tmp_path, name):
+    _write_manifest(tmp_path / "t", name=name)
+    with pytest.raises(CorpusFormatError) as excinfo:
+        load_task(tmp_path / "t")
+    assert str(excinfo.value) == f"task.json: name must be a non-empty string, got {name!r}"
+
+
+@pytest.mark.parametrize("rank", ["2", True, 2.0])
+def test_validate_fails_a_task_whose_rank_is_not_an_integer(tmp_path, rank, capsys):
+    root = write_mini_corpus(tmp_path / "corpus")
+    path = root / "baker" / "task.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest["documents"][1]["rank"] = rank
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    assert cli_main(["validate", str(root), "--format", "json"]) == 2
+    tasks = json.loads(capsys.readouterr().out)["tasks"]
+    assert [(t["ok"], t["problems"]) for t in tasks] == [
+        (False, [f"task.json documents[1]: rank must be an integer, got {rank!r}"]),
+        (True, []),
+    ]
+
+
 @pytest.mark.parametrize("key", ["entities", "documents"])
 @pytest.mark.parametrize("value", [5, "e1.txt", {"id": "e1"}, None])
 def test_load_task_rejects_non_list_sections(tmp_path, key, value):

@@ -18,11 +18,8 @@ from namesift.features import (
     ConfigError,
     FeatureConfig,
     FeatureVector,
-    NoiseProfile,
     build_index,
     build_noise_profile,
-    intersection_noise,
-    union_noise,
     vectorize,
 )
 from namesift.models import TaskResources
@@ -40,8 +37,20 @@ def _weight(token, element_id, index, config=FeatureConfig()):
     return vectorize(element_id, index, config).get(index.feature_id(token), 0.0)
 
 
-def _profile_tokens(index, profile):
-    return {index.tokens[fid]: profile.weight for fid in profile.features.tolist()}
+def _noise(index, noise="union", semantics="exists"):
+    """The noise row's nonzero feature ids, after checking its shape and its uniform weight."""
+    row = build_noise_profile(index, FeatureConfig(noise=noise, intersection_semantics=semantics))
+    assert isinstance(row, np.ndarray)
+    assert row.shape == (1, index.feature_count)
+    assert not row.flags.writeable
+    ids = np.flatnonzero(row[0])
+    assert (row[0, ids] == 1.0 / max(len(ids), 1)).all()
+    return ids
+
+
+def _noise_tokens(index, noise="union", semantics="exists"):
+    ids = _noise(index, noise, semantics)
+    return {index.tokens[fid]: 1.0 / len(ids) for fid in ids.tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +190,11 @@ def test_vectorize_omits_exact_zeros():
     assert vec["c"] > 0.0
 
 
+def test_feature_vector_repr_is_its_nonzero_dict():
+    vector = FeatureVector(np.array([3, 1, 2]), np.array([0.5, 0.0, 2.0]))
+    assert repr(vector) == "FeatureVector({3: 0.5, 2: 2.0})"
+
+
 def test_vectorize_of_empty_element_is_empty():
     task = build_task({"e1": ""}, {"d1": "a"})
     index = build_index(task)
@@ -265,8 +279,8 @@ def test_index_matches_scalar_reference_bit_for_bit(documents, entities, numerat
         assert vectorize(element, index, config) == ref["weights"][element]
 
     entity_features = {fid for eid in index.entity_ids for fid, _ in ref["counts"][eid]}
-    assert union_noise(index).features.tolist() == sorted(entity_features)
-    assert intersection_noise(index).features.tolist() == sorted(fid for fid in entity_features if ref["df"][fid] >= 2)
+    assert _noise(index).tolist() == sorted(entity_features)
+    assert _noise(index, "intersection").tolist() == sorted(fid for fid in entity_features if ref["df"][fid] >= 2)
 
     # The scoring arrays hold the same weights: document rows in
     # first-occurrence order (zeros kept), entity rows dense.
@@ -341,18 +355,15 @@ def test_weights_take_the_scalar_log():
 def test_union_noise_worked_example():
     task = build_task({"e1": "a b", "e2": "b c"}, {"d1": "q"})
     index = build_index(task)
-    profile = union_noise(index)
-    weights = _profile_tokens(index, profile)
-    assert weights == {"a": pytest.approx(1 / 3), "b": pytest.approx(1 / 3), "c": pytest.approx(1 / 3)}
-    assert profile.kind == "union"
+    assert _noise_tokens(index) == {"a": 1 / 3, "b": 1 / 3, "c": 1 / 3}
 
 
 def test_union_noise_without_entities_is_empty():
     task = build_task({}, {"d1": "a b"})
     index = build_index(task)
-    profile = union_noise(index)
-    assert profile.features.size == 0
-    assert profile.weight == 0.0
+    row = build_noise_profile(index, FeatureConfig(noise="union"))
+    assert row.shape == (1, index.feature_count)
+    assert not row.any()
 
 
 def test_intersection_noise_exists_worked_example():
@@ -360,29 +371,27 @@ def test_intersection_noise_exists_worked_example():
     # c by e2 and d1, a by nobody.
     task = build_task({"e1": "a b", "e2": "c"}, {"d1": "b c"})
     index = build_index(task)
-    profile = intersection_noise(index, "exists")
-    assert _profile_tokens(index, profile) == {"b": pytest.approx(0.5), "c": pytest.approx(0.5)}
+    assert _noise_tokens(index, "intersection", "exists") == {"b": 0.5, "c": 0.5}
 
 
 def test_intersection_noise_forall_is_usually_empty():
     task = build_task({"e1": "a b", "e2": "c"}, {"d1": "b c"})
     index = build_index(task)
-    assert intersection_noise(index, "forall").features.size == 0
+    assert _noise(index, "intersection", "forall").size == 0
 
 
 def test_intersection_noise_forall_vacuous_case():
     # One entity and no documents: no (entity, other element) pair exists.
     task = build_task({"e1": "a b"}, {})
     index = build_index(task)
-    assert intersection_noise(index, "forall").features.size == 0
-    assert intersection_noise(index, "exists").features.size == 0
+    assert _noise(index, "intersection", "forall").size == 0
+    assert _noise(index, "intersection", "exists").size == 0
 
 
 def test_intersection_noise_forall_nonempty_when_all_pairs_share():
     task = build_task({"e1": "a b", "e2": "a c"}, {"d1": "a d"})
     index = build_index(task)
-    profile = intersection_noise(index, "forall")
-    assert _profile_tokens(index, profile) == {"a": pytest.approx(1.0)}
+    assert _noise_tokens(index, "intersection", "forall") == {"a": 1.0}
 
 
 @settings(max_examples=300, deadline=None)
@@ -396,13 +405,7 @@ def test_intersection_noise_forall_matches_pair_loop(documents, entities):
         {f"d{i}": " ".join(tokens) for i, tokens in enumerate(documents)},
     )
     index = build_index(task)
-    assert intersection_noise(index, "forall").features.tolist() == sorted(oracles.forall_pairs_ref(index))
-
-
-def test_intersection_noise_rejects_unknown_semantics():
-    task = build_task({"e1": "a"}, {"d1": "b"})
-    with pytest.raises(ConfigError):
-        intersection_noise(build_index(task), "sometimes")
+    assert _noise(index, "intersection", "forall").tolist() == sorted(oracles.forall_pairs_ref(index))
 
 
 def test_noise_feature_sets_match_pair_enumeration_oracle():
@@ -410,12 +413,9 @@ def test_noise_feature_sets_match_pair_enumeration_oracle():
     for _ in range(40):
         task = random_micro_task(rng)
         index = build_index(task)
-        got_union = {index.tokens[f] for f in union_noise(index).features}
-        assert got_union == oracles.union_features(task)
-        got_exists = {index.tokens[f] for f in intersection_noise(index, "exists").features}
-        assert got_exists == oracles.exists_intersection_features(task)
-        got_forall = {index.tokens[f] for f in intersection_noise(index, "forall").features}
-        assert got_forall == oracles.forall_intersection_features(task)
+        assert set(_noise_tokens(index)) == oracles.union_features(task)
+        assert set(_noise_tokens(index, "intersection", "exists")) == oracles.exists_intersection_features(task)
+        assert set(_noise_tokens(index, "intersection", "forall")) == oracles.forall_intersection_features(task)
 
 
 def test_noise_vectors_are_uniform_and_sum_to_one():
@@ -423,34 +423,20 @@ def test_noise_vectors_are_uniform_and_sum_to_one():
     for _ in range(20):
         task = random_micro_task(rng)
         index = build_index(task)
-        for profile in (union_noise(index), intersection_noise(index, "exists")):
-            if not profile.features.size:
-                continue
-            assert profile.weight * profile.features.size == pytest.approx(1.0, abs=1e-12)
-            assert profile.features.tolist() == sorted(set(profile.features.tolist()))
-
-
-@settings(max_examples=200, deadline=None)
-@given(ids=st.lists(st.integers(0, 50), max_size=40))
-@example(ids=[])
-@example(ids=[7, 3, 7, 0, 3, 3])
-def test_uniform_profile_keeps_each_feature_once_in_ascending_order(ids):
-    id_array = np.array(ids, dtype=np.int64)
-    profile = NoiseProfile("union", id_array)
-    expected = sorted(set(ids))
-    assert profile.features.tolist() == expected
-    assert profile.features.dtype == np.int64
-    assert not profile.features.flags.writeable
-    assert id_array.flags.writeable  # the caller's array is left as it was
-    assert profile.weight == (1.0 / len(expected) if expected else 0.0)
-    assert profile.kind == "union"
-    assert NoiseProfile("union", ids).features.tolist() == expected
+        for noise in ("union", "intersection"):
+            row = build_noise_profile(index, FeatureConfig(noise=noise))
+            if row.any():
+                assert row.sum() == pytest.approx(1.0, abs=1e-12)
+                assert set(row[row != 0].tolist()) == {1.0 / np.count_nonzero(row)}
 
 
 def test_build_noise_profile_dispatch():
     task = build_task({"e1": "a b", "e2": "b c"}, {"d1": "b"})
     index = build_index(task)
-    assert build_noise_profile(index, FeatureConfig(noise="none")) is None
-    assert build_noise_profile(index, FeatureConfig(noise="union")).kind == "union"
-    profile = build_noise_profile(index, FeatureConfig(noise="intersection"))
-    assert profile.kind == "intersection"
+    off = build_noise_profile(index, FeatureConfig(noise="none"))
+    assert isinstance(off, np.ndarray)
+    assert off.shape == (0, index.feature_count)
+    assert not off.flags.writeable
+    assert _noise_tokens(index, "union") == {"a": 1 / 3, "b": 1 / 3, "c": 1 / 3}
+    assert _noise_tokens(index, "intersection", "exists") == {"b": 1.0}
+    assert _noise_tokens(index, "intersection", "forall") == {"b": 1.0}

@@ -671,6 +671,15 @@ def test_assignment_tsv_shape():
     assert float(score) == pytest.approx(1.0)
 
 
+def test_an_assignment_equals_only_an_assignment():
+    task = build_task({"e1": "alpha"}, {"d1": "alpha", "d2": "beta"})
+    assignment = map_documents(task, ModelConfig(model="cosine"))
+    assert assignment == map_documents(task, ModelConfig(model="cosine"))
+    assert assignment.__eq__(assignment.mapping) is NotImplemented
+    assert assignment != dict(assignment.mapping)
+    assert assignment != None  # noqa: E711
+
+
 def test_assignment_views_cannot_be_written_through():
     task = build_task({"e1": "alpha"}, {"d1": "alpha", "d2": "beta"})
     assignment = map_documents(task, ModelConfig(model="cosine", features=FeatureConfig(noise="union")))
@@ -776,9 +785,7 @@ def test_noise_rows_are_cached_per_semantics():
             config = FeatureConfig(noise=noise, intersection_semantics=semantics)
             row = resources.noise_rows(config)
             assert row is resources.noise_rows(config)
-            profile = build_noise_profile(resources.index, config)
-            assert np.flatnonzero(row[0]).tolist() == profile.features.tolist()
-            assert (row[0, profile.features] == profile.weight).all()
+            assert np.array_equal(row, build_noise_profile(resources.index, config))
     exists, forall = (FeatureConfig(noise="intersection", intersection_semantics=s) for s in ("exists", "forall"))
     assert resources.noise_rows(exists) is not resources.noise_rows(forall)
     assert resources.noise_rows(FeatureConfig(noise="none")).shape == (0, resources.index.feature_count)
@@ -794,10 +801,10 @@ def test_noise_rows_and_gram_are_cached_read_only():
     union = FeatureConfig(noise="union")
     row = resources.noise_rows(union)
     assert row is resources.noise_rows(union)
-    profile = build_noise_profile(resources.index, union)
     assert row.shape == (1, resources.index.feature_count)
-    assert np.flatnonzero(row[0]).tolist() == profile.features.tolist()
-    assert (row[0, profile.features] == profile.weight).all()
+    assert np.array_equal(row, build_noise_profile(resources.index, union))
+    assert np.flatnonzero(row[0]).tolist() == sorted(resources.index.feature_id(t) for t in "abc")
+    assert (row[0, np.flatnonzero(row[0])] == 1.0 / 3).all()
     assert resources.noise_rows(FeatureConfig(noise="none")).shape == (0, resources.index.feature_count)
     gram = resources.kept_gram
     assert gram is resources.kept_gram
