@@ -198,13 +198,13 @@ def hac_complete(gram: Gram, k: int) -> Clustering:
     # Retired slots and the diagonal are infinite.
     link = 1.0 - gram.matrix
     np.fill_diagonal(link, np.inf)
-    nearest = link.min(axis=1)
     # Rank of each slot's smallest member id: comparing ranks compares ids.
     mins = np.empty(n, dtype=np.int64)
     mins[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
     members: list[list[str] | None] = [[doc_id] for doc_id in ids]
 
     for _ in range(n - k):
+        nearest = link.min(axis=1)
         candidates = np.flatnonzero(nearest == nearest.min())
         hits, cols = np.nonzero(link[candidates] == nearest[candidates, None])
         rows = candidates[hits]
@@ -214,13 +214,8 @@ def hac_complete(gram: Gram, k: int) -> Clustering:
         members[i] = members[i] + members[j]
         members[j] = None
         mins[i] = min(mins[i], mins[j])
-        # Links only grow on a merge, so only rows whose nearest link was
-        # to slot i or j need a new minimum.
-        stale = (link[:, i] == nearest) | (link[:, j] == nearest)
-        stale[[i, j]] = True
         link[i] = link[:, i] = np.maximum(link[i], link[j])
         link[j] = link[:, j] = np.inf
-        nearest[stale] = link[stale].min(axis=1)
 
     clusters = [cluster for cluster in members if cluster is not None]
     return Clustering(clusters=clusters, method="hac_complete", k=k)
@@ -240,8 +235,8 @@ def _sq_distances(gram: np.ndarray, members: np.ndarray) -> np.ndarray:
     return np.diagonal(gram)[:, None] - 2.0 * cross / sizes + spread / (sizes * sizes)
 
 
-def _reseed_empty(labels: np.ndarray, gram: np.ndarray, members: np.ndarray, distances: np.ndarray) -> None:
-    """Give each empty cluster the point farthest from its centroid.
+def _reseed_empty(labels: np.ndarray, gram: np.ndarray, k: int, distances: np.ndarray) -> None:
+    """Give each of the ``k`` clusters that is empty the point farthest from its centroid.
 
     The relocated point becomes the empty cluster's centroid, so its
     objective contribution drops to zero and the k-means objective stays
@@ -250,7 +245,7 @@ def _reseed_empty(labels: np.ndarray, gram: np.ndarray, members: np.ndarray, dis
     two points whenever another is empty.  ``distances`` holds the n x k
     squared distances to the current centroids and is kept up to date.
     """
-    counts = np.bincount(labels, minlength=members.shape[0])
+    counts = np.bincount(labels, minlength=k)
     everyone = np.arange(len(labels))
     for cluster in np.flatnonzero(counts == 0):
         own = np.where(counts[labels] > 1, distances[everyone, labels], -np.inf)
@@ -258,8 +253,6 @@ def _reseed_empty(labels: np.ndarray, gram: np.ndarray, members: np.ndarray, dis
         counts[labels[farthest]] -= 1
         counts[cluster] = 1
         labels[farthest] = cluster
-        members[cluster] = 0.0
-        members[cluster, farthest] = 1.0
         distances[:, cluster] = np.diagonal(gram) - 2.0 * gram[:, farthest] + gram[farthest, farthest]
 
 
@@ -279,21 +272,16 @@ def _lloyd(gram: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, int]:
     rng = np.random.default_rng(seed)
     members = np.zeros((k, n))
     members[np.arange(k), rng.choice(n, size=k, replace=False)] = 1.0
-    distances = _sq_distances(gram, members)
-
-    labels = np.full(n, -1)
     seen: set[bytes] = set()
-    n_iterations = 0
-    for _ in range(_MAX_ITERATIONS):
-        n_iterations += 1
+    for n_iterations in range(1, _MAX_ITERATIONS + 1):
+        distances = _sq_distances(gram, members)
         labels = np.argmin(distances, axis=1)
-        _reseed_empty(labels, gram, members, distances)
+        _reseed_empty(labels, gram, k, distances)
         key = labels.tobytes()
         if key in seen:
             break
         seen.add(key)
         members = (labels == np.arange(k)[:, None]).astype(float)
-        distances = _sq_distances(gram, members)
     return labels, n_iterations
 
 
@@ -313,8 +301,8 @@ def kmeans(gram: Gram, k: int, seed: int) -> Clustering:
     """
     k = _check_k(k, len(gram.ids))
     labels, n_iterations = _lloyd(gram.matrix, k, seed)
+    # `_reseed_empty` leaves no cluster empty.
     clusters = [[doc_id for doc_id, label in zip(gram.ids, labels) if label == cluster] for cluster in range(k)]
-    clusters = [c for c in clusters if c]
     return Clustering(clusters=clusters, method="kmeans", k=k, seed=seed, n_iterations=n_iterations)
 
 

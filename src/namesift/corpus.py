@@ -400,8 +400,10 @@ def _task_directory(path: Path):
     """The task directory ``path`` open as a descriptor, which every file of the task is read through."""
     try:
         dir_fd = os.open(path, os.O_RDONLY | os.O_DIRECTORY)
-    except (OSError, ValueError):
+    except (FileNotFoundError, NotADirectoryError, ValueError):
         raise CorpusFormatError(f"{path}: no task.json manifest") from None
+    except OSError as exc:  # no permission
+        raise CorpusFormatError(f"{path}: cannot open the task directory ({exc.strerror})") from None
     try:
         yield dir_fd
     finally:
@@ -411,10 +413,10 @@ def _task_directory(path: Path):
 def _read_manifest(path: Path, dir_fd: int) -> dict:
     manifest_path = path / "task.json"
     try:
-        regular = stat.S_ISREG(os.stat("task.json", dir_fd=dir_fd).st_mode)
-    except OSError:
-        regular = False
-    if not regular:
+        absent = not stat.S_ISREG(os.stat("task.json", dir_fd=dir_fd).st_mode)
+    except OSError as exc:  # no permission: the read below says so
+        absent = exc.errno in (errno.ENOENT, errno.ENOTDIR)
+    if absent:
         raise CorpusFormatError(f"{path}: no task.json manifest")
     manifest = _parse_json(_read_text(manifest_path, "task.json", dir_fd), str(manifest_path))
     if not isinstance(manifest, dict):
@@ -542,8 +544,19 @@ def write_task(task: Task, path: str | Path) -> Path:
 
 
 def discover_tasks(root: str | Path) -> list[Path]:
-    """Return task directories under ``root``, sorted by directory name."""
+    """Task directories under ``root`` by directory name, and any whose task.json cannot be checked, so loading says why."""
     root = Path(root)
-    if not root.is_dir():
-        raise CorpusFormatError(f"corpus root {root} is not a directory")
-    return sorted(p for p in root.iterdir() if p.is_dir() and (p / "task.json").is_file())
+    try:
+        return sorted(p for p in root.iterdir() if _may_hold_task(p))
+    except (FileNotFoundError, NotADirectoryError):
+        raise CorpusFormatError(f"corpus root {root} is not a directory") from None
+    except OSError as exc:  # a name too long; no permission
+        raise CorpusFormatError(f"corpus root {root} cannot be read ({exc.strerror})") from None
+
+
+def _may_hold_task(path: Path) -> bool:
+    """Whether ``path`` is a directory holding a task.json file, or cannot be checked."""
+    try:
+        return stat.S_ISDIR(os.stat(path).st_mode) and stat.S_ISREG(os.stat(path / "task.json").st_mode)
+    except OSError as exc:  # a missing file or directory, a symlink loop, or no permission
+        return exc.errno not in (errno.ENOENT, errno.ENOTDIR, errno.ELOOP)

@@ -144,20 +144,26 @@ def load_tasks(spec: RunSpec) -> tuple[list[Task], list[tuple[str, str]]]:
     tasks sorted by task name and a list of (directory, reason) pairs for
     tasks that failed to load.
     """
-    tasks: list[Task] = []
+    loaded: dict[str, Task] = {}
     skipped: list[tuple[str, str]] = []
     for path in discover_tasks(spec.corpus_root):
         try:
             if spec.tasks is None or read_manifest(path)["name"] in spec.tasks:
-                tasks.append(load_task(path, strip_markup=spec.strip_markup, stopwords=spec.stopwords))
+                loaded[str(path)] = load_task(path, strip_markup=spec.strip_markup, stopwords=spec.stopwords)
         except (CorpusFormatError, CorpusIntegrityError) as exc:
             skipped.append((str(path), str(exc)))
-    names = [t.name for t in tasks]
-    if len(set(names)) != len(names):
-        duplicates = sorted({n for n in names if names.count(n) > 1})
-        raise CorpusIntegrityError(f"duplicate task names across directories: {duplicates!r}")
-    tasks.sort(key=lambda t: t.name)
-    return tasks, skipped
+    shared = _shared_names((directory, task.name) for directory, task in loaded.items())
+    if shared:
+        raise CorpusIntegrityError(f"duplicate task names across directories: {sorted(shared)!r}")
+    return sorted(loaded.values(), key=lambda t: t.name), skipped
+
+
+def _shared_names(named: Iterable[tuple[str, str]]) -> dict[str, list[str]]:
+    """Each task name that more than one of the (directory, name) pairs holds, with its directories."""
+    directories: dict[str, list[str]] = {}
+    for directory, name in named:
+        directories.setdefault(name, []).append(directory)
+    return {name: held for name, held in directories.items() if len(held) > 1}
 
 
 def task_clusterings(
@@ -182,16 +188,13 @@ def task_clusterings(
         raise ValueError(f"unknown baseline {method!r}")
     if resources is not None:
         resources.check(task, feature_config)
-    kept = clustering_eval_filter(task)
-    if not kept or not task.entities:
+    if not task.entities or not clustering_eval_filter(task):
         return None
     if resources is None:
         resources = TaskResources.from_task(task, feature_config)
-    kept_gram = resources.kept_gram
-    k = min(len(task.entities), len(kept))
     if method == "hac_complete":
-        return [hac_complete(kept_gram, k)]
-    return run_repetitions(kept_gram, k, reps)
+        return [hac_complete(resources.kept_gram, len(task.entities))]
+    return run_repetitions(resources.kept_gram, len(task.entities), reps)
 
 
 def run_grid(spec: RunSpec) -> GridResult:
@@ -248,7 +251,7 @@ def validate_corpus(
     strip_markup: bool = False,
     stopwords: frozenset[str] | None = None,
 ) -> list[TaskValidation]:
-    """Check every task directory under ``root``; never raises per task."""
+    """Check every task directory under ``root``, failing each whose task name another holds; never raises per task."""
     results: list[TaskValidation] = []
     for path in discover_tasks(root):
         try:
@@ -257,6 +260,12 @@ def validate_corpus(
             results.append(TaskValidation(directory=str(path), name=None, ok=False, problems=[str(exc)]))
         else:
             results.append(TaskValidation(directory=str(path), name=task.name, ok=True))
+    shared = _shared_names((r.directory, r.name) for r in results if r.ok)
+    for r in results:
+        if r.name in shared:
+            others = ", ".join(d for d in shared[r.name] if d != r.directory)
+            r.ok = False
+            r.problems.append(f"duplicate task name {r.name!r}, also in {others}")
     return results
 
 

@@ -120,7 +120,7 @@ def unit_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix * _inverse(np.sqrt((matrix * matrix).sum(axis=1)))[:, None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DocumentRows:
     """Sparse document rows of one task, CSR style.
 
@@ -237,7 +237,7 @@ def jelinek_mercer_log_probs(ml: np.ndarray, background: np.ndarray, jm_lambda: 
     return floored_log(mixed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassFit:
     """The product ``rows.dot(W, values)`` of one model setting's class rows ``W``.
 
@@ -409,7 +409,7 @@ class TaskResources:
         return shared
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoringContext:
     """One (task, configuration) pair as a fitted linear layer.
 

@@ -107,6 +107,39 @@ def write_broken_task(root: Path, name: str = "broken") -> Path:
     return d
 
 
+def deny_access(monkeypatch, directory: Path, *, readable: bool = False) -> None:
+    """Act as if ``directory`` had mode 000 (or 400 when ``readable``) for a user other than root.
+
+    Nothing inside it can be stat'ed, and unless ``readable`` it cannot be
+    opened; root bypasses both checks, so the test patches them in.
+    """
+    import errno
+    import os
+
+    real_stat, real_open = os.stat, os.open
+
+    def refused(path) -> PermissionError:
+        return PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(path))
+
+    def inside(path, dir_fd) -> bool:
+        if dir_fd is not None:
+            return os.path.samestat(real_stat(dir_fd), real_stat(directory))
+        return isinstance(path, (str, os.PathLike)) and Path(path).parent == directory
+
+    def stat(path, *args, dir_fd=None, **kwargs):
+        if inside(path, dir_fd):
+            raise refused(path)
+        return real_stat(path, *args, dir_fd=dir_fd, **kwargs)
+
+    def open_(path, flags, *args, dir_fd=None, **kwargs):
+        if inside(path, dir_fd) or (not readable and dir_fd is None and Path(path) == directory):
+            raise refused(path)
+        return real_open(path, flags, *args, dir_fd=dir_fd, **kwargs)
+
+    monkeypatch.setattr(os, "stat", stat)
+    monkeypatch.setattr(os, "open", open_)
+
+
 @pytest.fixture
 def make_task():
     return build_task

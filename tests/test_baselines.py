@@ -353,6 +353,26 @@ def _assert_matches_kmeans_ref(vectors: dict[str, dict[int, float]], k: int) -> 
         assert clustering.n_iterations == n_iterations
 
 
+def test_kmeans_stopped_after_each_iteration_matches_the_oracle_stopped_there():
+    # A cap of t iterations, for every t up to the full run's count, on
+    # inputs with and without duplicate points.
+    rng = np.random.default_rng(137)
+    for duplicates in (False, True):
+        for _ in range(12):
+            distinct = int(rng.integers(3, 12))
+            vectors = _positive_vectors(rng, distinct)
+            if duplicates:
+                vectors.update({f"{d}b": dict(v) for d, v in vectors.items() if rng.uniform() < 0.5})
+            shared = _gram(vectors)
+            k = int(rng.integers(1, distinct + 1))
+            for seed in (1, 2):
+                for t in range(1, kmeans(shared, k, seed).n_iterations + 1):
+                    with mock.patch.object(baselines, "_MAX_ITERATIONS", t):
+                        clustering = kmeans(shared, k, seed)
+                    partition, n_iterations = oracles.kmeans_ref(vectors, k, seed, max_iterations=t)
+                    assert (_sets(clustering), clustering.n_iterations) == (partition, n_iterations)
+
+
 def test_kmeans_matches_direct_subtraction_oracle_on_random_inputs():
     rng = np.random.default_rng(109)
     for _ in range(40):

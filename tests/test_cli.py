@@ -31,7 +31,7 @@ from namesift.features import IDF_NUMERATORS, INTERSECTION_SEMANTICS, LOG_BASES,
 from namesift.models import LAPLACE_DENOMINATORS, MODELS
 from namesift.synthetic import write_benchmark
 
-from conftest import build_task, mini_tasks, write_broken_task
+from conftest import build_task, deny_access, mini_tasks, write_broken_task
 
 
 # ---------------------------------------------------------------------------
@@ -1128,6 +1128,43 @@ def test_a_corpus_root_that_is_a_file_is_a_corpus_error(clean_env, tmp_path, cap
     root.write_text("x", encoding="utf-8")
     assert main([command, str(root)]) == 2
     assert capsys.readouterr().err == f"corpus error: corpus root {root} is not a directory\n"
+
+
+@pytest.mark.parametrize("command", ["grid", "cluster", "classify", "validate"])
+def test_a_corpus_root_that_cannot_be_read_is_a_corpus_error(clean_env, capsys, command):
+    root = "a" * 300  # longer than any file name may be
+    assert main([command, root, *(["--model", "cosine"] if command == "classify" else [])]) == 2
+    assert capsys.readouterr().err == f"corpus error: corpus root {root} cannot be read (File name too long)\n"
+
+
+def test_a_task_directory_that_cannot_be_opened_is_skipped_by_runs_and_fails_validate(
+    mini_corpus, clean_env, monkeypatch, capsys
+):
+    locked = mini_corpus / "locked"
+    locked.mkdir()
+    deny_access(monkeypatch, locked)
+    problem = f"{locked}: cannot open the task directory (Permission denied)"
+    assert main(["grid", str(mini_corpus), "--models", "score", "--noise-modes", "none"]) == 3
+    assert capsys.readouterr().err == f"warning: skipped {locked}: {problem}\n"
+    assert main(["validate", str(mini_corpus)]) == 2
+    assert f"{locked}\t\tfail\t{problem}" in capsys.readouterr().out.splitlines()
+
+
+def test_validate_fails_each_directory_whose_task_shares_a_name(clean_env, tmp_path, capsys):
+    root = tmp_path / "corpus"
+    write_benchmark(root, n_tasks=3)
+    name = json.loads((root / "task00" / "task.json").read_text(encoding="utf-8"))["name"]
+    manifest_path = root / "task01" / "task.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest["name"] = name
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["validate", str(root)]) == 2
+    first, second, third = capsys.readouterr().out.splitlines()[1:]
+    assert first == f"{root / 'task00'}\t{name}\tfail\tduplicate task name {name!r}, also in {root / 'task01'}"
+    assert second == f"{root / 'task01'}\t{name}\tfail\tduplicate task name {name!r}, also in {root / 'task00'}"
+    assert third.endswith("\tok\t")
+    assert main(["grid", str(root), "--models", "score", "--noise-modes", "none"]) == 2
+    assert capsys.readouterr().err == f"corpus error: duplicate task names across directories: [{name!r}]\n"
 
 
 def test_two_task_directories_with_one_name_are_a_corpus_error(clean_env, tmp_path, capsys):

@@ -35,7 +35,7 @@ from namesift.cli import main as cli_main
 from namesift.experiments import RunSpec, load_tasks, validate_corpus
 
 import oracles
-from conftest import build_task, write_mini_corpus
+from conftest import build_task, deny_access, write_mini_corpus
 
 
 # ---------------------------------------------------------------------------
@@ -903,3 +903,21 @@ def test_discover_tasks_sorted_and_filtered(tmp_path):
     (root / "stray.txt").write_text("x", encoding="utf-8")
     found = discover_tasks(root)
     assert [p.name for p in found] == ["baker", "mason"]
+
+
+@pytest.mark.parametrize("readable", [False, True])
+def test_discover_tasks_reports_a_subdirectory_it_cannot_check(tmp_path, monkeypatch, readable):
+    root = write_mini_corpus(tmp_path / "corpus")
+    locked = root / "locked"
+    locked.mkdir()
+    deny_access(monkeypatch, locked, readable=readable)
+    assert [p.name for p in discover_tasks(root)] == ["baker", "locked", "mason"]
+    with pytest.raises(CorpusFormatError) as raised:
+        load_task(locked)
+    assert str(locked) in str(raised.value) and "Permission denied" in str(raised.value)
+
+
+def test_a_corpus_root_that_cannot_be_read_is_a_format_error():
+    root = "a" * 300  # longer than any file name may be
+    with pytest.raises(CorpusFormatError, match=r"^corpus root a+ cannot be read \(File name too long\)$"):
+        discover_tasks(root)

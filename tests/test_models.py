@@ -680,6 +680,17 @@ def test_an_assignment_equals_only_an_assignment():
     assert assignment != None  # noqa: E711
 
 
+def test_array_holding_values_compare_and_hash_by_identity():
+    task = build_task({"e1": "alpha", "e2": "beta"}, {"d1": "alpha", "d2": "beta"})
+    config = ModelConfig(model="nb_multinomial_jm", features=FeatureConfig(noise="union"))
+    pairs = []
+    for resources in (TaskResources.from_task(task, config.features), TaskResources.from_task(task, config.features)):
+        pairs.append((resources.rows, resources.fits(config)[0], build_context(task, config, resources)))
+    for first, second in zip(*pairs):
+        assert first == first and first != second
+        assert len({first, second, first}) == 2
+
+
 def test_assignment_views_cannot_be_written_through():
     task = build_task({"e1": "alpha"}, {"d1": "alpha", "d2": "beta"})
     assignment = map_documents(task, ModelConfig(model="cosine", features=FeatureConfig(noise="union")))
