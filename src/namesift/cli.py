@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -334,8 +335,8 @@ def cmd_grid(args, settings) -> int:
 
 
 def _metrics(row) -> TaskMetrics:
-    if not isinstance(row, dict) or not all(v is None or type(v) in (int, float) for v in row.values()):
-        raise TypeError("metrics must map metric names to numbers or null")
+    if not isinstance(row, dict) or not all(v is None or type(v) in (int, float) and math.isfinite(v) for v in row.values()):
+        raise TypeError("metrics must map metric names to finite numbers or null")
     return TaskMetrics(**{name: None if v is None else float(v) for name, v in row.items()})
 
 

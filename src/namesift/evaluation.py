@@ -1,19 +1,21 @@
 """Clustering and classification quality metrics, per-task and aggregated.
 
-Every metric reads one contingency table of (predicted, gold) pairs, so
-`evaluate_assignment` builds two tables per classification run (F1; purity
-and NMI) and `evaluate_clusterings` one per baseline clustering.  Gold
-labels are a plain ``doc_id -> label`` mapping such as `Task.gold`.
-Metric functions accept either the library's dataclasses (Clustering,
-Assignment) or plain lists and mappings, so they are easy to call from
-scripts and tests.
+Every metric reads one integer count table of predicted groups by gold labels, built by one
+`np.bincount`: one per classification run (purity and NMI drop its NOISE column) and one per baseline
+clustering.  Every float sum (entropies, mutual information, macro-F1, means over runs and tasks) is an
+exactly rounded `math.fsum`, so no order of documents, groups, labels, runs or tasks moves a bit.  Gold
+labels are a plain ``doc_id -> label`` mapping such as `Task.gold`.  Metric functions accept either the
+library's dataclasses (Clustering, Assignment) or plain lists and mappings, so they are easy to call
+from scripts and tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from .baselines import Clustering
 from .corpus import NOISE_LABEL, CorpusIntegrityError, Task, clustering_eval_filter, tsv_cell
@@ -32,96 +34,91 @@ __all__ = [
 ]
 
 
-def _contingency(pairs: Iterable[tuple[object, str]]) -> dict[object, dict[str, int]]:
-    """Gold-label counts per predicted group: groups, and labels within one, in first-seen order."""
-    table: dict[object, dict[str, int]] = {}
-    for predicted, label in pairs:
-        row = table.setdefault(predicted, {})
-        row[label] = row.get(label, 0) + 1
-    return table
+def _table(cells: list[int], n_rows: int, n_cols: int) -> list[list[int]]:
+    """The ``n_rows`` x ``n_cols`` counts of the cell codes ``column * n_rows + row``, from one bincount."""
+    counts = np.bincount(np.asarray(cells, dtype=np.intp), minlength=n_rows * n_cols)
+    return counts.reshape(n_cols, n_rows).T.tolist()
 
 
-def _cluster_pairs(clusters, gold: Mapping[str, str]) -> Iterable[tuple[int, str]]:
-    """(cluster index, gold label) per member; raises on unlabeled documents."""
-    for i, cluster in enumerate(clusters.clusters if isinstance(clusters, Clustering) else clusters):
-        for doc_id in cluster:
-            if doc_id not in gold:
-                raise CorpusIntegrityError(f"document {doc_id!r} has no gold label")
-            yield i, gold[doc_id]
+def _cluster_tables(runs, gold: Mapping[str, str]) -> list[list[list[int]]]:
+    """One table per clustering, gold labels coded once: row i counts the gold labels of cluster i's members."""
+    labels: dict[str, int] = {}
+    codes = {doc_id: labels.setdefault(label, len(labels)) for doc_id, label in gold.items()}
+    tables = []
+    for run in runs:
+        clusters = run.clusters if isinstance(run, Clustering) else run
+        n = len(clusters)
+        try:
+            cells = [codes[doc_id] * n + i for i, cluster in enumerate(clusters) for doc_id in cluster]
+        except KeyError as exc:
+            raise CorpusIntegrityError(f"document {exc.args[0]!r} has no gold label") from None
+        if not cells:
+            raise ValueError("cannot score an empty clustering")
+        tables.append(_table(cells, n, len(labels)))
+    return tables
 
 
-def _assigned_pairs(assignment, gold: Mapping[str, str]) -> list[tuple[str, str]]:
-    """(assigned class, gold label) per document, in assignment order; coverage must be exact."""
+def _assignment_table(assignment, gold: Mapping[str, str]) -> tuple[list[list[int]], dict[str, int]]:
+    """Square table of assigned (rows) by gold (columns) class, ``class_ids`` then other gold labels; and their index."""
     if isinstance(assignment, Assignment):
-        doc_ids, assigned = assignment.doc_ids, [assignment.class_ids[i] for i in assignment.labels.tolist()]
+        doc_ids, class_ids, rows = assignment.doc_ids, assignment.class_ids, assignment.labels.tolist()
     else:
-        doc_ids, assigned = list(assignment), list(assignment.values())
+        doc_ids, class_ids = list(assignment), list(dict.fromkeys(assignment.values()))
+        rows = list(map(class_ids.index, assignment.values()))
     covered = set(doc_ids)
-    if gold.keys() - covered:
-        raise CorpusIntegrityError(f"assignment does not cover documents {sorted(gold.keys() - covered)!r}")
-    if covered - gold.keys():
-        raise CorpusIntegrityError(f"assignment covers unlabeled documents {sorted(covered - gold.keys())!r}")
-    return [(predicted, gold[doc_id]) for doc_id, predicted in zip(doc_ids, assigned)]
+    for problem, ids in (("does not cover", gold.keys() - covered), ("covers unlabeled", covered - gold.keys())):
+        if ids:
+            raise CorpusIntegrityError(f"assignment {problem} documents {sorted(ids)!r}")
+    if not doc_ids:
+        raise ValueError("cannot score an empty assignment")
+    index = {c: i for i, c in enumerate(dict.fromkeys([*class_ids, *gold.values()]))}
+    n = len(index)
+    cells = [index[gold[doc_id]] * n + row for doc_id, row in zip(doc_ids, rows)]
+    return _table(cells, n, n), index
 
 
-def _purity(table: Mapping[object, dict[str, int]]) -> float:
-    if not table:
-        raise ValueError("cannot score an empty clustering")
-    return sum(max(row.values()) for row in table.values()) / sum(sum(row.values()) for row in table.values())
+def _mean(values: list[float]) -> float:
+    """Exactly rounded sum over count: no order of ``values`` moves a bit."""
+    return math.fsum(values) / len(values)
 
 
-def _nmi(table: Mapping[object, dict[str, int]]) -> float:
-    if not table:
-        raise ValueError("cannot score an empty clustering")
-    cluster_sizes = [sum(row.values()) for row in table.values()]
+def _entropy(sizes: list[int], total: int) -> float:
+    return -math.fsum([(n / total) * math.log(n / total) for n in sizes if n])
+
+
+def _purity(table: list[list[int]]) -> float:
+    return sum(map(max, table)) / sum(map(sum, table))
+
+
+def _nmi(table: list[list[int]]) -> float:
+    cluster_sizes, class_sizes = list(map(sum, table)), list(map(sum, zip(*table)))
     total = sum(cluster_sizes)
-    class_sizes: dict[str, int] = {}
-    for row in table.values():
-        for label, n in row.items():
-            class_sizes[label] = class_sizes.get(label, 0) + n
-
-    h_clusters = -sum((n / total) * math.log(n / total) for n in cluster_sizes)
-    h_classes = -sum((n / total) * math.log(n / total) for n in class_sizes.values())
+    h_clusters, h_classes = _entropy(cluster_sizes, total), _entropy(class_sizes, total)
     if h_clusters + h_classes == 0.0:
         return 1.0
-
-    mutual = 0.0
-    for row, size in zip(table.values(), cluster_sizes):
-        for label, n in row.items():
-            mutual += (n / total) * math.log(total * n / (size * class_sizes[label]))
-    if mutual <= 0.0:
-        return 0.0
+    mutual = math.fsum(
+        (n / total) * math.log(total * n / (size * m))
+        for row, size in zip(table, cluster_sizes) for n, m in zip(row, class_sizes) if n
+    )
     # Clamp float noise so the documented [0,1] range is exact.
-    return min(1.0, mutual / ((h_clusters + h_classes) / 2.0))
+    return min(1.0, max(0.0, mutual) / ((h_clusters + h_classes) / 2.0))
 
 
-def _micro_macro_f1(table: Mapping[object, dict[str, int]]) -> tuple[float, float]:
-    classes = sorted({label for row in table.values() for label in row})
-    if not classes:
-        raise ValueError("cannot score an empty assignment")
-    tp: dict[str, int] = {c: 0 for c in classes}
-    fp: dict[str, int] = {c: 0 for c in classes}
-    fn: dict[str, int] = {c: 0 for c in classes}
-    for predicted, row in table.items():
-        for label, n in row.items():
-            if predicted == label:
-                tp[label] += n
-            else:
-                fn[label] += n
-                if predicted in fp:
-                    fp[predicted] += n
+def _micro_macro_f1(table: list[list[int]]) -> tuple[float, float]:
+    """F1 over the classes some document's gold label names, from a square table."""
+    predicted, gold = list(map(sum, table)), list(map(sum, zip(*table)))
+    # (TP, FP, FN) per class
+    counts = [(table[c][c], predicted[c] - table[c][c], n - table[c][c]) for c, n in enumerate(gold) if n]
 
     def f1(t: int, p: int, n: int) -> float:
         return 2.0 * t / (2.0 * t + p + n) if t else 0.0
 
-    macro = sum(f1(tp[c], fp[c], fn[c]) for c in classes) / len(classes)
-    micro = f1(sum(tp.values()), sum(fp.values()), sum(fn.values()))
-    return micro, macro
+    return f1(*map(sum, zip(*counts))), _mean([f1(*c) for c in counts])
 
 
 def purity(clusters, gold) -> float:
     """Fraction of documents that belong to their cluster's majority class."""
-    return _purity(_contingency(_cluster_pairs(clusters, gold)))
+    return _purity(*_cluster_tables([clusters], gold))
 
 
 def nmi(clusters, gold) -> float:
@@ -131,7 +128,7 @@ def nmi(clusters, gold) -> float:
     both partitions are trivial (one cluster, one class) the score is 1.0,
     and when the mutual information is 0 the score is 0.0.
     """
-    return _nmi(_contingency(_cluster_pairs(clusters, gold)))
+    return _nmi(*_cluster_tables([clusters], gold))
 
 
 def micro_macro_f1(assignment, gold) -> tuple[float, float]:
@@ -143,7 +140,7 @@ def micro_macro_f1(assignment, gold) -> tuple[float, float]:
     recall = 0 contributes F1 = 0.  Micro-F1 pools TP/FP/FN over the
     universe.
     """
-    return _micro_macro_f1(_contingency(_assigned_pairs(assignment, gold)))
+    return _micro_macro_f1(_assignment_table(assignment, gold)[0])
 
 
 @dataclass
@@ -172,39 +169,36 @@ def evaluate_assignment(task: Task, assignment: Assignment) -> TaskMetrics:
     the clustering metrics stay None; an empty task leaves every metric
     None.
     """
-    metrics = TaskMetrics()
     if not task.documents:
-        return metrics
-    pairs = _assigned_pairs(assignment, task.gold)
-    micro, macro = _micro_macro_f1(_contingency(pairs))
-    metrics.micro_f1, metrics.macro_f1 = micro, macro
-    metrics.f1_bar = (micro + macro) / 2.0
-    kept = _contingency(pair for pair in pairs if pair[1] != NOISE_LABEL)
-    if kept:
+        return TaskMetrics()
+    table, index = _assignment_table(assignment, task.gold)
+    micro, macro = _micro_macro_f1(table)
+    metrics = TaskMetrics(micro_f1=micro, macro_f1=macro, f1_bar=(micro + macro) / 2.0)
+    noise = index.get(NOISE_LABEL)
+    kept = table if noise is None else [row[:noise] + row[noise + 1 :] for row in table]
+    if any(map(any, kept)):
         metrics.purity, metrics.nmi = _purity(kept), _nmi(kept)
     return metrics
 
 
 def evaluate_clusterings(task: Task, runs: Sequence[Clustering]) -> TaskMetrics:
-    """Purity and NMI of a baseline on one task: means over ``runs``, in run order.
+    """Purity and NMI of a baseline on one task: `math.fsum` means over ``runs``, so no run order moves a bit.
 
-    Each run's one contingency table gives both metrics; the runs cluster
-    the documents `clustering_eval_filter` keeps.
+    Each run's one count table gives both; the runs cluster the documents `clustering_eval_filter` keeps.
     """
-    tables = [_contingency(_cluster_pairs(run, task.gold)) for run in runs]
-    return TaskMetrics(
-        purity=sum(_purity(table) for table in tables) / len(tables),
-        nmi=sum(_nmi(table) for table in tables) / len(tables),
-    )
+    if not runs:
+        raise ValueError("cannot score an empty list of clusterings")
+    tables = _cluster_tables(runs, task.gold)
+    return TaskMetrics(purity=_mean([_purity(t) for t in tables]), nmi=_mean([_nmi(t) for t in tables]))
 
 
 def aggregate_metrics(per_task: Mapping[str, TaskMetrics]) -> TaskMetrics:
-    """Unweighted means over tasks, skipping None values per column."""
+    """Unweighted `math.fsum` means over tasks, skipping None values per column; task order moves no bit."""
     out = TaskMetrics()
     for column in METRIC_COLUMNS:
         values = [getattr(m, column) for m in per_task.values() if getattr(m, column) is not None]
         if values:
-            setattr(out, column, sum(values) / len(values))
+            setattr(out, column, _mean(values))
     return out
 
 

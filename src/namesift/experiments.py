@@ -140,18 +140,22 @@ class GridResult:
 def load_tasks(spec: RunSpec) -> tuple[list[Task], list[tuple[str, str]]]:
     """Load, filter, and name-sort the corpus; broken tasks are skipped.
 
-    The filter reads a task's name before its bodies.  Returns the loadable
-    tasks sorted by task name and a list of (directory, reason) pairs for
-    tasks that failed to load.
+    The filter reads a task's name before its bodies.  Returns the loadable tasks sorted by task name and
+    (directory, reason) pairs for the tasks that failed to load and, under the corpus root, for each
+    requested name that no manifest holds.
     """
     loaded: dict[str, Task] = {}
     skipped: list[tuple[str, str]] = []
+    unknown = dict.fromkeys(spec.tasks or ())  # requested names no manifest has named yet
     for path in discover_tasks(spec.corpus_root):
         try:
-            if spec.tasks is None or read_manifest(path)["name"] in spec.tasks:
+            name = None if spec.tasks is None else read_manifest(path)["name"]
+            unknown.pop(name, None)
+            if name is None or name in spec.tasks:
                 loaded[str(path)] = load_task(path, strip_markup=spec.strip_markup, stopwords=spec.stopwords)
         except (CorpusFormatError, CorpusIntegrityError) as exc:
             skipped.append((str(path), str(exc)))
+    skipped += [(str(spec.corpus_root), f"no task directory holds the requested task {name!r}") for name in unknown]
     shared = _shared_names((directory, task.name) for directory, task in loaded.items())
     if shared:
         raise CorpusIntegrityError(f"duplicate task names across directories: {sorted(shared)!r}")

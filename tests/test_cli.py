@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -361,6 +362,28 @@ def test_task_filter_drops_other_tasks_before_reading_their_bodies(tmp_path, cle
     assert "warning: skipped" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["grid"], ["classify", "--model", "score"], ["cluster"]])
+def test_a_requested_task_that_no_directory_holds_is_named_and_exits_three(
+    mini_corpus, clean_env, tmp_path, capsys, command
+):
+    name, *options = command
+    known = [name, str(mini_corpus), *options, "--tasks", "mason", "--output", str(tmp_path / "known")]
+    assert main(known) == 0
+    assert capsys.readouterr().err == ""
+    asked = "mason,Nobody Here,No\tbody,mason,Nobody Here"
+    args = [name, str(mini_corpus), *options, "--tasks", asked, "--output", str(tmp_path / "asked")]
+    assert main(args) == 3
+    # Each unknown name once, escaped, in the order asked.
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: skipped {mini_corpus}: no task directory holds the requested task 'Nobody Here'",
+        f"warning: skipped {mini_corpus}: no task directory holds the requested task 'No\\tbody'",
+    ]
+    # The task that exists is run as before.
+    for path in sorted((tmp_path / "known").iterdir()):
+        if path.suffix == ".tsv":
+            assert path.read_bytes() == (tmp_path / "asked" / path.name).read_bytes()
+
+
 def test_classify_empty_root_exits_two(tmp_path, clean_env, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -498,9 +521,28 @@ def test_report_names_a_malformed_grid_file(tmp_path, clean_env, capsys, payload
     assert err.startswith("usage error: grid file") and str(path) in err
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("where", ["per_task", "aggregate"])
+def test_report_refuses_a_metric_that_is_not_finite(tmp_path, clean_env, capsys, value, where):
+    row = '{"f1_bar": %s}' % value
+    per_task, aggregate = (row, '{"f1_bar": 0.5}') if where == "per_task" else ('{"f1_bar": 0.5}', row)
+    path = tmp_path / "grid.json"
+    path.write_text(
+        '{"reports": [{"model": "cosine", "noise": "none", "per_task": {"t": %s}, "aggregate": %s}]}' % (per_task, aggregate),
+        encoding="utf-8",
+    )
+    assert main(["report", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: grid file {path}: report 0 is malformed")
+    assert "finite" in captured.err
+
+
+# One metric in ten is not finite.
+_METRIC = _mostly(st.none() | st.floats(0.0, 1.0), st.sampled_from([math.nan, math.inf, -math.inf]))
 _METRICS = st.dictionaries(
     st.sampled_from(["purity", "nmi", "micro_f1", "macro_f1", "f1_bar", "recall"]),
-    _mostly(st.none() | st.floats(0.0, 1.0)),
+    _mostly(_METRIC),
     max_size=2,
 )
 _REPORT_KEYS = {
@@ -537,6 +579,10 @@ def test_report_never_raises_on_generated_grid_files(grid, metric):
         assert str(path) in err.getvalue()
     else:
         assert out.getvalue().startswith("model\t")
+        # A file pivots only when every metric in it is a finite number or null.
+        reports = json.loads(grid.decode("utf-8").removeprefix("\ufeff"))["reports"]
+        rows = [row for report in reports for row in [*report["per_task"].values(), report["aggregate"]]]
+        assert all(v is None or math.isfinite(v) for row in rows for v in row.values())
     out.getvalue().encode("utf-8")
     err.getvalue().encode("utf-8")
 

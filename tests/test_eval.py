@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from namesift.baselines import assignment_to_clusters
+from namesift.baselines import Clustering, assignment_to_clusters
 from namesift.corpus import NOISE_LABEL, CorpusIntegrityError
 from namesift.evaluation import (
     METRIC_COLUMNS,
@@ -205,6 +206,68 @@ def test_all_metrics_stay_in_unit_interval():
 
 
 # ---------------------------------------------------------------------------
+# order: every float sum is exactly rounded, so no order moves a bit
+
+# Up to six classes; the last is NOISE.
+_CLASSES = ("e0", "e1", "e2", "e3", "e4", NOISE_LABEL)
+# (predicted, gold) class indices, one pair per document.
+_PAIRS = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=80)
+
+
+def _order_task(gold: dict[str, str]):
+    return build_task({e: "x" for e in _CLASSES[:-1]}, {d: "x" for d in gold}, gold=gold)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=_PAIRS, data=st.data())
+def test_metrics_do_not_depend_on_the_order_of_their_pairs(pairs, data):
+    docs = [f"d{i}" for i in range(len(pairs))]
+    gold = {d: _CLASSES[g] for d, (_, g) in zip(docs, pairs)}
+    pred = {d: _CLASSES[c] for d, (c, _) in zip(docs, pairs)}
+    order = data.draw(st.permutations(docs))
+    # Shuffled documents, and the clusters in another order, so with other indices.
+    clusters = assignment_to_clusters(pred)
+    shuffled = data.draw(st.permutations(assignment_to_clusters(pred, order)))
+    assert purity(shuffled, gold) == purity(clusters, gold)
+    assert nmi(shuffled, gold) == nmi(clusters, gold)
+    # Shuffled documents, and classes renamed alike in prediction and gold.
+    names = data.draw(st.permutations([f"k{i}" for i in range(len(_CLASSES))]))
+    renamed = dict(zip(_CLASSES, names))
+    shuffled_pred = {d: renamed[pred[d]] for d in order}
+    shuffled_gold = {d: renamed[gold[d]] for d in reversed(order)}
+    assert micro_macro_f1(shuffled_pred, shuffled_gold) == micro_macro_f1(pred, gold)
+    # One assignment with its documents and its classes in another order.
+    task = _order_task(gold)
+    class_order = data.draw(st.permutations(_CLASSES))
+    assignment = Assignment(docs, list(_CLASSES), np.array([c for c, _ in pairs]), np.zeros((len(docs), len(_CLASSES))))
+    labels = [class_order.index(pred[d]) for d in order]
+    reordered = Assignment(order, class_order, np.array(labels), np.zeros((len(docs), len(_CLASSES))))
+    assert evaluate_assignment(task, reordered) == evaluate_assignment(task, assignment)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pairs=_PAIRS,
+    seed=st.integers(0, 2**32 - 1),
+    per_task=st.lists(st.builds(TaskMetrics, *[st.none() | st.floats(0.0, 1.0)] * len(METRIC_COLUMNS)), min_size=1, max_size=30),
+    data=st.data(),
+)
+def test_means_do_not_depend_on_the_order_of_runs_or_tasks(pairs, seed, per_task, data):
+    gold = {f"d{i}": _CLASSES[g] for i, (_, g) in enumerate(pairs)}
+    task = _order_task(gold)
+    rng = np.random.default_rng(seed)
+    clusterings = [
+        Clustering(assignment_to_clusters(dict(zip(gold, rng.integers(0, 6, size=len(gold)).tolist()))), "kmeans", 6, rep)
+        for rep in range(1, int(rng.integers(1, 11)) + 1)
+    ]
+    shuffled = data.draw(st.permutations(clusterings))
+    assert evaluate_clusterings(task, shuffled) == evaluate_clusterings(task, clusterings)
+    tasks = {f"t{i}": metrics for i, metrics in enumerate(per_task)}
+    reordered = {name: tasks[name] for name in data.draw(st.permutations(list(tasks)))}
+    assert aggregate_metrics(reordered) == aggregate_metrics(tasks)
+
+
+# ---------------------------------------------------------------------------
 # task-level evaluation
 
 
@@ -243,7 +306,7 @@ def test_evaluate_assignment_applies_clustering_protocol():
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), model=st.sampled_from(MODELS), noise=st.sampled_from(NOISE_MODES))
 def test_evaluate_assignment_equals_the_metrics_over_grouped_documents(seed, model, noise):
-    # Equal, not approximately equal: the per-task metrics sum in the same order.
+    # Equal, not approximately equal: both read the same counts, and every float sum is exactly rounded.
     task = random_micro_task(np.random.default_rng(seed))
     assignment = map_documents(task, ModelConfig(model=model, features=FeatureConfig(noise=noise)))
     metrics = evaluate_assignment(task, assignment)
@@ -266,9 +329,13 @@ def test_evaluate_assignment_all_noise_gold_leaves_clustering_metrics_unset():
     assert metrics.micro_f1 is not None
 
 
+def evaluate_no_runs(runs, _gold):
+    return evaluate_clusterings(build_task({"e1": "x"}, {"d1": "x"}, gold={"d1": "e1"}), runs)
+
+
 @pytest.mark.parametrize(
     "metric, empty",
-    [(purity, []), (nmi, []), (purity, [[]]), (micro_macro_f1, {})],
+    [(purity, []), (nmi, []), (purity, [[]]), (micro_macro_f1, {}), (evaluate_no_runs, [])],
 )
 def test_metrics_refuse_empty_input(metric, empty):
     with pytest.raises(ValueError, match="cannot score an empty"):
@@ -284,14 +351,14 @@ def test_evaluate_assignment_empty_task_leaves_everything_unset():
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), method=st.sampled_from(("hac_complete", "kmeans")))
 def test_evaluate_clusterings_equals_the_mean_metrics_over_runs(seed, method):
-    # Equal, not approximately equal: the means sum the runs in run order.
+    # Equal, not approximately equal: each mean is an exactly rounded sum over the runs.
     task = random_micro_task(np.random.default_rng(seed))
     runs = task_clusterings(task, method, FeatureConfig(), reps=3)
     if runs is None:
         return
     metrics = evaluate_clusterings(task, runs)
-    assert metrics.purity == sum(purity(c, task.gold) for c in runs) / len(runs)
-    assert metrics.nmi == sum(nmi(c, task.gold) for c in runs) / len(runs)
+    assert metrics.purity == math.fsum(purity(c, task.gold) for c in runs) / len(runs)
+    assert metrics.nmi == math.fsum(nmi(c, task.gold) for c in runs) / len(runs)
     assert (metrics.micro_f1, metrics.macro_f1, metrics.f1_bar) == (None, None, None)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import weakref
 
 import pytest
@@ -200,8 +201,8 @@ def test_grid_cell_equals_single_run(mini_corpus):
         for task in tasks:
             runs = task_clusterings(task, method, spec.feature_config(), reps=spec.reps)
             gold = {doc_id: task.gold[doc_id] for doc_id in clustering_eval_filter(task)}
-            assert report.per_task[task.name].purity == sum(purity(c, gold) for c in runs) / len(runs)
-            assert report.per_task[task.name].nmi == sum(nmi(c, gold) for c in runs) / len(runs)
+            assert report.per_task[task.name].purity == math.fsum(purity(c, gold) for c in runs) / len(runs)
+            assert report.per_task[task.name].nmi == math.fsum(nmi(c, gold) for c in runs) / len(runs)
             clusterings[task.name] = [c.to_dict() for c in runs]
         assert {name: [c.to_dict() for c in runs] for name, runs in result.clusterings[method].items()} == clusterings
         # A baseline's config records the settings it reads, and no model setting.
@@ -230,20 +231,20 @@ def test_grid_releases_each_task_resources_before_the_next(mini_corpus, monkeypa
 
 def test_grid_builds_one_contingency_table_per_baseline_run(mini_corpus, monkeypatch):
     calls = []
-    contingency = namesift.evaluation._contingency
+    table = namesift.evaluation._table
 
-    def counting(pairs):
+    def counting(*args):
         calls.append(1)
-        return contingency(pairs)
+        return table(*args)
 
-    monkeypatch.setattr(namesift.evaluation, "_contingency", counting)
+    monkeypatch.setattr(namesift.evaluation, "_table", counting)
     spec = RunSpec(corpus_root=mini_corpus, models=("score",), noise_modes=("none", "union"), hac=True, kmeans=True, reps=3)
     result = run_grid(spec)
     assert {method: len(runs) for method, runs in result.clusterings.items()} == {"hac_complete": 2, "kmeans": 2}
     runs = sum(len(clusterings) for by_task in result.clusterings.values() for clusterings in by_task.values())
     assert runs == 2 * (1 + spec.reps)
-    # Two tables per cell (F1; purity and NMI), one per clustering.
-    assert len(calls) == 2 * len(spec.cells) * len(result.task_names) + runs
+    # One table per cell and task (F1; purity and NMI), one per clustering.
+    assert len(calls) == len(spec.cells) * len(result.task_names) + runs
 
 
 def test_grid_is_deterministic(mini_corpus):
