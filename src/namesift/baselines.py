@@ -2,12 +2,16 @@
 
 Both baselines are deliberately deterministic given their inputs: HAC
 breaks distance ties lexicographically by member document ids, and K-Means
-draws its initial centroids from a seeded generator.  That keeps repeated
-runs byte-identical, which library users and the test suite rely on.
+takes its initial centroids from `_choice`, an exact copy of numpy's
+``default_rng(seed).choice(n, k, replace=False)`` (SeedSequence, PCG64,
+then Floyd's algorithm and a shuffle, or a tail shuffle above 10,000
+documents) that never imports `numpy.random`.  That keeps repeated runs
+byte-identical, which library users and the test suite rely on.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
@@ -259,6 +263,86 @@ def _reseed_empty(labels: np.ndarray, gram: np.ndarray, k: int, distances: np.nd
 # Lloyd iterations after which `kmeans` stops even without a repeat.
 _MAX_ITERATIONS = 100
 
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+
+
+def _pcg64(seed: int) -> tuple[int, int]:
+    """The PCG64 (state, increment) of ``np.random.default_rng(seed)``, seeded as numpy's SeedSequence does.
+
+    The seed's 32-bit words, low first and at least four, hash into a pool of four that yields eight.
+    """
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 128), 32)]
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int, mult: int = 0x931E8875) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * mult & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in words[:4]]
+    # Mix each pool word into the other three, then each later seed word into all four.
+    for src in range(len(words)):
+        for dst in range(4):
+            if src != dst:
+                mixed = hashmix(pool[src] if src < 4 else words[src])
+                value = (0xCA01F9DD * pool[dst] - 0x4973F715 * mixed) & _MASK32
+                pool[dst] = value ^ value >> 16
+    hash_const = 0x8B51F9DD
+    w = [hashmix(pool[i % 4], 0x58F38DED) for i in range(8)]
+    initstate = (w[0] | w[1] << 32) << 64 | w[2] | w[3] << 32
+    inc = ((w[4] | w[5] << 32) << 65 | (w[6] | w[7] << 32) << 1 | 1) & _MASK128
+    return ((inc + initstate) * _PCG_MULT + inc) & _MASK128, inc
+
+
+def _choice(seed: int, n: int, k: int) -> list[int]:
+    """``np.random.default_rng(seed).choice(n, size=k, replace=False).tolist()``, without `numpy.random`.
+
+    PCG64 (O'Neill 2014) draws bounded by Lemire's method feed Floyd's algorithm and a shuffle, or,
+    above 10,000 documents with k > n // 50, a shuffle of the last k places of ``range(n)``.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    state, inc = _pcg64(seed)
+    halves: list[int] = []
+
+    def next64() -> int:
+        nonlocal state
+        state = (state * _PCG_MULT + inc) & _MASK128
+        value, turn = (state >> 64 ^ state) & _MASK64, state >> 122
+        return (value >> turn | value << (64 - turn)) & _MASK64
+
+    def next32() -> int:
+        if not halves:
+            value = next64()
+            halves.extend((value >> 32, value & _MASK32))
+        return halves.pop()
+
+    def bounded(top: int) -> int:
+        bits, mask, draw = (32, _MASK32, next32) if top <= _MASK32 else (64, _MASK64, next64)
+        threshold = (mask - top) % (top + 1)
+        while True:
+            product = draw() * (top + 1)
+            if (product & mask) >= threshold:
+                return product >> bits
+
+    def shuffle(values: list[int], first: int) -> list[int]:
+        for i in range(len(values) - 1, first - 1, -1):
+            j = bounded(i)
+            values[i], values[j] = values[j], values[i]
+        return values
+
+    if n > 10_000 and k > n // 50:
+        return shuffle(list(range(n)), max(n - k, 1))[n - k :]
+    picks: dict[int, None] = {}
+    for top in range(n - k, n):
+        value = bounded(top) if top else 0  # numpy draws nothing for [0, 0]
+        picks[top if value in picks else value] = None
+    return shuffle(list(picks), 1)
+
 
 def _lloyd(gram: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, int]:
     """Run Lloyd iterations on a Gram matrix; returns labels and iteration count.
@@ -269,9 +353,8 @@ def _lloyd(gram: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, int]:
     iteration the next labeling depends only on the current one.
     """
     n = gram.shape[0]
-    rng = np.random.default_rng(seed)
     members = np.zeros((k, n))
-    members[np.arange(k), rng.choice(n, size=k, replace=False)] = 1.0
+    members[np.arange(k), _choice(seed, n, k)] = 1.0
     seen: set[bytes] = set()
     for n_iterations in range(1, _MAX_ITERATIONS + 1):
         distances = _sq_distances(gram, members)
@@ -288,8 +371,9 @@ def _lloyd(gram: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, int]:
 def kmeans(gram: Gram, k: int, seed: int) -> Clustering:
     """Lloyd iterations on L2-normalized vectors with seeded init.
 
-    Initial centroids are ``k`` distinct documents drawn without
-    replacement from ``np.random.default_rng(seed)``.  A document goes to
+    Initial centroids are the ``k`` distinct documents that numpy's
+    ``default_rng(seed).choice(n, k, replace=False)`` picks, drawn by
+    `_choice`; ``seed`` is a non-negative integer, not None.  A document goes to
     the centroid with the smallest computed distance; ties between computed
     distances go to the lowest centroid index.  Distances equal in exact
     arithmetic need not be equal once computed: for an all-zero row, or a
@@ -302,7 +386,9 @@ def kmeans(gram: Gram, k: int, seed: int) -> Clustering:
     k = _check_k(k, len(gram.ids))
     labels, n_iterations = _lloyd(gram.matrix, k, seed)
     # `_reseed_empty` leaves no cluster empty.
-    clusters = [[doc_id for doc_id, label in zip(gram.ids, labels) if label == cluster] for cluster in range(k)]
+    clusters: list[list[str]] = [[] for _ in range(k)]
+    for doc_id, label in zip(gram.ids, labels.tolist()):
+        clusters[label].append(doc_id)
     return Clustering(clusters=clusters, method="kmeans", k=k, seed=seed, n_iterations=n_iterations)
 
 

@@ -29,6 +29,7 @@ from namesift.experiments import RunSpec
 from namesift.features import ConfigError
 
 import oracles
+from conftest import write_mini_corpus
 
 
 def _sets(clustering: Clustering) -> set[frozenset]:
@@ -125,7 +126,11 @@ def test_gram_equals_the_reference_sums_bit_for_bit_in_any_chunking(rows, copies
 
 
 def _openblas_configuration() -> str:
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 only prints its build configuration
+        return "no build configuration as a dict"
+    blas = config.get("Build Dependencies", {}).get("blas", {})
     return f"{blas.get('name')}: {blas.get('openblas configuration', 'no OpenBLAS configuration')}"
 
 
@@ -240,6 +245,96 @@ def test_hac_partitions_exactly():
 
 # ---------------------------------------------------------------------------
 # K-Means
+
+
+def _numpy_choice(seed, n: int, k: int) -> list[int]:
+    return np.random.default_rng(seed).choice(n, size=k, replace=False).tolist()
+
+
+# Floyd's algorithm and a shuffle, or (above 10,000 and k > n // 50) a tail shuffle.
+_DRAW_SIZES = st.one_of(
+    st.integers(1, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    st.integers(10_001, 20_000).flatmap(lambda n: st.tuples(st.just(n), st.integers(n // 50 + 1, n))),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(seed=st.integers(0, 2**70), sizes=_DRAW_SIZES)
+@example(seed=0, sizes=(1, 1))
+@example(seed=0, sizes=(112, 5))
+@example(seed=2**32 - 1, sizes=(300, 300))
+@example(seed=2**32, sizes=(10_001, 201))
+@example(seed=2**64, sizes=(20_000, 20_000))
+def test_kmeans_draw_equals_numpys_choice_without_replacement(seed, sizes):
+    n, k = sizes
+    assert baselines._choice(seed, n, k) == _numpy_choice(seed, n, k)
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [0, 1, 2**32 - 1, 2**64 + 3, 2**128 + 5, 2**300 - 1, True, False, np.int64(7), np.uint64(2**63 + 1), np.uint8(9)],
+)
+def test_kmeans_draws_what_numpy_draws_for_any_integer_seed(seed):
+    # Seeds of more than four 32-bit words take SeedSequence's last mixing loop.
+    assert baselines._choice(seed, 40, 6) == _numpy_choice(seed, 40, 6)
+
+
+@pytest.mark.parametrize(
+    ("seed", "error"),
+    [(-1, ValueError), (np.int64(-3), ValueError), (1.0, TypeError), (np.float64(2.0), TypeError), ("3", TypeError)],
+)
+def test_kmeans_refuses_the_seeds_numpy_refuses(seed, error):
+    shared = _gram({"d0": {0: 1.0}, "d1": {1: 1.0}, "d2": {0: 0.5, 1: 0.5}})
+    with pytest.raises(error):
+        np.random.default_rng(seed)
+    with pytest.raises(error):
+        kmeans(shared, 2, seed)
+
+
+def test_kmeans_refuses_a_seed_of_none():
+    # numpy would draw OS entropy for None, which no run could reproduce.
+    shared = _gram({"d0": {0: 1.0}, "d1": {1: 1.0}})
+    with pytest.raises(TypeError):
+        kmeans(shared, 2, None)
+
+
+_IMPORTS_NUMPY_RANDOM = """
+import sys
+import numpy
+eager = "numpy.random" in sys.modules
+from namesift.cli import main
+status = main(sys.argv[1:])
+print(status, eager, "numpy.random" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["cluster", "{root}", "--method", "both", "--output", "{out}"],
+        ["grid", "{root}", "--baselines"],
+        ["classify", "{root}", "--model", "score"],
+    ],
+)
+def test_clustering_commands_do_not_import_numpy_random(tmp_path, command):
+    # pytest and these tests import numpy.random themselves, so only a
+    # fresh interpreter can tell whether namesift does.
+    root = write_mini_corpus(tmp_path / "corpus")
+    path = os.pathsep.join(filter(None, [str(Path(namesift.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    env = {key: value for key, value in os.environ.items() if not key.startswith("NAMESIFT_")}
+    argv = [arg.format(root=root, out=tmp_path / "out") for arg in command]
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORTS_NUMPY_RANDOM, *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(env, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    status, eager, loaded = proc.stdout.splitlines()[-1].split()
+    if eager == "True":
+        pytest.skip(f"numpy {np.__version__} imports numpy.random with numpy itself")
+    assert (status, loaded) == ("0", "False")
 
 
 def test_kmeans_single_cluster():
