@@ -44,7 +44,7 @@ def main() -> None:
     print(f"  elements of C: {index.document_ids + index.entity_ids} (the noise entity has no statistics)")
     print(f"  vocabulary size: {index.feature_count} features")
     for token in ("guitar", "protein", "weather"):
-        fid = index.feature_id(token)
+        fid = index.ids[token]
         print(f"  {token!r}: id={fid}  df={index.df[fid]}")
 
     print("\n== tf-idf vectors (corpus idf, natural log) ==")

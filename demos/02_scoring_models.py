@@ -95,7 +95,7 @@ def main() -> None:
     sims = resources.rows.dot(unit_rows(resources.entities), resources.rows.unit())
     expanded = smoothed_profile(resources.entities, resources.rows, sims)
     for token in ("jazz", "live", "assay"):
-        fid = index.feature_id(token)
+        fid = index.ids[token]
         raw = vectorize("e1", index, config).get(fid, 0.0)
         print(f"  w({token!r:7}, e1) = {raw:.4f}   smoothed -> {expanded[0, fid]:.4f}")
 

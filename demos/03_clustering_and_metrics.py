@@ -11,7 +11,6 @@ import numpy as np
 
 from namesift import (
     NOISE_LABEL,
-    assignment_to_clusters,
     gram,
     hac_complete,
     kmeans,
@@ -84,8 +83,11 @@ def main() -> None:
 
     print("\n== grouping an assignment for the clustering protocol ==")
     predicted = dict(GOLD, a2="B")
-    kept = [d for d in predicted if gold.get(d) != NOISE_LABEL]
-    clusters = assignment_to_clusters(predicted, kept)
+    groups = {}
+    for doc_id, label in predicted.items():
+        if gold.get(doc_id) != NOISE_LABEL:
+            groups.setdefault(label, []).append(doc_id)
+    clusters = list(groups.values())
     show("clusters from labels", clusters)
 
 

@@ -8,7 +8,7 @@ two noise-profile constructions, clustering baselines, an evaluation
 harness, and a CLI experiment driver.
 """
 
-from .baselines import Clustering, Gram, assignment_to_clusters, gram, hac_complete, kmeans, run_repetitions
+from .baselines import Clustering, Gram, gram, hac_complete, kmeans, run_repetitions
 from .corpus import (
     NOISE_LABEL,
     CorpusFormatError,
@@ -71,7 +71,6 @@ __all__ = [
     "RunSpec",
     "Task",
     "TaskMetrics",
-    "assignment_to_clusters",
     "build_index",
     "build_noise_profile",
     "clustering_eval_filter",

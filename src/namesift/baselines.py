@@ -12,7 +12,7 @@ byte-identical, which library users and the test suite rely on.
 from __future__ import annotations
 
 import operator
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +27,6 @@ __all__ = [
     "hac_complete",
     "kmeans",
     "run_repetitions",
-    "assignment_to_clusters",
 ]
 
 # The baselines in report order; each name is also its `Clustering.method`.
@@ -402,17 +401,3 @@ def run_repetitions(gram: Gram, k: int, reps: int) -> list[Clustering]:
     """K-Means runs with seeds 1..reps, for averaging metric estimates; ``reps`` as `_check_reps` requires."""
     _check_reps(reps)
     return [kmeans(gram, k, seed) for seed in range(1, reps + 1)]
-
-
-def assignment_to_clusters(mapping: Mapping[str, str], doc_ids: Sequence[str] | None = None) -> list[list[str]]:
-    """Group documents by assigned class, dropping the class labels.
-
-    ``doc_ids`` restricts and orders the grouping; by default all mapped
-    documents are used in mapping order.  Groups appear in first-seen
-    order and empty groups are never produced.
-    """
-    ordered = list(mapping) if doc_ids is None else list(doc_ids)
-    groups: dict[str, list[str]] = {}
-    for doc_id in ordered:
-        groups.setdefault(mapping[doc_id], []).append(doc_id)
-    return list(groups.values())

@@ -230,7 +230,7 @@ def _run(spec: RunSpec, output: str | None) -> GridResult:
 def _build_run_spec(args, settings, **overrides) -> RunSpec:
     """The RunSpec of the settings named by RunSpec field, then ``overrides``; checked at construction."""
     given = {attr: value for attr, value in settings.items() if attr in _RUN_SPEC_FIELDS}
-    tasks = _comma_list(args.tasks) if args.tasks else None
+    tasks = None if args.tasks is None else _comma_list(args.tasks)
     return RunSpec(**{**given, "corpus_root": Path(args.root), "tasks": tasks, **overrides})
 
 

@@ -52,12 +52,12 @@ class RunSpec:
     Feature and model settings default to the `FeatureConfig` and
     `ModelConfig` defaults.  ``tasks`` (None: every task), ``models`` and
     ``noise_modes`` are stored as tuples of names and ``stopwords`` as a
-    frozenset; a bare string raises `ConfigError`, as does a ``reps`` that
-    is not an integer >= 1 (a bool is not one).  Construction builds
-    ``cells``, the `ModelConfig` of each (model, noise) pair in grid
-    order, so a value either config class refuses raises `ConfigError`
-    here, before any task loads; the spec is frozen, so its cells stay
-    its own.
+    frozenset; a bare string raises `ConfigError`, as do a ``tasks`` that
+    names no task and a ``reps`` that is not an integer >= 1 (a bool is
+    not one).  Construction builds ``cells``, the `ModelConfig` of each
+    (model, noise) pair in grid order, so a value either config class
+    refuses raises `ConfigError` here, before any task loads; the spec is
+    frozen, so its cells stay its own.
     """
 
     corpus_root: Path
@@ -85,6 +85,8 @@ class RunSpec:
                 raise ConfigError(f"{name} must be a collection of names, got the string {names!r}")
             if names is not None:
                 object.__setattr__(self, name, frozenset(names) if name == "stopwords" else tuple(names))
+        if self.tasks == ():
+            raise ConfigError("tasks must name at least one task")
         _check_reps(self.reps)
         self.feature_config()  # checks the feature settings, which the baselines read too
         object.__setattr__(self, "cells", {(m, n): self.model_config(m, n) for m in self.models for n in self.noise_modes})
@@ -170,32 +172,20 @@ def _shared_names(named: Iterable[tuple[str, str]]) -> dict[str, list[str]]:
     return {name: held for name, held in directories.items() if len(held) > 1}
 
 
-def task_clusterings(
-    task: Task,
-    method: str,
-    feature_config: FeatureConfig,
-    *,
-    reps: int = RunSpec.reps,
-    resources: TaskResources | None = None,
-):
-    """Baseline clusterings of one task's entity-labeled documents.
+def task_clusterings(resources: TaskResources, method: str, reps: int = RunSpec.reps):
+    """Baseline clusterings of the entity-labeled documents of ``resources.task``.
 
     Returns None when the task has no entities or no entity-labeled
     documents.  HAC yields a single clustering, K-Means one per seed
     1..reps, all from the one `gram` of the kept documents that
     ``resources`` holds (`TaskResources.kept_gram`).  k is the entity
-    count, clamped to the subset size.  ``resources`` is built from the
-    task when None; resources built for another task or with other
-    weighting options raise ValueError.
+    count, clamped to the subset size.
     """
     if method not in BASELINES:
         raise ValueError(f"unknown baseline {method!r}")
-    if resources is not None:
-        resources.check(task, feature_config)
+    task = resources.task
     if not task.entities or not clustering_eval_filter(task):
         return None
-    if resources is None:
-        resources = TaskResources.from_task(task, feature_config)
     if method == "hac_complete":
         return [hac_complete(resources.kept_gram, len(task.entities))]
     return run_repetitions(resources.kept_gram, len(task.entities), reps)
@@ -208,7 +198,6 @@ def run_grid(spec: RunSpec) -> GridResult:
     if not tasks:
         return result
 
-    base_features = spec.feature_config()
     methods = [method for method, enabled in zip(BASELINES, (spec.hac, spec.kmeans)) if enabled]
     # Report (model, noise) -> fingerprint; a baseline's noise column is empty.
     fingerprints = {cell: spec.fingerprint(*cell) for cell in spec.cells}
@@ -218,13 +207,13 @@ def run_grid(spec: RunSpec) -> GridResult:
     result.clusterings = {method: {} for method in methods}
     for task in tasks:
         # One set of feature artifacts per task, shared read-only by its cells and baselines.
-        resources = TaskResources.from_task(task, base_features)
+        resources = TaskResources.from_task(task, spec.feature_config())
         for cell, config in spec.cells.items():
             assignment = map_documents(task, config, resources)
             result.assignments.setdefault(cell, {})[task.name] = assignment
             per_task[cell][task.name] = evaluate_assignment(task, assignment)
         for method in methods:
-            runs = task_clusterings(task, method, base_features, reps=spec.reps, resources=resources)
+            runs = task_clusterings(resources, method, spec.reps)
             if runs is None:
                 per_task[(method, "")][task.name] = TaskMetrics()
                 continue

@@ -14,7 +14,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, count
-from types import MappingProxyType
 from typing import Iterator
 
 import numpy as np
@@ -92,8 +91,8 @@ class FeatureIndex:
     uses them, with their occurrence counts at the same positions of
     ``counts`` (whole numbers held as floats, so scoring uses them as is).
     ``df`` counts, per feature, the elements of C containing it at least
-    once.  ``term_counts`` maps each element id to its row of ``counts``,
-    a ``FeatureVector``.  The arrays and the mapping are read-only.
+    once.  ``ids`` maps a token to its feature id, and ``span`` an element
+    id to its positions.  The arrays are read-only.
     """
 
     tokens: list[str]
@@ -121,12 +120,6 @@ class FeatureIndex:
     def feature_count(self) -> int:
         return len(self.tokens)
 
-    def feature_id(self, token: str) -> int:
-        try:
-            return self.ids[token]
-        except KeyError:
-            raise KeyError(f"unknown feature {token!r}") from None
-
     def span(self, element_id: str) -> slice:
         """The positions of one element's features in the stored arrays."""
         if element_id == NOISE_LABEL:
@@ -136,16 +129,6 @@ class FeatureIndex:
         except KeyError:
             raise KeyError(f"unknown element {element_id!r}") from None
         return slice(int(self.offsets[r]), int(self.offsets[r + 1]))
-
-    @cached_property
-    def term_counts(self) -> Mapping[str, FeatureVector]:
-        bounds = self.offsets.tolist()
-        return MappingProxyType(
-            {
-                element_id: FeatureVector(self.features[start:stop], self.counts[start:stop])
-                for element_id, start, stop in zip(self._rows, bounds, bounds[1:])
-            }
-        )
 
     def weights(self, config: FeatureConfig) -> np.ndarray:
         """The tf-idf weight at every stored position, computed once per weighting."""
@@ -227,8 +210,8 @@ def _tfidf_weights(index: FeatureIndex, idf_numerator: str, log_base: str) -> np
 class FeatureVector(Mapping[int, float]):
     """Read-only sparse vector, feature id -> value, over one element's slice of the index's arrays.
 
-    The values are tf-idf weights from ``vectorize``, or counts in
-    ``FeatureIndex.term_counts``.  Keys keep the element's stored order
+    The values are the tf-idf weights ``vectorize`` reads from
+    ``FeatureIndex.weights``.  Keys keep the element's stored order
     and exact zeros are omitted, as in a dict built from the slice;
     ``len`` counts the nonzero values without building one.  That dict of
     Python ints and floats is built on the first key lookup or iteration

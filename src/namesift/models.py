@@ -58,7 +58,6 @@ __all__ = [
     "ScoringContext",
     "unit_rows",
     "smoothed_profile",
-    "multinomial_log_coefficient",
     "floored_log",
     "laplace_log_priors",
     "bernoulli_log_probs",
@@ -181,12 +180,6 @@ def smoothed_profile(entities: np.ndarray, rows: DocumentRows, sims: np.ndarray)
     for profile, column in zip(profiles, sims.T):
         profile += np.bincount(rows.indices, weights=np.repeat(column, sizes) * l1, minlength=entities.shape[1])
     return profiles
-
-
-def multinomial_log_coefficient(freqs: Mapping[int, int]) -> float:
-    """log(|d|! / prod_f freq(f,d)!), the term the multinomial model drops."""
-    total = sum(freqs.values())
-    return math.lgamma(total + 1) - sum(math.lgamma(n + 1) for n in freqs.values())
 
 
 def floored_log(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -428,20 +421,12 @@ class ScoringContext:
     floored: int = 0
 
 
-def build_context(task: Task, config: ModelConfig, resources: TaskResources | None = None) -> ScoringContext:
-    """The fitted product and bias of one configuration.
-
-    Resources built for another task or with other weighting options raise ValueError.
-    """
-    if resources is None:
-        resources = TaskResources.from_task(task, config.features)
-    else:
-        resources.check(task, config.features)
-
+def build_context(resources: TaskResources, config: ModelConfig) -> ScoringContext:
+    """The fitted product and bias of one configuration, from ``resources`` and their weighting."""
     index = resources.index
     class_ids = list(index.entity_ids) + [NOISE_LABEL] * len(resources.noise_rows(config.features))
     if not class_ids:
-        raise ValueError(f"task {task.name!r} has no entities and noise is disabled; nothing to assign to")
+        raise ValueError(f"task {resources.task.name!r} has no entities and noise is disabled; nothing to assign to")
 
     entity, noise = resources.fits(config)
     b = np.zeros(len(class_ids))
@@ -516,5 +501,13 @@ def assign_from_context(ctx: ScoringContext) -> Assignment:
 
 
 def map_documents(task: Task, config: ModelConfig, resources: TaskResources | None = None) -> Assignment:
-    """Classify every document of ``task`` under ``config``."""
-    return assign_from_context(build_context(task, config, resources))
+    """Classify every document of ``task`` under ``config``.
+
+    ``resources`` is built from the task when None; resources built for
+    another task or with other weighting options raise ValueError.
+    """
+    if resources is None:
+        resources = TaskResources.from_task(task, config.features)
+    else:
+        resources.check(task, config.features)
+    return assign_from_context(build_context(resources, config))

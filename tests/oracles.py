@@ -106,6 +106,12 @@ def vector_ref(element_id: str, index, config) -> dict[int, float]:
     return dict(zip(index.features[span][nonzero].tolist(), weights[nonzero].tolist()))
 
 
+def counts_ref(element_id: str, index) -> dict[int, float]:
+    """One element's token counts as a dict copied from the index's arrays, keys in stored order."""
+    span = index.span(element_id)
+    return dict(zip(index.features[span].tolist(), index.counts[span].tolist()))
+
+
 def l1(vector: dict) -> dict:
     total = sum(abs(w) for w in vector.values())
     if total == 0.0:
@@ -155,16 +161,16 @@ def forall_pairs_ref(index) -> set[int]:
     """Feature ids shared by every (entity, other element) pair of an index.
 
     The pairs are enumerated over the index's own per-element counts
-    (``term_counts``); empty if no pair exists.
+    (`counts_ref`); empty if no pair exists.
     """
     element_ids = index.document_ids + index.entity_ids
     common: set[int] | None = None
     for eid in index.entity_ids:
-        entity_feats = set(index.term_counts[eid])
+        entity_feats = set(counts_ref(eid, index))
         for cid in element_ids:
             if cid == eid:
                 continue
-            shared = entity_feats & set(index.term_counts[cid])
+            shared = entity_feats & set(counts_ref(cid, index))
             common = shared if common is None else common & shared
     return common or set()
 
@@ -336,8 +342,27 @@ def multinomial_linear(task, doc_id: str, lam: float = 0.5, alpha: float = 0.01,
     return scores
 
 
+def multinomial_log_coefficient(freqs) -> float:
+    """log(|d|! / prod_f freq(f,d)!) of a feature -> count mapping, the term the multinomial model drops."""
+    total = sum(freqs.values())
+    return math.lgamma(total + 1) - sum(math.lgamma(n + 1) for n in freqs.values())
+
+
 # ---------------------------------------------------------------------------
 # clustering metrics from the contingency table
+
+
+def assignment_to_clusters(mapping: dict[str, str], doc_ids=None) -> list[list[str]]:
+    """Documents grouped by assigned class, the labels dropped.
+
+    ``doc_ids`` restricts and orders the grouping; by default every mapped
+    document is used in mapping order.  Groups appear in first-seen order,
+    and none is empty.
+    """
+    groups: dict[str, list[str]] = {}
+    for doc_id in mapping if doc_ids is None else doc_ids:
+        groups.setdefault(mapping[doc_id], []).append(doc_id)
+    return list(groups.values())
 
 
 def purity_ref(clusters, labels) -> float:

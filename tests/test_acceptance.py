@@ -20,12 +20,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from namesift.baselines import assignment_to_clusters
 from namesift.corpus import NOISE_LABEL
 from namesift.evaluation import clustering_eval_filter, micro_macro_f1, nmi, purity
 from namesift.experiments import RunSpec, grid_json_dict, grid_tsv, load_tasks, run_grid
-from namesift.features import FeatureConfig, build_index, vectorize
-from namesift.models import MODELS, ModelConfig, map_documents, multinomial_log_coefficient
+from namesift.features import FeatureConfig, build_index
+from namesift.models import MODELS, ModelConfig, map_documents
 from namesift.synthetic import write_benchmark
 
 import oracles
@@ -72,7 +71,7 @@ def test_metric_oracle_exhaustive(capfd):
                     seen.add(key)
                     gold = {d: labels[g] for d, g in zip(docs, gold_pick)}
                     pred = {d: labels[p] for d, p in zip(docs, pred_pick)}
-                    clusters = assignment_to_clusters(pred, docs)
+                    clusters = oracles.assignment_to_clusters(pred, docs)
                     assert abs(purity(clusters, gold) - oracles.purity_ref(clusters, gold)) <= 1e-12
                     assert abs(nmi(clusters, gold) - oracles.nmi_ref(clusters, gold)) <= 1e-12
                     micro, macro = micro_macro_f1(pred, gold)
@@ -86,7 +85,7 @@ def test_metric_oracle_exhaustive(capfd):
 
 
 # ---------------------------------------------------------------------------
-# 2. sparse tf-idf vectors vs a dense scripted recomputation
+# 2. the index's tf-idf weights vs a dense scripted recomputation
 
 
 def test_tfidf_dense_oracle(capfd):
@@ -98,11 +97,12 @@ def test_tfidf_dense_oracle(capfd):
             vocabulary = {t for tokens in oracles.element_tokens(task).values() for t in tokens}
             for mode in ("paper", "corpus"):
                 dense = oracles.dense_weights(task, idf_numerator=mode)
-                config = FeatureConfig(idf_numerator=mode)
+                weights = index.weights(FeatureConfig(idf_numerator=mode))
                 for element_id, expected in dense.items():
-                    vector = vectorize(element_id, index, config)
+                    span = index.span(element_id)
+                    stored = dict(zip(index.features[span].tolist(), weights[span].tolist()))
                     for token in vocabulary:
-                        got = vector.get(index.feature_id(token), 0.0)
+                        got = stored.get(index.ids[token], 0.0)
                         assert abs(got - expected.get(token, 0.0)) <= 1e-12
 
     _criterion(capfd, "tf-idf dense recomputation oracle", 1.0, body)
@@ -160,7 +160,7 @@ def test_naive_bayes_equivalence(capfd):
                 scores = assignment.scores[doc.id]
                 winner = _argmax(class_ids, scores)
                 assert winner == assignment.mapping[doc.id]
-                coefficient = multinomial_log_coefficient(index.term_counts[doc.id])
+                coefficient = oracles.multinomial_log_coefficient(oracles.counts_ref(doc.id, index))
                 shifted = {cid: s + coefficient for cid, s in scores.items()}
                 assert _argmax(class_ids, shifted) == winner
                 checked += 1

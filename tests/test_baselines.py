@@ -19,7 +19,6 @@ from namesift import baselines, write_benchmark
 from namesift.baselines import (
     Clustering,
     Gram,
-    assignment_to_clusters,
     gram,
     hac_complete,
     kmeans,
@@ -547,12 +546,12 @@ def test_run_repetitions_and_run_spec_refuse_the_same_reps(reps):
 
 def test_assignment_to_clusters_groups_in_first_seen_order():
     mapping = {"d1": "A", "d2": "B", "d3": "A", "d4": "C"}
-    assert assignment_to_clusters(mapping) == [["d1", "d3"], ["d2"], ["d4"]]
+    assert oracles.assignment_to_clusters(mapping) == [["d1", "d3"], ["d2"], ["d4"]]
 
 
 def test_assignment_to_clusters_respects_subset_and_order():
     mapping = {"d1": "A", "d2": "B", "d3": "A"}
-    assert assignment_to_clusters(mapping, ["d3", "d2"]) == [["d3"], ["d2"]]
+    assert oracles.assignment_to_clusters(mapping, ["d3", "d2"]) == [["d3"], ["d2"]]
 
 
 def test_assignment_grouping_preserves_nonempty_group_count():
@@ -561,5 +560,5 @@ def test_assignment_grouping_preserves_nonempty_group_count():
         n = int(rng.integers(1, 10))
         labels = [f"c{int(v)}" for v in rng.integers(0, 4, size=n)]
         mapping = {f"d{i}": label for i, label in enumerate(labels)}
-        groups = assignment_to_clusters(mapping)
+        groups = oracles.assignment_to_clusters(mapping)
         assert len(groups) == len(set(labels))

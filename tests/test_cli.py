@@ -29,7 +29,7 @@ from namesift.cli import build_parser, main
 from namesift.corpus import NOISE_LABEL, discover_tasks, load_task, strip_html, tokenize, write_task
 from namesift.experiments import RunSpec, task_clusterings, validate_corpus
 from namesift.features import IDF_NUMERATORS, INTERSECTION_SEMANTICS, LOG_BASES, NOISE_MODES, FeatureConfig
-from namesift.models import LAPLACE_DENOMINATORS, MODELS
+from namesift.models import LAPLACE_DENOMINATORS, MODELS, TaskResources
 from namesift.synthetic import write_benchmark
 
 from conftest import build_task, deny_access, mini_tasks, write_broken_task
@@ -362,6 +362,21 @@ def test_task_filter_drops_other_tasks_before_reading_their_bodies(tmp_path, cle
     assert "warning: skipped" in capsys.readouterr().err
 
 
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from([["grid"], ["classify", "--model", "score"], ["cluster"]]),
+    tasks=st.text(alphabet=", \t", max_size=6),
+)
+@example(command=["grid"], tasks="")
+@example(command=["grid"], tasks=",")
+def test_a_task_filter_that_names_no_task_is_a_configuration_error(mini_corpus, clean_env, capsys, command, tasks):
+    name, *options = command
+    assert main([name, str(mini_corpus), *options, "--tasks", tasks]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error: tasks must name at least one task\n"
+
+
 @pytest.mark.parametrize("command", [["grid"], ["classify", "--model", "score"], ["cluster"]])
 def test_a_requested_task_that_no_directory_holds_is_named_and_exits_three(
     mini_corpus, clean_env, tmp_path, capsys, command
@@ -418,10 +433,10 @@ def test_cluster_writes_files(mini_corpus, clean_env, tmp_path, capsys):
 
 
 def test_cluster_output_computes_each_clustering_once(mini_corpus, clean_env, tmp_path, capsys):
-    tasks = [load_task(p) for p in discover_tasks(mini_corpus)]
+    resources = [TaskResources.from_task(load_task(p), FeatureConfig()) for p in discover_tasks(mini_corpus)]
     expected = {
-        (task.name, method): [c.to_dict() for c in task_clusterings(task, method, FeatureConfig(), reps=3)]
-        for task in tasks
+        (r.task.name, method): [c.to_dict() for c in task_clusterings(r, method, 3)]
+        for r in resources
         for method in ("hac_complete", "kmeans")
     }
     calls = {"hac_complete": 0, "run_repetitions": 0}
@@ -439,7 +454,7 @@ def test_cluster_output_computes_each_clustering_once(mini_corpus, clean_env, tm
     counted("run_repetitions")
     outdir = tmp_path / "clout"
     assert main(["cluster", str(mini_corpus), "--reps", "3", "--output", str(outdir)]) == 0
-    assert calls == {"hac_complete": len(tasks), "run_repetitions": len(tasks)}
+    assert calls == {"hac_complete": len(resources), "run_repetitions": len(resources)}
     for (name, method), runs in expected.items():
         payload = json.loads((outdir / f"{name}.{method}.json").read_text(encoding="utf-8"))
         assert payload["runs"] == runs

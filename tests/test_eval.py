@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from namesift.baselines import Clustering, assignment_to_clusters
+from namesift.baselines import Clustering
 from namesift.corpus import NOISE_LABEL, CorpusIntegrityError
 from namesift.evaluation import (
     METRIC_COLUMNS,
@@ -27,7 +27,7 @@ from namesift.evaluation import (
 )
 from namesift.experiments import grid_tsv, task_clusterings
 from namesift.features import NOISE_MODES, FeatureConfig
-from namesift.models import MODELS, Assignment, ModelConfig, map_documents
+from namesift.models import MODELS, Assignment, ModelConfig, TaskResources, map_documents
 
 import oracles
 from conftest import build_task, random_micro_task
@@ -226,8 +226,8 @@ def test_metrics_do_not_depend_on_the_order_of_their_pairs(pairs, data):
     pred = {d: _CLASSES[c] for d, (c, _) in zip(docs, pairs)}
     order = data.draw(st.permutations(docs))
     # Shuffled documents, and the clusters in another order, so with other indices.
-    clusters = assignment_to_clusters(pred)
-    shuffled = data.draw(st.permutations(assignment_to_clusters(pred, order)))
+    clusters = oracles.assignment_to_clusters(pred)
+    shuffled = data.draw(st.permutations(oracles.assignment_to_clusters(pred, order)))
     assert purity(shuffled, gold) == purity(clusters, gold)
     assert nmi(shuffled, gold) == nmi(clusters, gold)
     # Shuffled documents, and classes renamed alike in prediction and gold.
@@ -257,7 +257,7 @@ def test_means_do_not_depend_on_the_order_of_runs_or_tasks(pairs, seed, per_task
     task = _order_task(gold)
     rng = np.random.default_rng(seed)
     clusterings = [
-        Clustering(assignment_to_clusters(dict(zip(gold, rng.integers(0, 6, size=len(gold)).tolist()))), "kmeans", 6, rep)
+        Clustering(oracles.assignment_to_clusters(dict(zip(gold, rng.integers(0, 6, size=len(gold)).tolist()))), "kmeans", 6, rep)
         for rep in range(1, int(rng.integers(1, 11)) + 1)
     ]
     shuffled = data.draw(st.permutations(clusterings))
@@ -315,7 +315,7 @@ def test_evaluate_assignment_equals_the_metrics_over_grouped_documents(seed, mod
     if not kept:
         assert metrics.purity is None and metrics.nmi is None
         return
-    clusters = assignment_to_clusters(assignment.mapping, kept)
+    clusters = oracles.assignment_to_clusters(assignment.mapping, kept)
     assert metrics.purity == purity(clusters, task.gold)
     assert metrics.nmi == nmi(clusters, task.gold)
 
@@ -353,7 +353,7 @@ def test_evaluate_assignment_empty_task_leaves_everything_unset():
 def test_evaluate_clusterings_equals_the_mean_metrics_over_runs(seed, method):
     # Equal, not approximately equal: each mean is an exactly rounded sum over the runs.
     task = random_micro_task(np.random.default_rng(seed))
-    runs = task_clusterings(task, method, FeatureConfig(), reps=3)
+    runs = task_clusterings(TaskResources.from_task(task, FeatureConfig()), method, 3)
     if runs is None:
         return
     metrics = evaluate_clusterings(task, runs)

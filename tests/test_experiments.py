@@ -26,7 +26,7 @@ from namesift.experiments import (
     task_clusterings,
     validate_corpus,
 )
-from namesift.models import MODELS, TaskResources, map_documents
+from namesift.models import MODELS, ModelConfig, TaskResources, map_documents
 
 from conftest import build_task, write_broken_task, write_mini_corpus
 
@@ -60,7 +60,8 @@ def test_run_spec_takes_reps_only_as_an_integer_of_at_least_one(reps):
     "setting",
     [{"models": ("bogus",)}, {"noise_modes": ("bogus",)}, {"alpha": -1.0}, {"jm_lambda": 2.0},
      {"laplace_denominator": "x"}, {"idf_numerator": "x"}, {"log_base": "3"},
-     {"models": (), "hac": True, "idf_numerator": "x"}],  # the baselines read the weighting options too
+     {"models": (), "hac": True, "idf_numerator": "x"},  # the baselines read the weighting options too
+     {"tasks": ()}],  # a filter that names no task; None selects every task
 )
 def test_run_spec_checks_its_settings_at_construction(tmp_path, setting):
     with pytest.raises(ConfigError):
@@ -199,7 +200,7 @@ def test_grid_cell_equals_single_run(mini_corpus):
     for report, method in zip(result.reports[len(cells) :], BASELINES):
         clusterings = {}
         for task in tasks:
-            runs = task_clusterings(task, method, spec.feature_config(), reps=spec.reps)
+            runs = task_clusterings(TaskResources.from_task(task, spec.feature_config()), method, spec.reps)
             gold = {doc_id: task.gold[doc_id] for doc_id in clustering_eval_filter(task)}
             assert report.per_task[task.name].purity == math.fsum(purity(c, gold) for c in runs) / len(runs)
             assert report.per_task[task.name].nmi == math.fsum(nmi(c, gold) for c in runs) / len(runs)
@@ -273,31 +274,30 @@ def test_grid_assignments_match_topical_structure(mini_corpus):
 
 
 def test_task_clusterings_shapes(mini_corpus):
-    tasks, _ = load_tasks(RunSpec(corpus_root=mini_corpus))
     spec = RunSpec(corpus_root=mini_corpus)
-    features = spec.feature_config()
-    hac_runs = task_clusterings(tasks[0], "hac_complete", features)
+    tasks, _ = load_tasks(spec)
+    resources = TaskResources.from_task(tasks[0], spec.feature_config())
+    hac_runs = task_clusterings(resources, "hac_complete")
     assert len(hac_runs) == 1
     assert hac_runs[0].method == "hac_complete"
-    km_runs = task_clusterings(tasks[0], "kmeans", features, reps=4)
+    km_runs = task_clusterings(resources, "kmeans", 4)
     assert [c.seed for c in km_runs] == [1, 2, 3, 4]
     with pytest.raises(ValueError):
-        task_clusterings(tasks[0], "spectral", features)
+        task_clusterings(resources, "spectral")
 
 
 def test_task_clusterings_take_vectors_from_matching_resources_only(mini_corpus):
+    # Resources a grid's cells have already used cluster their own task as fresh ones do.
     tasks, _ = load_tasks(RunSpec(corpus_root=mini_corpus))
     features = FeatureConfig()
-    shared = TaskResources.from_task(tasks[0], features)
-    built = task_clusterings(tasks[0], "kmeans", features, reps=3)
-    reused = task_clusterings(tasks[0], "kmeans", features, reps=3, resources=shared)
-    assert [c.to_dict() for c in built] == [c.to_dict() for c in reused]
-    other = FeatureConfig(idf_numerator="paper")
-    with pytest.raises(ValueError, match="weighting options"):
-        task_clusterings(tasks[0], "hac_complete", other, resources=shared)
-    for method in BASELINES:
-        with pytest.raises(ValueError, match="different task"):
-            task_clusterings(tasks[1], method, features, reps=3, resources=shared)
+    for task in tasks:
+        shared = TaskResources.from_task(task, features)
+        map_documents(task, ModelConfig(model="score_smoothed"), shared)
+        for method in BASELINES:
+            fresh = task_clusterings(TaskResources.from_task(task, features), method, 3)
+            reused = task_clusterings(shared, method, 3)
+            assert [c.to_dict() for c in reused] == [c.to_dict() for c in fresh]
+            assert {d for c in reused for cluster in c.clusters for d in cluster} == set(clustering_eval_filter(task))
 
 
 def test_baseline_grid_builds_one_gram_per_task(mini_corpus, monkeypatch):
@@ -316,7 +316,7 @@ def test_baseline_grid_builds_one_gram_per_task(mini_corpus, monkeypatch):
 
 def test_task_clusterings_skip_tasks_without_entity_documents():
     task = build_task({"e1": "x"}, {"d1": "q"}, gold={"d1": NOISE_LABEL})
-    assert task_clusterings(task, "hac_complete", FeatureConfig()) is None
+    assert task_clusterings(TaskResources.from_task(task, FeatureConfig()), "hac_complete") is None
 
 
 # ---------------------------------------------------------------------------

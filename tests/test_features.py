@@ -34,7 +34,7 @@ def _tokens_of(index, vector):
 
 def _weight(token, element_id, index, config=FeatureConfig()):
     """One token's tf-idf weight in one element, 0 where the element lacks it."""
-    return vectorize(element_id, index, config).get(index.feature_id(token), 0.0)
+    return vectorize(element_id, index, config).get(index.ids[token], 0.0)
 
 
 def _noise(index, noise="union", semantics="exists"):
@@ -87,7 +87,7 @@ def test_index_orders_documents_before_entities():
     index = build_index(task)
     assert index.document_ids == ["d1", "d2"]
     assert index.entity_ids == ["e1"]
-    assert list(index.term_counts) == ["d1", "d2", "e1"]
+    assert [index.span(e) for e in ("d1", "d2", "e1")] == [slice(0, 2), slice(2, 4), slice(4, 6)]
     assert index.corpus_size == 3
     # Feature ids follow first occurrence, documents first.
     assert index.tokens[: index.feature_count] == ["ant", "bee", "cat", "dog"]
@@ -96,36 +96,34 @@ def test_index_orders_documents_before_entities():
 def test_index_document_frequencies():
     task = build_task({"e1": "cat dog"}, {"d1": "ant bee", "d2": "bee cat"})
     index = build_index(task)
-    df = {tok: index.df[index.feature_id(tok)] for tok in ("ant", "bee", "cat", "dog")}
+    df = {tok: index.df[index.ids[tok]] for tok in ("ant", "bee", "cat", "dog")}
     assert df == {"ant": 1, "bee": 2, "cat": 2, "dog": 1}
 
 
 def test_index_term_lookups():
     task = build_task({"e1": "cat cat dog"}, {"d1": "ant"})
     index = build_index(task)
-    counts = index.term_counts["e1"]
-    assert counts[index.feature_id("cat")] == 2
+    counts = oracles.counts_ref("e1", index)
+    assert counts[index.ids["cat"]] == 2
     assert max(counts.values()) == 2
     assert sum(counts.values()) == 3
     with pytest.raises(KeyError):
-        index.feature_id("zebra")
-    with pytest.raises(KeyError):
-        index.term_counts["missing"]
-    with pytest.raises(KeyError):
-        index.term_counts[NOISE_LABEL]  # the noise entity has no term statistics
+        index.ids["zebra"]  # the lookup no longer hands out new ids once indexing ends
+    with pytest.raises(KeyError, match="unknown element"):
+        index.span("missing")
     with pytest.raises(KeyError, match="noise entity"):
-        index.span(NOISE_LABEL)
+        index.span(NOISE_LABEL)  # the noise entity has no term statistics
 
 
 def test_index_rows_are_cached_read_only_views():
     index = build_index(build_task({"e1": "cat cat dog"}, {"d1": "ant"}))
-    row = index.term_counts["e1"]
-    assert isinstance(row, FeatureVector) and index.term_counts["e1"] is row
-    assert row == {index.feature_id("cat"): 2.0, index.feature_id("dog"): 1.0}
-    with pytest.raises(TypeError):
-        row[index.feature_id("cat")] = 3
-    with pytest.raises(TypeError):
-        index.term_counts["e1"] = {}
+    assert oracles.counts_ref("e1", index) == {index.ids["cat"]: 2.0, index.ids["dog"]: 1.0}
+    weights = index.weights(FeatureConfig())
+    assert index.weights(FeatureConfig(noise="union")) is weights  # one array per weighting, whatever the noise
+    for array in (index.features, index.counts, index.offsets, index.df, weights):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[index.span("e1").start] = 3
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +154,7 @@ def test_tfidf_accepts_feature_id_or_token():
     # the index's stored weights agree on it.
     task = build_task({"e1": "a"}, {"c": "a a b"})
     index = build_index(task)
-    fid = index.feature_id("b")
+    fid = index.ids["b"]
     span = index.span("c")
     stored = index.weights(FeatureConfig())[span][index.features[span].tolist().index(fid)]
     assert vectorize("c", index)[fid] == stored == _weight("b", "c", index)
@@ -275,7 +273,7 @@ def test_index_matches_scalar_reference_bit_for_bit(documents, entities, numerat
     assert index.tokens == ref["tokens"]
     assert list(index.df) == ref["df"]
     for element, pairs in ref["counts"].items():
-        assert list(index.term_counts[element].items()) == pairs
+        assert list(oracles.counts_ref(element, index).items()) == pairs
         assert vectorize(element, index, config) == ref["weights"][element]
 
     entity_features = {fid for eid in index.entity_ids for fid, _ in ref["counts"][eid]}
@@ -345,7 +343,7 @@ def test_weights_take_the_scalar_log():
     # math.log(21 / 20) differ in the last bit on some machines.
     task = build_task({}, {f"d{i}": "common" if i else "rare" for i in range(21)})
     index = build_index(task)
-    assert vectorize("d1", index) == {index.feature_id("common"): math.log(21 / 20)}
+    assert vectorize("d1", index) == {index.ids["common"]: math.log(21 / 20)}
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from namesift.models import (
     jelinek_mercer_log_probs,
     laplace_log_priors,
     map_documents,
-    multinomial_log_coefficient,
     smoothed_profile,
     unit_rows,
 )
@@ -111,6 +110,11 @@ def dot_score(u, v):
 def _smoothed(entities, rows):
     """`smoothed_profile` given the cosine product, as a fit gives it."""
     return smoothed_profile(entities, rows, rows.dot(unit_rows(entities), rows.unit()))
+
+
+def _context(task, config):
+    """`build_context` over resources built from ``task`` for ``config``."""
+    return build_context(TaskResources.from_task(task, config.features), config)
 
 
 def cosine_sim(u, v):
@@ -296,7 +300,7 @@ def test_context_smooths_entities_but_not_noise():
     task = build_task({"e1": "a b", "e2": "c d"}, {"d1": "a b x", "d2": "c y"})
     config = ModelConfig(model="score_smoothed", features=FeatureConfig(noise="union"))
     resources = TaskResources.from_task(task, config.features)
-    assert build_context(task, config, resources).class_ids == ["e1", "e2", NOISE_LABEL]
+    assert build_context(resources, config).class_ids == ["e1", "e2", NOISE_LABEL]
     entity, noise = resources.fits(config)
     raw_entity, raw_noise = resources.fits(dataclasses.replace(config, model="score"))
     # The noise profile is used as-is, never pulled toward documents.
@@ -353,7 +357,7 @@ def test_bernoulli_uses_distinct_features_not_frequencies():
     # Every stored document feature counts once, whatever its frequency.
     assert np.array_equal(resources.fits(config)[0].values, np.ones(4))
     # d1 and d2 share the same distinct-feature set, so identical scores.
-    assignment = assign_from_context(build_context(task, config, resources))
+    assignment = assign_from_context(build_context(resources, config))
     assert assignment.scores["d1"] == assignment.scores["d2"]
 
 
@@ -379,7 +383,7 @@ def test_bernoulli_matches_linear_domain_oracle():
                     laplace_denominator=denominator,
                     features=FeatureConfig(noise=noise),
                 )
-                ctx = build_context(task, config)
+                ctx = _context(task, config)
                 assignment = assign_from_context(ctx)
                 for doc in task.documents:
                     expected = oracles.bernoulli_linear(
@@ -416,7 +420,7 @@ def test_multinomial_matches_linear_domain_oracle():
         task = random_micro_task(rng, max_tokens=10)
         for noise in ("none", "union"):
             config = ModelConfig(model="nb_multinomial_jm", features=FeatureConfig(noise=noise))
-            ctx = build_context(task, config)
+            ctx = _context(task, config)
             assignment = assign_from_context(ctx)
             for doc in task.documents:
                 expected = oracles.multinomial_linear(task, doc.id, noise=noise)
@@ -432,7 +436,7 @@ def test_multinomial_log_coefficient_matches_factorials():
         expected = math.factorial(total)
         for n in freqs.values():
             expected //= math.factorial(n)
-        assert multinomial_log_coefficient(freqs) == pytest.approx(math.log(expected), rel=1e-12)
+        assert oracles.multinomial_log_coefficient(freqs) == pytest.approx(math.log(expected), rel=1e-12)
 
 
 def test_adding_multinomial_coefficient_never_changes_argmax():
@@ -441,11 +445,11 @@ def test_adding_multinomial_coefficient_never_changes_argmax():
     while checked < 100:
         task = random_micro_task(rng, max_tokens=12)
         config = ModelConfig(model="nb_multinomial_jm", features=FeatureConfig(noise="union"))
-        ctx = build_context(task, config)
+        ctx = _context(task, config)
         assignment = assign_from_context(ctx)
         for doc in task.documents:
             row = assignment.scores[doc.id]
-            shift = multinomial_log_coefficient(build_index(task).term_counts[doc.id])
+            shift = oracles.multinomial_log_coefficient(oracles.counts_ref(doc.id, build_index(task)))
             shifted = {cid: s + shift for cid, s in row.items()}
             assert max(row, key=row.get) == max(shifted, key=shifted.get)
             checked += 1
@@ -482,7 +486,7 @@ def test_score_union_fixture_routes_unmatched_document_to_noise():
     config = ModelConfig(
         model="score", features=FeatureConfig(idf_numerator="paper", noise="union")
     )
-    ctx = build_context(task, config)
+    ctx = _context(task, config)
     assignment = assign_from_context(ctx)
     row = assignment.scores["d1"]
     assert row["e1"] == 0.0
@@ -495,7 +499,7 @@ def test_exact_tie_goes_to_first_entity_with_noise_ranked_last():
     # d2 pads the corpus so df(alpha) < |C| keeps the idf positive.
     task = build_task({"e1": "alpha", "e2": "alpha"}, {"d1": "alpha", "d2": "padding words"})
     config = ModelConfig(model="cosine", features=FeatureConfig(noise="union"))
-    ctx = build_context(task, config)
+    ctx = _context(task, config)
     assignment = assign_from_context(ctx)
     row = assignment.scores["d1"]
     assert row["e1"] == row["e2"] == row[NOISE_LABEL] == pytest.approx(1.0)
@@ -538,7 +542,7 @@ def test_every_document_scored_against_every_class():
         for model in MODELS:
             for noise in ("none", "intersection"):
                 config = ModelConfig(model=model, features=FeatureConfig(noise=noise))
-                ctx = build_context(task, config)
+                ctx = _context(task, config)
                 assignment = assign_from_context(ctx)
                 assert set(assignment.mapping) == set(task.gold)
                 for row in assignment.scores.values():
@@ -598,7 +602,7 @@ def test_scaling_document_vectors_preserves_vector_model_argmax(task, factor):
     for model in ("cosine", "score", "score_smoothed"):
         config = ModelConfig(model=model, features=FeatureConfig(noise="union"))
         resources = TaskResources.from_task(task, config.features)
-        ctx = build_context(task, config, resources)
+        ctx = build_context(resources, config)
         baseline = assign_from_context(ctx)
         rows, (entity, _) = resources.rows, resources.fits(config)
         entities = _smoothed(resources.entities, rows) if model == "score_smoothed" else resources.entities
@@ -685,7 +689,7 @@ def test_array_holding_values_compare_and_hash_by_identity():
     config = ModelConfig(model="nb_multinomial_jm", features=FeatureConfig(noise="union"))
     pairs = []
     for resources in (TaskResources.from_task(task, config.features), TaskResources.from_task(task, config.features)):
-        pairs.append((resources.rows, resources.fits(config)[0], build_context(task, config, resources)))
+        pairs.append((resources.rows, resources.fits(config)[0], build_context(resources, config)))
     for first, second in zip(*pairs):
         assert first == first and first != second
         assert len({first, second, first}) == 2
@@ -760,26 +764,22 @@ def test_one_resources_instance_serves_any_sequence_of_configurations(task, data
         assert matrix.tobytes() == np.array([list(row.values()) for row in fresh.scores.values()]).tobytes()
 
 
-def test_resources_reject_mismatched_weighting_options():
-    task = build_task({"e1": "a"}, {"d1": "b"})
-    resources = TaskResources.from_task(task, FeatureConfig(idf_numerator="corpus"))
-    config = ModelConfig(model="cosine", features=FeatureConfig(idf_numerator="paper"))
-    with pytest.raises(ValueError, match="weighting options"):
-        build_context(task, config, resources)
-
-
-def test_resources_reject_another_task():
+@pytest.mark.parametrize(
+    "another_task, features, message",
+    [
+        (True, FeatureConfig(), "different task"),
+        (False, FeatureConfig(idf_numerator="paper"), "weighting options"),
+        (False, FeatureConfig(log_base="2"), "weighting options"),
+    ],
+    ids=["another_task_object", "another_idf_numerator", "another_log_base"],
+)
+def test_map_documents_refuses_mismatched_resources(another_task, features, message):
     # An equal task that is another object is refused too: resources belong to the instance they were built from.
     task = build_task({"e1": "a"}, {"d1": "a", "d2": "b"})
-    other = build_task({"e1": "a"}, {"d1": "b", "d2": "a"})
     resources = TaskResources.from_task(task, FeatureConfig())
-    config = ModelConfig(model="cosine")
-    for scored in (other, build_task({"e1": "a"}, {"d1": "a", "d2": "b"})):
-        with pytest.raises(ValueError, match="different task"):
-            build_context(scored, config, resources)
-        with pytest.raises(ValueError, match="different task"):
-            map_documents(scored, config, resources)
-    assert map_documents(task, config, resources).mapping == map_documents(task, config).mapping
+    scored = build_task({"e1": "a"}, {"d1": "a", "d2": "b"}) if another_task else task
+    with pytest.raises(ValueError, match=message):
+        map_documents(scored, ModelConfig(model="cosine", features=features), resources)
 
 
 def test_resources_are_built_from_their_inputs_alone():
@@ -814,7 +814,7 @@ def test_noise_rows_and_gram_are_cached_read_only():
     assert row is resources.noise_rows(union)
     assert row.shape == (1, resources.index.feature_count)
     assert np.array_equal(row, build_noise_profile(resources.index, union))
-    assert np.flatnonzero(row[0]).tolist() == sorted(resources.index.feature_id(t) for t in "abc")
+    assert np.flatnonzero(row[0]).tolist() == sorted(resources.index.ids[t] for t in "abc")
     assert (row[0, np.flatnonzero(row[0])] == 1.0 / 3).all()
     assert resources.noise_rows(FeatureConfig(noise="none")).shape == (0, resources.index.feature_count)
     gram = resources.kept_gram
