@@ -75,8 +75,10 @@ class Gram:
 
 
 # Document pairs summed per `np.bincount` call in `gram`.  It bounds the
-# temporaries to a few arrays of this length; no sum depends on it.
-_PAIR_CHUNK = 1 << 12
+# temporaries to a few arrays of this length; no sum depends on it.  Each
+# call also carries the m x m running sums (12,544 at m = 112), so smaller
+# chunks spend most of each call on that carry.
+_PAIR_CHUNK = 1 << 14
 
 
 def gram(ids: Sequence[str], features: np.ndarray, offsets: np.ndarray, weights: np.ndarray) -> Gram:
@@ -190,33 +192,27 @@ def hac_complete(gram: Gram, k: int) -> Clustering:
     distance 1 from everything).  Each step merges the pair of clusters
     with the smallest maximum pairwise distance; exact ties pick the pair
     whose sorted (min doc id, min doc id) key is lexicographically
-    smallest.  Stops when ``k`` clusters remain.
+    smallest.  Stops when ``k`` clusters remain, listed by their smallest
+    document id.
     """
-    ids = gram.ids
-    n = len(ids)
+    n = len(gram.ids)
     k = _check_k(k, n)
-    # Complete-link distance between the clusters held in slots i and j; a
-    # merged cluster keeps the lower slot.  The maximum of two rows is
-    # exact, so every link value stays one of the pairwise distances.
-    # Retired slots and the diagonal are infinite.
-    link = 1.0 - gram.matrix
+    # Slots in document-id order.  A merged cluster keeps the lower slot,
+    # which already holds its smallest id, so slot order is min-id order
+    # and the first minimum of the symmetric ``link`` in row-major order,
+    # which is the one `np.argmin` returns, is the tie rule's pair.
+    order = sorted(range(n), key=gram.ids.__getitem__)
+    # Complete-link distance between the clusters held in slots i and j.
+    # The maximum of two rows is exact, so every link value stays one of
+    # the pairwise distances.  Retired slots and the diagonal are infinite.
+    link = 1.0 - gram.matrix[np.ix_(order, order)]
     np.fill_diagonal(link, np.inf)
-    # Rank of each slot's smallest member id: comparing ranks compares ids.
-    mins = np.empty(n, dtype=np.int64)
-    mins[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
-    members: list[list[str] | None] = [[doc_id] for doc_id in ids]
+    members: list[list[str] | None] = [[gram.ids[i]] for i in order]
 
     for _ in range(n - k):
-        nearest = link.min(axis=1)
-        candidates = np.flatnonzero(nearest == nearest.min())
-        hits, cols = np.nonzero(link[candidates] == nearest[candidates, None])
-        rows = candidates[hits]
-        lo, hi = np.minimum(mins[rows], mins[cols]), np.maximum(mins[rows], mins[cols])
-        best = np.lexsort((hi, lo))[0]
-        i, j = sorted((int(rows[best]), int(cols[best])))
+        i, j = divmod(int(np.argmin(link)), n)
         members[i] = members[i] + members[j]
         members[j] = None
-        mins[i] = min(mins[i], mins[j])
         link[i] = link[:, i] = np.maximum(link[i], link[j])
         link[j] = link[:, j] = np.inf
 

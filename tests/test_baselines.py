@@ -221,15 +221,20 @@ def test_hac_matches_brute_force_linkage_oracle():
 # holds only 1.0 or 0.5, so each cosine is an exact multiple of 1/4 in any
 # summation order and distance ties are exact for both implementations.
 _EXACT_SUPPORTS = [()] + [(f,) for f in range(6)] + list(combinations(range(6), 4))
+# Ids drawn in any order, so a document's place in the task need not be
+# its id's place in sorted order ("a" < "d0" < "d1" < "d10" < "d2" ...):
+# the tie rule compares ids, not rows.
+_TIE_IDS = [f"d{i}" for i in range(11)] + ["a", "zz"]
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     docs=st.lists(st.tuples(st.sampled_from(_EXACT_SUPPORTS), st.integers(1, 5)), min_size=1, max_size=9),
     k=st.integers(1, 9),
+    ids=st.permutations(_TIE_IDS),
 )
-def test_hac_matches_oracle_on_exact_distance_ties(docs, k):
-    vectors = {f"d{i}": {f: float(weight) for f in support} for i, (support, weight) in enumerate(docs)}
+def test_hac_matches_oracle_on_exact_distance_ties(docs, k, ids):
+    vectors = {doc_id: {f: float(weight) for f in support} for doc_id, (support, weight) in zip(ids, docs)}
     assert _sets(hac_complete(_gram(vectors), k)) == oracles.hac_ref(vectors, k)
 
 
